@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 Voxel = tuple[int, int, int]
 
@@ -30,7 +30,8 @@ _ATLAS_MAGIC = b"LEGA"
 _COHORT_MAGIC = b"LEGC"
 _FORMAT_VERSION = 1
 
-_FACE_NEIGHBORS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+# 6-connectivity: voxels are neighbours when they share a face
+FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
 
 class InputError(ValueError):
@@ -113,27 +114,33 @@ class ToyAtlas:
             if arr.shape != dims:
                 raise InputError(f"{name} shape {arr.shape} does not match grid {dims}")
 
-        nonbg = self.roi_of_voxel > 0
-        if np.any(self.territory_of_voxel[nonbg] == 0):
-            raise InputError("non-background voxel without a territory")
+        # find_objects skips labels past max_label, so range errors go first
+        for name, arr, top in (
+            ("roi_of_voxel", self.roi_of_voxel, self.n_rois),
+            ("territory_of_voxel", self.territory_of_voxel, self.n_territories),
+            ("hemisphere_of_voxel", self.hemisphere_of_voxel, HEMI_RIGHT),
+        ):
+            if np.any((arr < 0) | (arr > top)):
+                raise InputError(f"{name} has labels outside [0, {top}]")
         if np.any((self.roi_of_voxel > 0) != (self.territory_of_voxel > 0)):
             raise InputError("ROI and territory backgrounds disagree")
 
-        for roi in range(1, self.n_rois + 1):
-            cells = self.roi_of_voxel == roi
-            if not cells.any():
+        boxes = ndimage.find_objects(self.roi_of_voxel, max_label=self.n_rois)
+        for roi, bbox in enumerate(boxes, start=1):
+            if bbox is None:
                 raise InputError(f"ROI {roi} is empty")
+            cells = self.roi_of_voxel[bbox] == roi
             if not region_is_face_connected(cells):
                 raise InputError(f"ROI {roi} is not face-connected")
-            if len(np.unique(self.hemisphere_of_voxel[cells])) != 1:
+            if len(np.unique(self.hemisphere_of_voxel[bbox][cells])) != 1:
                 raise InputError(f"ROI {roi} spans hemispheres")
-            if len(np.unique(self.territory_of_voxel[cells])) != 1:
+            if len(np.unique(self.territory_of_voxel[bbox][cells])) != 1:
                 raise InputError(f"ROI {roi} spans territories")
-        for t in range(1, self.n_territories + 1):
-            cells = self.territory_of_voxel == t
-            if not cells.any():
+        boxes = ndimage.find_objects(self.territory_of_voxel, max_label=self.n_territories)
+        for t, bbox in enumerate(boxes, start=1):
+            if bbox is None:
                 raise InputError(f"territory {t} is empty")
-            if not region_is_face_connected(cells):
+            if not region_is_face_connected(self.territory_of_voxel[bbox] == t):
                 raise InputError(f"territory {t} is not face-connected")
 
 
@@ -231,53 +238,13 @@ def _largest_remainder_quotas(total: int, sizes: list[int]) -> list[int]:
 
 def region_is_face_connected(cells: np.ndarray) -> bool:
     """True if the set bits of a boolean grid form one 6-connected component."""
-    coords = np.argwhere(cells)
-    if coords.shape[0] == 0:
-        return False
-    seen = np.zeros(cells.shape, dtype=bool)
-    start = tuple(coords[0])
-    seen[start] = True
-    queue = deque([start])
-    found = 1
-    dims = cells.shape
-    while queue:
-        x, y, z = queue.popleft()
-        for dx, dy, dz in _FACE_NEIGHBORS:
-            nx, ny, nz = x + dx, y + dy, z + dz
-            if 0 <= nx < dims[0] and 0 <= ny < dims[1] and 0 <= nz < dims[2]:
-                if cells[nx, ny, nz] and not seen[nx, ny, nz]:
-                    seen[nx, ny, nz] = True
-                    found += 1
-                    queue.append((nx, ny, nz))
-    return found == coords.shape[0]
+    return ndimage.label(cells, structure=FACE_STRUCTURE)[1] == 1
 
 
 def region_is_hole_free(cells: np.ndarray) -> bool:
-    """True if the complement of the mask is one face-connected region.
-
-    Equivalently: flood-filling the background from the grid boundary reaches
-    every non-mask voxel, so the mask encloses no cavity.
-    """
-    dims = cells.shape
-    outside = np.zeros(dims, dtype=bool)
-    queue: deque[Voxel] = deque()
-    boundary = np.zeros(dims, dtype=bool)
-    boundary[0, :, :] = boundary[-1, :, :] = True
-    boundary[:, 0, :] = boundary[:, -1, :] = True
-    boundary[:, :, 0] = boundary[:, :, -1] = True
-    for x, y, z in np.argwhere(boundary & ~cells):
-        if not outside[x, y, z]:
-            outside[x, y, z] = True
-            queue.append((int(x), int(y), int(z)))
-    while queue:
-        x, y, z = queue.popleft()
-        for dx, dy, dz in _FACE_NEIGHBORS:
-            nx, ny, nz = x + dx, y + dy, z + dz
-            if 0 <= nx < dims[0] and 0 <= ny < dims[1] and 0 <= nz < dims[2]:
-                if not cells[nx, ny, nz] and not outside[nx, ny, nz]:
-                    outside[nx, ny, nz] = True
-                    queue.append((nx, ny, nz))
-    return bool(np.all(outside | cells))
+    """True if the mask encloses no cavity: every non-mask voxel reaches the
+    grid boundary through face-adjacent non-mask voxels."""
+    return np.array_equal(ndimage.binary_fill_holes(cells, structure=FACE_STRUCTURE), cells)
 
 
 @dataclass(frozen=True)
@@ -291,28 +258,36 @@ class LesionMask:
     def size(self) -> int:
         return len(self.voxels)
 
+    def coords(self, grid_dims: tuple[int, int, int]) -> np.ndarray:
+        """(K, 3) voxel coordinates sorted in C order.
+
+        Raises InputError if any voxel lies outside the grid. The order is
+        part of the contract: `compute_roi_timeseries` accumulates lesioned
+        voxels in it, and cohort bytes depend on that order.
+        """
+        idx = np.array(list(self.voxels), dtype=np.intp).reshape(len(self.voxels), 3)
+        outside = np.any((idx < 0) | (idx >= np.asarray(grid_dims)), axis=1)
+        if outside.any():
+            voxel = tuple(int(a) for a in idx[outside][0])
+            raise InputError(f"lesion voxel {voxel} outside grid {tuple(grid_dims)}")
+        return idx[np.lexsort(idx.T[::-1])]
+
     def to_dense(self, grid_dims: tuple[int, int, int]) -> np.ndarray:
         mask = np.zeros(grid_dims, dtype=bool)
-        if self.voxels:
-            idx = np.array(sorted(self.voxels))
-            mask[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+        mask[tuple(self.coords(grid_dims).T)] = True
         return mask
 
     def territory(self, atlas: ToyAtlas) -> int:
         """The single territory containing the mask (raises if mixed)."""
-        territories = {int(atlas.territory_of_voxel[v]) for v in self.voxels}
+        territories = np.unique(atlas.territory_of_voxel[tuple(self.coords(atlas.grid_dims).T)])
         if len(territories) != 1:
-            raise InputError(f"lesion spans territories {sorted(territories)}")
-        return territories.pop()
+            raise InputError(f"lesion spans territories {territories.tolist()}")
+        return int(territories[0])
 
     def validate(self, atlas: ToyAtlas) -> None:
         if not self.voxels:
             raise InputError("lesion mask is empty")
-        dims = atlas.grid_dims
-        for v in self.voxels:
-            if not all(0 <= v[a] < dims[a] for a in range(3)):
-                raise InputError(f"lesion voxel {v} outside grid {dims}")
-        dense = self.to_dense(dims)
+        dense = self.to_dense(atlas.grid_dims)
         if np.any(atlas.hemisphere_of_voxel[dense] != HEMI_LEFT):
             raise InputError("lesion leaves the left hemisphere")
         self.territory(atlas)
@@ -367,9 +342,7 @@ def compute_roi_timeseries(
     counts = np.diff(bounds).astype(np.float64)
 
     if lesion is not None and lesion.voxels:
-        dims = atlas.grid_dims
-        idx = np.array(sorted(lesion.voxels))
-        flat_idx = np.ravel_multi_index((idx[:, 0], idx[:, 1], idx[:, 2]), dims)
+        flat_idx = np.ravel_multi_index(tuple(lesion.coords(atlas.grid_dims).T), atlas.grid_dims)
         rois = atlas.roi_of_voxel.reshape(-1)[flat_idx]
         keep = rois > 0
         flat_idx, rois = flat_idx[keep], rois[keep]
@@ -431,10 +404,6 @@ class LesionEncoding:
 
     p: np.ndarray
 
-    def as_matrix(self) -> np.ndarray:
-        """The diagonal lesion embedding matrix L with L_ii = p_i."""
-        return np.diag(self.p)
-
     def validate(self) -> None:
         if self.p.ndim != 1:
             raise InputError("lesion encoding must be a vector")
@@ -444,14 +413,8 @@ class LesionEncoding:
 
 def spared_fractions(atlas: ToyAtlas, lesion: LesionMask) -> LesionEncoding:
     """Fraction of each ROI's voxels that the lesion spares."""
-    dims = atlas.grid_dims
-    lesioned = np.zeros(atlas.n_rois, dtype=np.int64)
-    for v in lesion.voxels:
-        if not all(0 <= v[a] < dims[a] for a in range(3)):
-            raise InputError(f"lesion voxel {v} outside grid {dims}")
-        roi = int(atlas.roi_of_voxel[v])
-        if roi > 0:
-            lesioned[roi - 1] += 1
+    rois = atlas.roi_of_voxel[tuple(lesion.coords(atlas.grid_dims).T)]
+    lesioned = np.bincount(rois, minlength=atlas.n_rois + 1)[1:]
     total = atlas.roi_sizes()
     return LesionEncoding(p=(total - lesioned) / total)
 
@@ -479,7 +442,7 @@ class SubjectRecord:
 
 
 # ----------------------------------------------------------------------
-# file formats (documented in README.md, "File formats")
+# file formats (layouts in the save_* docstrings)
 # ----------------------------------------------------------------------
 
 

@@ -204,40 +204,6 @@ class Tape:
 
         return self._emit(out, (a,), backward)
 
-    def concat(self, parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-        """Concatenate tensors along `axis`."""
-        if not parts:
-            raise ShapeError("concat needs at least one tensor")
-        try:
-            out = np.concatenate([t.data for t in parts], axis=axis)
-        except ValueError as exc:
-            raise ShapeError("concat shape mismatch") from exc
-        sizes = [t.data.shape[axis] for t in parts]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(g):
-            g = np.moveaxis(g, axis, 0)
-            return tuple(
-                np.moveaxis(g[offsets[i]:offsets[i + 1]], 0, axis) for i in range(len(parts))
-            )
-
-        return self._emit(out, tuple(parts), backward)
-
-    def slice(self, a: Tensor, start: int, stop: int) -> Tensor:
-        """Contiguous slice [start, stop) along the first axis."""
-        if a.data.ndim == 0:
-            raise ShapeError("cannot slice a 0-d tensor")
-        if not (0 <= start <= stop <= a.data.shape[0]):
-            raise ShapeError(f"slice [{start}:{stop}] out of range for shape {a.shape}")
-        out = a.data[start:stop].copy()
-
-        def backward(g):
-            full = np.zeros(a.data.shape)
-            full[start:stop] = g
-            return (full,)
-
-        return self._emit(out, (a,), backward)
-
     def reshape(self, a: Tensor, shape: tuple[int, ...]) -> Tensor:
         """Reshape without changing the row-major element order."""
         if len(shape) > 3:

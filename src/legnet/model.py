@@ -62,30 +62,6 @@ class HyperParams:
             raise InputError("lam must be nonnegative")
 
 
-@dataclass(eq=False)
-class LegnetParams:
-    """Typed view of the learnable tensors (see `param_spec` for shapes)."""
-
-    r: np.ndarray
-    c: np.ndarray
-    g: np.ndarray
-    b1: np.ndarray
-    theta1: np.ndarray
-    theta2: np.ndarray
-    b2: np.ndarray
-    head_w1: np.ndarray
-    head_b1: np.ndarray
-    head_w2: np.ndarray
-    head_b2: np.ndarray
-
-    @classmethod
-    def from_dict(cls, params: dict[str, np.ndarray]) -> "LegnetParams":
-        return cls(**{f: params[f] for f in cls.__dataclass_fields__})
-
-    def to_dict(self) -> dict[str, np.ndarray]:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-
 def param_spec(kind: str, hyper: HyperParams) -> list[tuple[str, tuple[int, ...], int, int]]:
     """Ordered (name, shape, fan_in, fan_out) table for one model kind."""
     n, k = hyper.n_rois, hyper.k
@@ -162,8 +138,13 @@ def edge_to_edge(tape: Tape, x: Tensor, r: Tensor, c: Tensor) -> Tensor:
         raise InputError(f"edge_to_edge shapes disagree: X {x.shape}, r {r.shape}, c {c.shape}")
     row = tape.matmul(x, r)
     col = tape.matmul(tape.transpose(x, (1, 0)), c)
-    pre = tape.add(tape.reshape(row, (n, 1, d0)), tape.reshape(col, (1, n, d0)))
-    return tape.relu(pre)
+    return _edge_relu(tape, row, col)
+
+
+def _edge_relu(tape: Tape, row: Tensor, col: Tensor) -> Tensor:
+    """H_ij = relu(row_i + col_j) from per-node row/column terms (N, d0)."""
+    n, d0 = row.shape
+    return tape.relu(tape.add(tape.reshape(row, (n, 1, d0)), tape.reshape(col, (1, n, d0))))
 
 
 def edge_to_node(tape: Tape, h: Tensor, g: Tensor, b1: Tensor) -> Tensor:
@@ -301,12 +282,11 @@ def bnc_2channel_forward(tape: Tape, subj: PreparedSubject, params: dict[str, Te
                          hyper: HyperParams) -> Tensor:
     """Two-channel edge convolution: X plus the rank-one lesion channel
     B_ij = p_i p_j, filters summed over channels; no subgraph module."""
-    n, d0 = params["r"].shape
     row = tape.add(tape.matmul(subj.x, params["r"]),
                    tape.matmul(subj.lesion_channel, params["r2"]))
     col = tape.add(tape.matmul(tape.transpose(subj.x, (1, 0)), params["c"]),
                    tape.matmul(tape.transpose(subj.lesion_channel, (1, 0)), params["c2"]))
-    h = tape.relu(tape.add(tape.reshape(row, (n, 1, d0)), tape.reshape(col, (1, n, d0))))
+    h = _edge_relu(tape, row, col)
     h1 = edge_to_node(tape, h, params["g"], params["b1"])
     return predict_head(tape, h1, params["head_w1"], params["head_b1"],
                         params["head_w2"], params["head_b2"])
@@ -331,15 +311,6 @@ def predict(record: SubjectRecord, params: dict[str, np.ndarray], hyper: HyperPa
     subj = prepare_subject(record, kind)
     out = FORWARDS[kind](Tape(), subj, as_tensors(params, requires_grad=False), hyper)
     return float(out.data[0])
-
-
-def predict_prepared(prepared: list[PreparedSubject], params_t: dict[str, Tensor],
-                     hyper: HyperParams, kind: str) -> np.ndarray:
-    forward = FORWARDS[kind]
-    out = np.empty(len(prepared))
-    for i, subj in enumerate(prepared):
-        out[i] = float(forward(Tape(), subj, params_t, hyper).data[0])
-    return out
 
 
 def regularizer_grads(params_t: dict[str, Tensor], kind: str,
@@ -431,7 +402,7 @@ def single_tape_batch_loss(tape: Tape, prepared: list[PreparedSubject],
 
 
 # ----------------------------------------------------------------------
-# gradient checks (surfaced by the `legnet gradcheck` CLI command)
+# gradient checks
 # ----------------------------------------------------------------------
 
 

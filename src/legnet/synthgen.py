@@ -23,7 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from .connectome import (
-    HEMI_LEFT,
+    FACE_STRUCTURE,
     InputError,
     LesionEncoding,
     LesionMask,
@@ -34,8 +34,6 @@ from .connectome import (
     exponentiate,
     spared_fractions,
 )
-
-_FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
 FRACTION_MIN = 0.05
 FRACTION_MAX = 0.20
@@ -255,7 +253,7 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
                 in_frontier.discard(vox)
                 grown[vox] = True
                 push_neighbors(vox)
-            filled_box = ndimage.binary_fill_holes(grown[box], structure=_FACE_STRUCTURE)
+            filled_box = ndimage.binary_fill_holes(grown[box], structure=FACE_STRUCTURE)
             filled_count = int(filled_box.sum())
 
         overshoot = filled_count - target

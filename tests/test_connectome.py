@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from legnet.connectome import (
     HEMI_LEFT,
+    HEMI_RIGHT,
     InputError,
     LesionEncoding,
     LesionMask,
@@ -29,6 +31,64 @@ from legnet.connectome import (
 @pytest.fixture(scope="module")
 def small_atlas():
     return build_toy_atlas(n_rois=24, grid_dims=(16, 16, 16), n_territories=6)
+
+
+def box(x0, x1, y0, y1, z0, z1) -> frozenset:
+    """Voxels of the half-open box [x0, x1) x [y0, y1) x [z0, z1)."""
+    return frozenset(itertools.product(range(x0, x1), range(y0, y1), range(z0, z1)))
+
+
+# Corruptions of the 24-ROI small atlas. Its ROIs are boxes: ROI 1 is
+# x 0-7, y 0-7, z 0-1 and ROI 2 sits above it at z 2-4 (territory 1, left);
+# territory 2 starts at z 5 and territory 3 spans z 11-15, both left; ROI 4
+# is x 0-7, y 8-15, z 2-4 and ROI 24 the far corner x 8-15, y 8-15, z 13-15.
+def _merge_roi_24_into_23(roi, terr, hemi):
+    roi[roi == 24] = 23
+
+
+def _move_corner_of_roi_4_to_roi_1(roi, terr, hemi):
+    roi[7, 15, 4] = 1
+
+
+def _flip_hemisphere_of_one_roi_1_voxel(roi, terr, hemi):
+    hemi[0, 0, 0] = HEMI_RIGHT
+
+
+def _move_one_roi_2_voxel_to_territory_2(roi, terr, hemi):
+    terr[7, 7, 4] = 2
+
+
+def _move_roi_1_to_territory_3(roi, terr, hemi):
+    terr[roi == 1] = 3
+
+
+def _clear_roi_of_one_voxel(roi, terr, hemi):
+    roi[0, 0, 0] = 0
+
+
+def _clear_territory_of_one_voxel(roi, terr, hemi):
+    terr[0, 0, 0] = 0
+
+
+def _roi_label_past_n_rois(roi, terr, hemi):
+    roi[15, 15, 15] = 25
+
+
+def _territory_label_past_n_territories(roi, terr, hemi):
+    terr[roi == 1] = 7
+
+
+def _hemisphere_value_2(roi, terr, hemi):
+    hemi[roi == 1] = 2
+
+
+def corrupted(atlas: ToyAtlas, corrupt) -> ToyAtlas:
+    roi = atlas.roi_of_voxel.copy()
+    terr = atlas.territory_of_voxel.copy()
+    hemi = atlas.hemisphere_of_voxel.copy()
+    corrupt(roi, terr, hemi)
+    return ToyAtlas(atlas.grid_dims, roi, terr, hemi,
+                    n_rois=atlas.n_rois, n_territories=atlas.n_territories)
 
 
 class TestToyAtlas:
@@ -66,6 +126,30 @@ class TestToyAtlas:
         assert np.array_equal(loaded.territory_of_voxel, small_atlas.territory_of_voxel)
         assert np.array_equal(loaded.hemisphere_of_voxel, small_atlas.hemisphere_of_voxel)
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (_merge_roi_24_into_23, "ROI 24 is empty"),
+        (_move_corner_of_roi_4_to_roi_1, "ROI 1 is not face-connected"),
+        (_flip_hemisphere_of_one_roi_1_voxel, "ROI 1 spans hemispheres"),
+        (_move_one_roi_2_voxel_to_territory_2, "ROI 2 spans territories"),
+        (_move_roi_1_to_territory_3, "territory 3 is not face-connected"),
+        (_clear_roi_of_one_voxel, "background"),
+        (_clear_territory_of_one_voxel, "background"),
+    ])
+    def test_validate_rejects_corruption(self, small_atlas, corrupt, message):
+        with pytest.raises(InputError, match=message):
+            corrupted(small_atlas, corrupt).validate()
+
+    @pytest.mark.parametrize("corrupt", [
+        _roi_label_past_n_rois,
+        _territory_label_past_n_territories,
+        _hemisphere_value_2,
+    ])
+    def test_validate_rejects_labels_out_of_range(self, small_atlas, corrupt):
+        # an ROI label past n_rois used to pass and then raise IndexError in
+        # compute_roi_timeseries
+        with pytest.raises(InputError, match="outside"):
+            corrupted(small_atlas, corrupt).validate()
+
     def test_atlas_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"nope")
@@ -92,6 +176,64 @@ class TestGeometryChecks:
         assert not region_is_hole_free(grid)
         grid[3, 3, 3] = True
         assert region_is_hole_free(grid)
+
+    def test_empty_mask_is_disconnected_and_hole_free(self):
+        grid = np.zeros((4, 4, 4), dtype=bool)
+        assert not region_is_face_connected(grid)
+        assert region_is_hole_free(grid)
+
+    def test_cavity_with_only_edge_contact_to_outside_is_a_hole(self):
+        # the six face neighbours of the centre are set; the centre still
+        # touches the outside through its edge (diagonal) neighbours
+        grid = np.zeros((5, 5, 5), dtype=bool)
+        for axis in range(3):
+            for step in (-1, 1):
+                v = [2, 2, 2]
+                v[axis] += step
+                grid[tuple(v)] = True
+        assert not region_is_hole_free(grid)
+
+    def test_pocket_open_to_grid_boundary_is_not_a_hole(self):
+        grid = np.zeros((5, 5, 5), dtype=bool)
+        grid[0:3, :, :] = True
+        grid[0:2, 2, 2] = False  # tunnel from the x = 0 face into the slab
+        assert region_is_face_connected(grid)
+        assert region_is_hole_free(grid)
+
+    @pytest.mark.parametrize("voxel", [(16, 0, 0), (0, -1, 0)])
+    def test_out_of_grid_lesion_voxel_rejected(self, small_atlas, voxel):
+        lesion = LesionMask(frozenset({(0, 0, 0), voxel}))
+        vol = np.zeros(small_atlas.grid_dims + (2,))
+        with pytest.raises(InputError, match="outside grid"):
+            compute_roi_timeseries(vol, small_atlas, lesion)
+        with pytest.raises(InputError, match="outside grid"):
+            spared_fractions(small_atlas, lesion)
+
+
+class TestLesionMask:
+    VALID = box(2, 5, 2, 5, 1, 4)  # inside territory 1, left hemisphere
+
+    def test_valid_lesion_passes(self, small_atlas):
+        LesionMask(self.VALID).validate(small_atlas)
+        assert LesionMask(self.VALID).territory(small_atlas) == 1
+
+    def test_coords_are_sorted_in_c_order(self):
+        lesion = LesionMask(frozenset({(1, 0, 0), (0, 2, 1), (0, 2, 0), (0, 0, 3)}))
+        assert lesion.coords((2, 3, 4)).tolist() == [[0, 0, 3], [0, 2, 0], [0, 2, 1], [1, 0, 0]]
+        assert LesionMask(frozenset()).coords((2, 3, 4)).shape == (0, 3)
+
+    @pytest.mark.parametrize("voxels, message", [
+        (frozenset(), "empty"),
+        (box(6, 10, 2, 4, 1, 3), "left hemisphere"),
+        (box(2, 4, 2, 4, 3, 7), "spans territories"),
+        (frozenset({(2, 2, 2), (4, 4, 2)}), "not face-connected"),
+        (box(2, 5, 2, 5, 1, 4) - {(3, 3, 2)}, "cavity"),
+        (VALID | {(16, 2, 2)}, "outside grid"),
+        (VALID | {(-1, 2, 2)}, "outside grid"),
+    ])
+    def test_validate_rejects(self, small_atlas, voxels, message):
+        with pytest.raises(InputError, match=message):
+            LesionMask(voxels).validate(small_atlas)
 
 
 class TestRoiTimeseries:
@@ -212,13 +354,6 @@ class TestSparedFractions:
         spared_voxels = float(np.dot(enc.p, sizes))
         total = sizes.sum()
         assert spared_voxels == pytest.approx(total - 30)
-
-    def test_lesion_encoding_matrix_is_diagonal(self):
-        enc = LesionEncoding(p=np.array([1.0, 0.25, 0.0]))
-        enc.validate()
-        L = enc.as_matrix()
-        assert np.array_equal(np.diag(L), enc.p)
-        assert np.count_nonzero(L - np.diag(np.diag(L))) == 0
 
 
 class TestSubjectIO:

@@ -18,7 +18,6 @@ from legnet.model import (
     MODEL_BRAINGNN_DAGGER,
     MODEL_LEGNET,
     HyperParams,
-    LegnetParams,
     as_tensors,
     assignment_scores,
     batch_loss_and_grads,
@@ -451,13 +450,6 @@ class TestParamsAndCheckpoints:
         assert set(a) == set(b)
         for name in a:
             assert np.array_equal(a[name], b[name])
-
-    def test_legnet_params_view_round_trip(self):
-        hyper = HyperParams(n_rois=6)
-        params = init_params(MODEL_LEGNET, hyper, 8)
-        view = LegnetParams.from_dict(params)
-        assert view.theta1.shape == (hyper.k, hyper.n_rois)
-        assert view.to_dict().keys() == params.keys()
 
     def test_checkpoint_round_trip_is_byte_identical(self, tmp_path):
         hyper = HyperParams(n_rois=6, k=3)
