@@ -4,8 +4,12 @@ A :class:`ToyAtlas` labels a voxel grid with ROIs, arterial territories, and
 hemispheres. A :class:`LesionMask` is a set of damaged voxels. The pipeline
 from raw voxel signals to model inputs is deterministic:
 
-    voxel signals -> ROI mean time series (lesioned voxels excluded)
+    voxel signals -> ROI sums (one reduction of the volume)
+                  -> ROI mean time series (lesioned voxels subtracted)
                   -> Pearson correlation -> exponentiation -> X
+
+One set of ROI sums serves the healthy series and any lesioned one: a lesion
+reads only its own voxels back from the volume (:func:`roi_series_from_sums`).
 
 Connectivity matrices are plain (N, N) float64 arrays; their invariants can
 be asserted with :func:`validate_connectivity`. Lesions are summarized per
@@ -318,6 +322,78 @@ class RoiTimeSeries:
         return self.series.shape[1]
 
 
+# ROI groups are gathered about this many voxels at a time, so the reduction
+# never copies the whole volume
+_REDUCE_BLOCK_VOXELS = 4096
+
+
+def _check_volume(volume_ts: np.ndarray, atlas: ToyAtlas) -> None:
+    if volume_ts.shape[:3] != atlas.grid_dims:
+        raise InputError(
+            f"volume grid {volume_ts.shape[:3]} does not match atlas {atlas.grid_dims}"
+        )
+    if volume_ts.ndim != 4 or volume_ts.shape[3] < 2:
+        raise InputError("volume needs a time axis with Tlen >= 2")
+
+
+def roi_sums(volume_ts: np.ndarray, atlas: ToyAtlas) -> np.ndarray:
+    """(N, Tlen) sums of the voxel signals of each ROI.
+
+    Every ROI must be non-empty, as `ToyAtlas.validate` requires. Voxels are
+    gathered in ROI order one group of whole ROIs at a time
+    (about `_REDUCE_BLOCK_VOXELS` voxels). A group never splits an ROI, so
+    every ROI is summed in the same order as by one `reduceat` over all
+    voxels, bit for bit.
+    """
+    _check_volume(volume_ts, atlas)
+    t_len = volume_ts.shape[3]
+    flat = volume_ts.reshape(-1, t_len)
+    order, bounds = atlas.roi_flat_order()
+    # each group starts at the first ROI that begins at or past a block mark;
+    # empty ROIs fall to the front of the next group, where reduceat can index
+    marks = np.arange(0, bounds[-1], _REDUCE_BLOCK_VOXELS)
+    starts = np.unique(np.append(np.searchsorted(bounds, marks), atlas.n_rois))
+    sums = np.empty((atlas.n_rois, t_len))
+    for r0, r1 in zip(starts[:-1], starts[1:]):
+        lo, hi = bounds[r0], bounds[r1]
+        sums[r0:r1] = np.add.reduceat(flat[order[lo:hi]], bounds[r0:r1] - lo, axis=0)
+    return sums
+
+
+def roi_series_from_sums(
+    sums: np.ndarray,
+    volume_ts: np.ndarray,
+    atlas: ToyAtlas,
+    lesion: LesionMask | None = None,
+) -> RoiTimeSeries:
+    """ROI mean series from `roi_sums(volume_ts, atlas)`, skipping lesioned voxels.
+
+    Only the lesioned voxels are read from `volume_ts`; they are subtracted
+    from a copy of `sums` in `LesionMask.coords` order. ROIs whose voxels are
+    all lesioned get an all-zero row.
+    """
+    _check_volume(volume_ts, atlas)
+    t_len = volume_ts.shape[3]
+    if sums.shape != (atlas.n_rois, t_len):
+        raise InputError(f"ROI sums shape {sums.shape} != {(atlas.n_rois, t_len)}")
+    counts = atlas.roi_sizes().astype(np.float64)
+
+    if lesion is not None and lesion.voxels:
+        flat = volume_ts.reshape(-1, t_len)
+        flat_idx = np.ravel_multi_index(tuple(lesion.coords(atlas.grid_dims).T), atlas.grid_dims)
+        rois = atlas.roi_of_voxel.reshape(-1)[flat_idx]
+        keep = rois > 0
+        flat_idx, rois = flat_idx[keep], rois[keep]
+        sums = sums.copy()
+        np.subtract.at(sums, rois - 1, flat[flat_idx])
+        np.subtract.at(counts, rois - 1, 1.0)
+
+    series = np.zeros((atlas.n_rois, t_len))
+    alive = counts > 0
+    series[alive] = sums[alive] / counts[alive, None]
+    return RoiTimeSeries(series=series)
+
+
 def compute_roi_timeseries(
     volume_ts: np.ndarray,
     atlas: ToyAtlas,
@@ -328,31 +404,7 @@ def compute_roi_timeseries(
     `volume_ts` has shape grid_dims + (Tlen,). ROIs whose voxels are all
     lesioned get an all-zero row.
     """
-    if volume_ts.shape[:3] != atlas.grid_dims:
-        raise InputError(
-            f"volume grid {volume_ts.shape[:3]} does not match atlas {atlas.grid_dims}"
-        )
-    if volume_ts.ndim != 4 or volume_ts.shape[3] < 2:
-        raise InputError("volume needs a time axis with Tlen >= 2")
-
-    t_len = volume_ts.shape[3]
-    flat = volume_ts.reshape(-1, t_len)
-    order, bounds = atlas.roi_flat_order()
-    sums = np.add.reduceat(flat[order], bounds[:-1], axis=0)
-    counts = np.diff(bounds).astype(np.float64)
-
-    if lesion is not None and lesion.voxels:
-        flat_idx = np.ravel_multi_index(tuple(lesion.coords(atlas.grid_dims).T), atlas.grid_dims)
-        rois = atlas.roi_of_voxel.reshape(-1)[flat_idx]
-        keep = rois > 0
-        flat_idx, rois = flat_idx[keep], rois[keep]
-        np.subtract.at(sums, rois - 1, flat[flat_idx])
-        np.subtract.at(counts, rois - 1, 1.0)
-
-    series = np.zeros((atlas.n_rois, t_len))
-    alive = counts > 0
-    series[alive] = sums[alive] / counts[alive, None]
-    return RoiTimeSeries(series=series)
+    return roi_series_from_sums(roi_sums(volume_ts, atlas), volume_ts, atlas, lesion)
 
 
 def correlation_matrix(ts: RoiTimeSeries) -> np.ndarray:
@@ -385,6 +437,8 @@ def validate_connectivity(x: np.ndarray, atol: float = 1e-12) -> None:
     """Assert the connectivity-matrix invariants: symmetric, range [1/e, e]."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InputError(f"connectivity must be square, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("connectivity has non-finite entries")
     if not np.allclose(x, x.T, atol=atol):
         raise InputError("connectivity matrix is not symmetric")
     lo, hi = math.exp(-1.0), math.exp(1.0)
@@ -446,6 +500,41 @@ class SubjectRecord:
 # ----------------------------------------------------------------------
 
 
+class _ExactReader:
+    """Exact-length reads over the bytes of one file.
+
+    Every read must find all its bytes and `finish` requires the file to end
+    there, so a truncated or overlong file is an InputError whatever field
+    it cuts, even when a corrupt header asks for more bytes than exist.
+    """
+
+    def __init__(self, path, kind: str):
+        with open(path, "rb") as fh:
+            self._data = memoryview(fh.read())
+        self._pos = 0
+        self._kind = kind
+
+    def take(self, size: int) -> memoryview:
+        end = self._pos + size
+        if end > len(self._data):
+            raise InputError(f"truncated {self._kind} file: {len(self._data)} bytes, "
+                             f"need at least {end}")
+        chunk = self._data[self._pos:end]
+        self._pos = end
+        return chunk
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.take(dtype.itemsize * count), dtype=dtype)
+
+    def finish(self) -> None:
+        if self._pos != len(self._data):
+            raise InputError(f"trailing bytes in {self._kind} file")
+
+
 def save_atlas(path, atlas: ToyAtlas) -> None:
     """Write the binary atlas format: LEGA header + one record per voxel."""
     gx, gy, gz = atlas.grid_dims
@@ -462,20 +551,18 @@ def save_atlas(path, atlas: ToyAtlas) -> None:
 
 
 def load_atlas(path) -> ToyAtlas:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _ATLAS_MAGIC:
-            raise InputError(f"not an atlas file (magic {magic!r})")
-        version, gx, gy, gz, n_rois, n_terr = struct.unpack("<IIIIII", fh.read(24))
-        if version != _FORMAT_VERSION:
-            raise InputError(f"unsupported atlas format version {version}")
-        n_vox = gx * gy * gz
-        rec = np.frombuffer(fh.read(n_vox * 5),
-                            dtype=[("roi", "<u2"), ("terr", "<u2"), ("hemi", "u1")])
-        if rec.size != n_vox:
-            raise InputError("truncated atlas file")
+    """Read an atlas file and check every atlas invariant (`ToyAtlas.validate`)."""
+    reader = _ExactReader(path, "atlas")
+    magic = bytes(reader.take(4))
+    if magic != _ATLAS_MAGIC:
+        raise InputError(f"not an atlas file (magic {magic!r})")
+    version, gx, gy, gz, n_rois, n_terr = reader.unpack("<IIIIII")
+    if version != _FORMAT_VERSION:
+        raise InputError(f"unsupported atlas format version {version}")
+    rec = reader.array([("roi", "<u2"), ("terr", "<u2"), ("hemi", "u1")], gx * gy * gz)
+    reader.finish()
     dims = (gx, gy, gz)
-    return ToyAtlas(
+    atlas = ToyAtlas(
         grid_dims=dims,
         roi_of_voxel=rec["roi"].astype(np.int32).reshape(dims),
         territory_of_voxel=rec["terr"].astype(np.int32).reshape(dims),
@@ -483,6 +570,8 @@ def load_atlas(path) -> ToyAtlas:
         n_rois=n_rois,
         n_territories=n_terr,
     )
+    atlas.validate()
+    return atlas
 
 
 def save_cohort(path, records: list[SubjectRecord]) -> None:
@@ -509,23 +598,34 @@ def save_cohort(path, records: list[SubjectRecord]) -> None:
 
 
 def load_cohort(path) -> list[SubjectRecord]:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _COHORT_MAGIC:
-            raise InputError(f"not a cohort file (magic {magic!r})")
-        version, count, n = struct.unpack("<III", fh.read(12))
-        if version != _FORMAT_VERSION:
-            raise InputError(f"unsupported cohort format version {version}")
-        records = []
-        for _ in range(count):
-            (id_len,) = struct.unpack("<H", fh.read(2))
-            ident = fh.read(id_len).decode("utf-8")
-            (y,) = struct.unpack("<d", fh.read(8))
-            p = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
-            x = np.frombuffer(fh.read(8 * n * n), dtype="<f8").astype(np.float64)
-            records.append(
-                SubjectRecord(id=ident, x=x.reshape(n, n), lesion=LesionEncoding(p=p), y=y)
-            )
-        if fh.read(1):
-            raise InputError("trailing bytes in cohort file")
+    """Read a cohort file; every record must pass `SubjectRecord.validate`,
+    `LesionEncoding.validate` and `validate_connectivity`."""
+    reader = _ExactReader(path, "cohort")
+    magic = bytes(reader.take(4))
+    if magic != _COHORT_MAGIC:
+        raise InputError(f"not a cohort file (magic {magic!r})")
+    version, count, n = reader.unpack("<III")
+    if version != _FORMAT_VERSION:
+        raise InputError(f"unsupported cohort format version {version}")
+    if n < 1:
+        raise InputError("cohort header gives no ROIs")
+    records = []
+    for _ in range(count):
+        (id_len,) = reader.unpack("<H")
+        try:
+            ident = str(reader.take(id_len), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"subject id is not utf-8: {exc}") from None
+        (y,) = reader.unpack("<d")
+        p = reader.array("<f8", n).astype(np.float64)
+        x = reader.array("<f8", n * n).astype(np.float64).reshape(n, n)
+        record = SubjectRecord(id=ident, x=x, lesion=LesionEncoding(p=p), y=y)
+        try:
+            record.validate()
+            record.lesion.validate()
+            validate_connectivity(record.x)
+        except InputError as exc:
+            raise InputError(f"subject {ident!r}: {exc}") from None
+        records.append(record)
+    reader.finish()
     return records

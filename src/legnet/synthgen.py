@@ -4,12 +4,15 @@ Healthy voxel signals follow a three-level model: latent community time
 series, per-ROI series (community signal plus ROI noise), and per-voxel
 series (ROI series plus voxel noise). ROIs of one designated "language"
 territory share a community whose per-subject coupling strength varies, so
-the pre-lesion score y0 carries a learnable connectivity signal.
+the pre-lesion score y0 carries a learnable connectivity signal. Each subject
+allocates one voxel volume, filled block by block in C order, and reduces it
+to ROI sums once; the healthy series and y0 come from those sums.
 
 Lesions are grown by seeded region growing inside a single left-hemisphere
 arterial territory, then hole-filled so the mask is simply connected.
-Lesioning a subject masks voxels out of the ROI averages, diminishes and
-noises connectivity entries touching damaged ROIs as
+Lesioning a subject subtracts the lesioned voxels from the healthy ROI sums
+(no second reduction of the volume), diminishes and noises connectivity
+entries touching damaged ROIs as
 X'_ij = clip(X_ij^(min(p_i,p_j)^gamma) + eta_ij, min X, max X) (diminution
 shrinks the correlation log X toward 0), and rescales the language score by
 the territory's spared fraction.
@@ -29,9 +32,10 @@ from .connectome import (
     LesionMask,
     SubjectRecord,
     ToyAtlas,
-    compute_roi_timeseries,
     correlation_matrix,
     exponentiate,
+    roi_series_from_sums,
+    roi_sums,
     spared_fractions,
 )
 
@@ -39,6 +43,8 @@ FRACTION_MIN = 0.05
 FRACTION_MAX = 0.20
 HOLE_FILL_SLACK = 0.02  # relative overshoot allowed from cavity filling
 _MAX_GROW_ATTEMPTS = 64
+# voxels whose signals are drawn and written per step of the volume build
+_VOXEL_BLOCK = 4096
 
 
 class LesionSpecError(ValueError):
@@ -91,6 +97,19 @@ class CohortParams:
     corruption_gamma: float = 1.0
     corruption_sigma_rel: float = 0.1
 
+    def __post_init__(self):
+        if self.t_len < 2:
+            raise InputError(f"t_len must be >= 2, got {self.t_len}")
+        # community 0 is the language network; the others need at least one
+        if self.n_communities < 2:
+            raise InputError(f"n_communities must be >= 2, got {self.n_communities}")
+        for name in ("sigma_roi", "sigma_voxel", "score_eps"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be nonnegative")
+        low, high = self.coherence_range
+        if low > high:
+            raise InputError(f"coherence_range {self.coherence_range} is inverted")
+
 
 @dataclass(frozen=True)
 class LesionPolicy:
@@ -117,8 +136,16 @@ def policy_by_name(name: str) -> LesionPolicy:
 
 @dataclass(eq=False)
 class HealthySubject:
+    """A pre-lesion subject: voxel signals, their ROI sums and the score y0.
+
+    `roi_sums` is `connectome.roi_sums(volume_ts, atlas)`, the volume's one
+    full reduction. Lesioned ROI series subtract only the lesioned voxels
+    from it (`connectome.roi_series_from_sums`).
+    """
+
     id: str
     volume_ts: np.ndarray  # grid_dims + (t_len,)
+    roi_sums: np.ndarray   # (n_rois, t_len)
     y0: float
 
 
@@ -155,7 +182,7 @@ def generate_healthy_subject(
     n, t_len = atlas.n_rois, cp.t_len
 
     language = _language_rois(atlas, cp)
-    community_of_roi = 1 + np.arange(n) % max(1, cp.n_communities - 1)
+    community_of_roi = 1 + np.arange(n) % (cp.n_communities - 1)
     community_of_roi[language] = 0
 
     community_ts = rng.standard_normal((cp.n_communities, t_len))
@@ -165,19 +192,26 @@ def generate_healthy_subject(
     roi_ts = weight[:, None] * community_ts[community_of_roi]
     roi_ts = roi_ts + cp.sigma_roi * rng.standard_normal((n, t_len))
 
+    # Non-background voxels in C order, one block at a time: the chunked
+    # draws continue one stream, so each voxel gets the same normals as from
+    # a single draw, and noise * sigma + roi equals roi + sigma * noise.
     flat_roi = atlas.roi_of_voxel.reshape(-1)
+    nonbg = np.flatnonzero(flat_roi)
     volume = np.zeros((flat_roi.size, t_len))
-    nonbg = flat_roi > 0
-    volume[nonbg] = roi_ts[flat_roi[nonbg] - 1]
-    volume[nonbg] += cp.sigma_voxel * rng.standard_normal((int(nonbg.sum()), t_len))
+    for start in range(0, nonbg.size, _VOXEL_BLOCK):
+        idx = nonbg[start:start + _VOXEL_BLOCK]
+        signal = rng.standard_normal((idx.size, t_len))
+        signal *= cp.sigma_voxel
+        signal += roi_ts[flat_roi[idx] - 1]
+        volume[idx] = signal
     volume = volume.reshape(atlas.grid_dims + (t_len,))
 
-    ts = compute_roi_timeseries(volume, atlas)
-    x = exponentiate(correlation_matrix(ts))
+    sums = roi_sums(volume, atlas)
+    x = exponentiate(correlation_matrix(roi_series_from_sums(sums, volume, atlas)))
     m = mean_language_connectivity(x, atlas, cp)
     y0 = float(np.clip(cp.score_mu + cp.score_beta * m + cp.score_eps * rng.standard_normal(),
                        0.0, 100.0))
-    return HealthySubject(id=subject_id, volume_ts=volume, y0=y0)
+    return HealthySubject(id=subject_id, volume_ts=volume, roi_sums=sums, y0=y0)
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +371,7 @@ def lesion_subject(
 ) -> tuple[SubjectRecord, LesionMask]:
     """Apply one artificial lesion to a healthy subject."""
     lesion = grow_lesion(atlas, spec)
-    ts = compute_roi_timeseries(healthy.volume_ts, atlas, lesion)
+    ts = roi_series_from_sums(healthy.roi_sums, healthy.volume_ts, atlas, lesion)
     x = exponentiate(correlation_matrix(ts))
     encoding = spared_fractions(atlas, lesion)
     x = corrupt_connectivity(x, encoding, corruption)

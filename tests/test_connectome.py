@@ -1,8 +1,11 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legnet.connectome import (
     HEMI_LEFT,
@@ -21,6 +24,7 @@ from legnet.connectome import (
     load_cohort,
     region_is_face_connected,
     region_is_hole_free,
+    roi_sums,
     save_atlas,
     save_cohort,
     spared_fractions,
@@ -156,6 +160,28 @@ class TestToyAtlas:
         with pytest.raises(InputError):
             load_atlas(path)
 
+    def test_atlas_load_validates_labels_against_header(self, small_atlas, tmp_path):
+        # a header of 20 ROIs over labels reaching 24 used to load, then
+        # raise IndexError in compute_roi_timeseries
+        path = tmp_path / "atlas.bin"
+        save_atlas(path, small_atlas)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 20, 20)  # n_rois: magic + 4 uint32 fields in
+        path.write_bytes(bytes(data))
+        with pytest.raises(InputError, match="outside"):
+            load_atlas(path)
+
+    @pytest.mark.parametrize("length", [14, "half", "one short", "one long"])
+    def test_atlas_load_requires_exact_length(self, small_atlas, tmp_path, length):
+        path = tmp_path / "atlas.bin"
+        save_atlas(path, small_atlas)
+        data = path.read_bytes()
+        size = {"half": len(data) // 2, "one short": len(data) - 1,
+                "one long": len(data) + 1}.get(length, length)
+        path.write_bytes((data + b"\0")[:size])
+        with pytest.raises(InputError, match="truncated|trailing"):
+            load_atlas(path)
+
 
 class TestGeometryChecks:
     def test_connected_blob(self):
@@ -271,6 +297,15 @@ class TestRoiTimeseries:
         atlas = self.grid_atlas()
         with pytest.raises(InputError):
             compute_roi_timeseries(np.zeros((3, 1, 1, 4)), atlas)
+
+    @pytest.mark.parametrize("n_rois", [6, 90, 246])
+    def test_grouped_sums_equal_one_reduction(self, n_rois):
+        # ROIs of ~5,500 voxels (one per group) down to ~130 (many per group)
+        atlas = build_toy_atlas(n_rois=n_rois)
+        vol = np.random.default_rng(n_rois).normal(size=atlas.grid_dims + (2,))
+        order, bounds = atlas.roi_flat_order()
+        whole = np.add.reduceat(vol.reshape(-1, 2)[order], bounds[:-1], axis=0)
+        assert roi_sums(vol, atlas).tobytes() == whole.tobytes()
 
     def test_empty_lesion_equals_unmasked(self, small_atlas):
         rng = np.random.default_rng(0)
@@ -394,3 +429,69 @@ class TestSubjectIO:
         rec.y = 150.0
         with pytest.raises(InputError):
             rec.validate()
+
+    @pytest.mark.parametrize("length", [14, "half", "one short", "one long"])
+    def test_load_requires_exact_length(self, tmp_path, length):
+        # cuts at byte 14 and at half length used to raise struct.error and
+        # a reshape ValueError
+        path = tmp_path / "cohort.bin"
+        save_cohort(path, self.make_records(n=2))
+        data = path.read_bytes()
+        size = {"half": len(data) // 2, "one short": len(data) - 1,
+                "one long": len(data) + 1}.get(length, length)
+        path.write_bytes((data + b"\0")[:size])
+        with pytest.raises(InputError, match="truncated|trailing"):
+            load_cohort(path)
+
+    def test_load_rejects_header_without_rois(self, tmp_path):
+        path = tmp_path / "cohort.bin"
+        save_cohort(path, self.make_records(n=1))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 12, 0)  # N: magic, version and count in
+        path.write_bytes(bytes(data))
+        with pytest.raises(InputError, match="no ROIs"):
+            load_cohort(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("x", np.nan, "non-finite"),
+        ("x", 5.0, "not symmetric|outside"),
+        ("p", 1.5, "spared fractions"),
+        ("y", np.inf, "score"),
+    ])
+    def test_load_validates_records(self, tmp_path, field, value, message):
+        records = self.make_records(n=2)
+        rec = records[1]
+        if field == "x":
+            rec.x[0, 1] = value
+        elif field == "p":
+            rec.lesion.p[0] = value
+        else:
+            rec.y = value
+        path = tmp_path / "cohort.bin"
+        save_cohort(path, records)
+        with pytest.raises(InputError, match=f"subject 's001'.*({message})"):
+            load_cohort(path)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cut=st.integers(0, 1024),
+           flips=st.lists(st.tuples(st.integers(0, 1023), st.integers(1, 255)), max_size=3))
+    def test_damaged_file_loads_or_raises_input_error(self, tmp_path_factory, cut, flips):
+        records = self.make_records(n=2)
+        path = tmp_path_factory.mktemp("cohort") / "cohort.bin"
+        save_cohort(path, records)
+        data = bytearray(path.read_bytes())
+        assert len(data) <= 1024  # every cut and flip position is reachable
+        flipped = False
+        for at, mask in flips:
+            if at < len(data):
+                data[at] ^= mask
+                flipped = True
+        path.write_bytes(bytes(data[:cut]))
+        try:
+            loaded = load_cohort(path)
+        except InputError:
+            assert cut < len(data) or flipped
+            return
+        assert cut >= len(data)
+        if not flipped:
+            assert all(a.x.tobytes() == b.x.tobytes() for a, b in zip(records, loaded))

@@ -1,24 +1,36 @@
-import io
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from legnet import synthgen
 from legnet.connectome import (
+    InputError,
     LesionEncoding,
     LesionMask,
+    RoiTimeSeries,
+    SubjectRecord,
+    ToyAtlas,
     build_toy_atlas,
+    compute_roi_timeseries,
+    correlation_matrix,
+    exponentiate,
+    roi_series_from_sums,
     save_cohort,
+    spared_fractions,
 )
 from legnet.synthgen import (
     CohortParams,
     CorruptionParams,
-    LesionPolicy,
     LesionSpec,
     LesionSpecError,
+    _language_rois,
     corrupt_connectivity,
     generate_cohort,
     generate_healthy_subject,
     grow_lesion,
+    mean_language_connectivity,
     policy_by_name,
     rescale_score,
     territory_spared_fraction,
@@ -233,3 +245,150 @@ class TestGenerateCohort:
         from legnet.connectome import InputError
         with pytest.raises(InputError):
             policy_by_name("nope")
+
+
+# ----------------------------------------------------------------------
+# byte-identity oracle: the straightforward voxel build and double reduction
+# ----------------------------------------------------------------------
+
+
+def _reference_roi_timeseries(volume_ts, atlas, lesion=None):
+    """Gather every voxel into ROI order, reduce, subtract lesioned voxels."""
+    t_len = volume_ts.shape[3]
+    flat = volume_ts.reshape(-1, t_len)
+    labels = atlas.roi_of_voxel.reshape(-1)
+    nonbg = np.flatnonzero(labels)
+    order = nonbg[np.argsort(labels[nonbg], kind="stable")]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels[nonbg],
+                                                        minlength=atlas.n_rois + 1)[1:])])
+    sums = np.add.reduceat(flat[order], bounds[:-1], axis=0)
+    counts = np.diff(bounds).astype(np.float64)
+    if lesion is not None and lesion.voxels:
+        flat_idx = np.ravel_multi_index(tuple(lesion.coords(atlas.grid_dims).T), atlas.grid_dims)
+        rois = labels[flat_idx]
+        keep = rois > 0
+        flat_idx, rois = flat_idx[keep], rois[keep]
+        np.subtract.at(sums, rois - 1, flat[flat_idx])
+        np.subtract.at(counts, rois - 1, 1.0)
+    series = np.zeros((atlas.n_rois, t_len))
+    alive = counts > 0
+    series[alive] = sums[alive] / counts[alive, None]
+    return RoiTimeSeries(series=series)
+
+
+def _reference_healthy_subject(atlas, seed, cp, subject_id="healthy"):
+    """Whole-volume voxel build: zeros, ROI gather, one full noise draw."""
+    rng = np.random.default_rng(seed)
+    n, t_len = atlas.n_rois, cp.t_len
+    language = _language_rois(atlas, cp)
+    community_of_roi = 1 + np.arange(n) % max(1, cp.n_communities - 1)
+    community_of_roi[language] = 0
+    community_ts = rng.standard_normal((cp.n_communities, t_len))
+    coherence = rng.uniform(*cp.coherence_range)
+    weight = np.ones(n)
+    weight[language] = coherence
+    roi_ts = weight[:, None] * community_ts[community_of_roi]
+    roi_ts = roi_ts + cp.sigma_roi * rng.standard_normal((n, t_len))
+
+    flat_roi = atlas.roi_of_voxel.reshape(-1)
+    volume = np.zeros((flat_roi.size, t_len))
+    nonbg = flat_roi > 0
+    volume[nonbg] = roi_ts[flat_roi[nonbg] - 1]
+    volume[nonbg] += cp.sigma_voxel * rng.standard_normal((int(nonbg.sum()), t_len))
+    volume = volume.reshape(atlas.grid_dims + (t_len,))
+
+    x = exponentiate(correlation_matrix(_reference_roi_timeseries(volume, atlas)))
+    m = mean_language_connectivity(x, atlas, cp)
+    y0 = float(np.clip(cp.score_mu + cp.score_beta * m + cp.score_eps * rng.standard_normal(),
+                       0.0, 100.0))
+    return SimpleNamespace(id=subject_id, volume_ts=volume, y0=y0)
+
+
+def _reference_lesion_subject(healthy, atlas, spec, corruption):
+    lesion = grow_lesion(atlas, spec)
+    ts = _reference_roi_timeseries(healthy.volume_ts, atlas, lesion)
+    x = exponentiate(correlation_matrix(ts))
+    encoding = spared_fractions(atlas, lesion)
+    x = corrupt_connectivity(x, encoding, corruption)
+    y = rescale_score(healthy.y0, atlas, lesion)
+    return SubjectRecord(id=healthy.id, x=x, lesion=encoding, y=y), lesion
+
+
+def _padded(atlas, pad):
+    """The atlas inside a larger grid; the added voxels are background."""
+    roi, terr, hemi = (np.pad(a, pad) for a in (atlas.roi_of_voxel, atlas.territory_of_voxel,
+                                                 atlas.hemisphere_of_voxel))
+    return ToyAtlas(roi.shape, roi, terr, hemi, atlas.n_rois, atlas.n_territories)
+
+
+@pytest.fixture(scope="module", params=["default", "padded"])
+def oracle_atlas(request):
+    atlas = build_toy_atlas()
+    if request.param == "padded":
+        atlas = _padded(atlas, ((1, 2), (0, 3), (2, 1)))
+    atlas.validate()
+    return atlas
+
+
+class TestByteIdentityOracle:
+    def test_healthy_and_lesioned_signals(self, oracle_atlas):
+        cp = CohortParams()
+        seed = np.random.SeedSequence((4, 0, 3))
+        got = generate_healthy_subject(oracle_atlas, seed, cp)
+        ref = _reference_healthy_subject(oracle_atlas, seed, cp)
+        assert got.volume_ts.tobytes() == ref.volume_ts.tobytes()
+        assert got.y0 == ref.y0
+        lesion = grow_lesion(oracle_atlas, LesionSpec(territory=2, target_fraction=0.15, seed=3))
+        for mask in (lesion, None):  # the lesioned pass must leave the sums intact
+            want = _reference_roi_timeseries(ref.volume_ts, oracle_atlas, mask).series.tobytes()
+            kept = roi_series_from_sums(got.roi_sums, got.volume_ts, oracle_atlas, mask)
+            assert kept.series.tobytes() == want
+            assert compute_roi_timeseries(got.volume_ts, oracle_atlas, mask).series.tobytes() \
+                == want
+
+    def test_cohort_bytes(self, oracle_atlas, monkeypatch):
+        got, _ = generate_cohort(2, oracle_atlas, master_seed=4)
+        monkeypatch.setattr(synthgen, "generate_healthy_subject", _reference_healthy_subject)
+        monkeypatch.setattr(synthgen, "lesion_subject", _reference_lesion_subject)
+        ref, _ = generate_cohort(2, oracle_atlas, master_seed=4)
+        assert cohort_bytes(got) == cohort_bytes(ref)
+
+
+class TestCohortParams:
+    @pytest.mark.parametrize("bad", [
+        {"t_len": 1},
+        {"n_communities": 1},
+        {"n_communities": 0},
+        {"sigma_roi": -0.1},
+        {"sigma_voxel": -1.0},
+        {"score_eps": -2.0},
+        {"coherence_range": (2.0, 1.0)},
+    ])
+    def test_rejected(self, bad):
+        # n_communities 1 and 0 used to raise IndexError and an inverted
+        # coherence range numpy's "high - low < 0", inside the simulation
+        with pytest.raises(InputError):
+            CohortParams(**bad)
+
+    def test_smallest_valid_model_simulates(self, atlas):
+        cp = CohortParams(t_len=2, n_communities=2, sigma_roi=0.0, sigma_voxel=0.0,
+                          score_eps=0.0, coherence_range=(1.0, 1.0))
+        assert generate_healthy_subject(atlas, 0, cp).volume_ts.shape == atlas.grid_dims + (2,)
+
+
+class TestMemory:
+    def test_cohort_peak_stays_near_one_volume(self):
+        # one subject allocates its voxel volume once; block temporaries and
+        # ROI-group gathers stay small beside it (3.0x with whole-volume
+        # temporaries)
+        atlas = build_toy_atlas(n_rois=90, grid_dims=(32, 32, 32))
+        cp = CohortParams()
+        generate_cohort(1, atlas, master_seed=0, cohort_params=cp)  # fills atlas caches
+        tracemalloc.start()
+        try:
+            generate_cohort(1, atlas, master_seed=1, cohort_params=cp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        volume_bytes = np.prod(atlas.grid_dims) * cp.t_len * 8
+        assert peak <= 1.5 * volume_bytes
