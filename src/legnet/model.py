@@ -1,40 +1,48 @@
-"""Lesion-aware edge-based graph network and the in-scope baselines.
+"""Lesion-aware edge-based graph network (LEGNet) and its baselines.
 
-The network runs on a dense connectivity matrix X (one edge feature per ROI
-pair) and a per-ROI lesion encoding p. Stages:
+A model maps a dense connectivity matrix X (one edge feature per ROI pair)
+and per-ROI spared fractions p to a scalar score. Each kind stacks shared
+modules and ends in one dense head (predict_head):
 
-  1. edge_to_edge: convolve edge features over rows/columns sharing an
-     end-node (per-node filters r_n, c_n).
-  2. edge_to_node: aggregate each node's incident edge features (filters g_n).
-  3. assignment_scores: softmax subgraph memberships driven by the lesion
-     encoding (theta1 acting on the diagonal lesion matrix).
-  4. subgraph_filters + subgraph_conv: lesion-parameterized node update
-     (theta2, b2 mapping memberships to per-node filters W_j).
-  5. predict_head: two-layer dense head to the scalar score.
+  edge module      edge_to_edge, H_ij = relu(sum_n r_n X_in + sum_n c_n X_nj),
+                   then edge_to_node, h1_i = relu(sum_n g_n H_in + b1).
+  subgraph module  assignment_scores, row j = softmax(p_j theta1[:, j]) (the
+                   lesion encoding); subgraph_filters, vec(W_j) = theta2 S_j
+                   + b2; subgraph_conv, h2_i = relu(sum_j W_j h1_j).
 
-The neighborhood is the complete node set including self. All stages are
-expressed with tape primitives so the training loss is differentiable
-end-to-end. Baselines: a subgraph-only variant that ignores lesions
-("braingnn-dagger"), and two edge-convolution variants without subgraph
-learning ("bnc-mask", "bnc-2channel").
+  legnet           edge module, then the subgraph module driven by p.
+  braingnn-dagger  node embedding relu(X node_w^T + node_b), then the subgraph
+                   module with p = 1: no edge module and no lesion input.
+  bnc-mask         edge module on X with the rows and columns of ROIs with
+                   p < 0.3 zeroed; no subgraph module.
+  bnc-2channel     edge module on two channels, X and the rank-one lesion
+                   channel B = p p^T, filters summed over channels; B r2 is
+                   computed as p (p^T r2), so B is never built.
+
+`KINDS` defines each kind once: its modules fix its tensor table, and the
+ridge term covers every tensor but the head's. The neighbourhood is the
+complete node set including self. All stages are tape operations, so the
+loss is differentiable end to end.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
-from .connectome import InputError, SubjectRecord
+from .connectome import InputError, SubjectRecord, _ExactReader
 from .diffmath import Tape, Tensor, backward
 
 MODEL_LEGNET = "legnet"
 MODEL_BRAINGNN_DAGGER = "braingnn-dagger"
 MODEL_BNC_MASK = "bnc-mask"
 MODEL_BNC_2CHANNEL = "bnc-2channel"
-MODEL_KINDS = (MODEL_LEGNET, MODEL_BRAINGNN_DAGGER, MODEL_BNC_MASK, MODEL_BNC_2CHANNEL)
 
 BNC_MASK_THRESHOLD = 0.3  # spared fraction below which bnc-mask drops an ROI
 
@@ -56,63 +64,38 @@ class HyperParams:
 
     def validate(self) -> None:
         for name in ("n_rois", "k", "d0", "d1", "d2", "d3"):
-            if getattr(self, name) < 1:
-                raise InputError(f"hyperparameter {name} must be positive")
-        if self.lam < 0:
-            raise InputError("lam must be nonnegative")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise InputError(f"hyperparameter {name} must be a positive integer, "
+                                 f"got {value!r}")
+        if not isinstance(self.lam, numbers.Real) or not 0 <= self.lam < math.inf:
+            raise InputError(f"lam must be finite and nonnegative, got {self.lam!r}")
 
 
 def param_spec(kind: str, hyper: HyperParams) -> list[tuple[str, tuple[int, ...], int, int]]:
-    """Ordered (name, shape, fan_in, fan_out) table for one model kind."""
+    """Ordered (name, shape, fan_in, fan_out) table for one model kind: the
+    tensors of its modules, then the head's."""
+    modules = _kind(kind).modules
     n, k = hyper.n_rois, hyper.k
     d0, d1, d2, d3 = hyper.d0, hyper.d1, hyper.d2, hyper.d3
-
-    def head(in_dim: int):
-        return [
-            ("head_w1", (d3, in_dim), in_dim, d3),
-            ("head_b1", (d3,), d3, d3),
-            ("head_w2", (1, d3), d3, 1),
-            ("head_b2", (1,), 1, 1),
-        ]
-
-    edge = [
-        ("r", (n, d0), n, d0),
-        ("c", (n, d0), n, d0),
+    tensors = {
+        "edge": [("r", (n, d0), n, d0), ("c", (n, d0), n, d0)],
+        "lesion_edge": [("r2", (n, d0), n, d0), ("c2", (n, d0), n, d0)],
+        "node": [("g", (n, d1, d0), n * d0, d1), ("b1", (d1,), d1, d1)],
+        "embed": [("node_w", (d1, n), n, d1), ("node_b", (d1,), d1, d1)],
+        "subgraph": [
+            ("theta1", (k, n), n, k),
+            ("theta2", (d2 * d1, k), k, d2 * d1),
+            ("b2", (d2 * d1,), d2 * d1, d2 * d1),
+        ],
+    }
+    width = n * (d2 if "subgraph" in modules else d1)
+    return [row for module in modules for row in tensors[module]] + [
+        ("head_w1", (d3, width), width, d3),
+        ("head_b1", (d3,), d3, d3),
+        ("head_w2", (1, d3), d3, 1),
+        ("head_b2", (1,), 1, 1),
     ]
-    node_agg = [
-        ("g", (n, d1, d0), n * d0, d1),
-        ("b1", (d1,), d1, d1),
-    ]
-    subgraph = [
-        ("theta1", (k, n), n, k),
-        ("theta2", (d2 * d1, k), k, d2 * d1),
-        ("b2", (d2 * d1,), d2 * d1, d2 * d1),
-    ]
-
-    if kind == MODEL_LEGNET:
-        return edge + node_agg + subgraph + head(n * d2)
-    if kind == MODEL_BRAINGNN_DAGGER:
-        return [
-            ("node_w", (d1, n), n, d1),
-            ("node_b", (d1,), d1, d1),
-        ] + subgraph + head(n * d2)
-    if kind == MODEL_BNC_MASK:
-        return edge + node_agg + head(n * d1)
-    if kind == MODEL_BNC_2CHANNEL:
-        return edge + [
-            ("r2", (n, d0), n, d0),
-            ("c2", (n, d0), n, d0),
-        ] + node_agg + head(n * d1)
-    raise InputError(f"unknown model kind {kind!r}")
-
-
-# tensors covered by the ridge term; heads are not regularized
-REG_KEYS = {
-    MODEL_LEGNET: ("theta1", "theta2", "b1", "b2", "r", "c", "g"),
-    MODEL_BRAINGNN_DAGGER: ("theta1", "theta2", "b2", "node_w", "node_b"),
-    MODEL_BNC_MASK: ("r", "c", "g", "b1"),
-    MODEL_BNC_2CHANNEL: ("r", "c", "r2", "c2", "g", "b1"),
-}
 
 
 def init_params(kind: str, hyper: HyperParams, seed: int) -> dict[str, np.ndarray]:
@@ -211,93 +194,111 @@ def predict_head(tape: Tape, features: Tensor, w1: Tensor, b1: Tensor,
 
 @dataclass(eq=False)
 class PreparedSubject:
-    """Constant leaf tensors for one subject, reusable across tapes."""
+    """Constant leaf tensors for one subject, reusable across tapes: the
+    kind's inputs x (N, N) and pcol (N, 1), and the target."""
 
     id: str
     y: float
     x: Tensor
     pcol: Tensor
     target: Tensor
-    x_masked: Tensor | None = None
-    lesion_channel: Tensor | None = None
+
+
+def _edge_module(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
+                 hyper: HyperParams) -> Tensor:
+    h = edge_to_edge(tape, subj.x, params["r"], params["c"])
+    return edge_to_node(tape, h, params["g"], params["b1"])
+
+
+def _two_channel_edge_module(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
+                             hyper: HyperParams) -> Tensor:
+    """The edge module on X and B = p p^T, with B r2 = p (p^T r2)."""
+    xt, pt = tape.transpose(subj.x, (1, 0)), tape.transpose(subj.pcol, (1, 0))
+    row = tape.add(tape.matmul(subj.x, params["r"]),
+                   tape.matmul(subj.pcol, tape.matmul(pt, params["r2"])))
+    col = tape.add(tape.matmul(xt, params["c"]),
+                   tape.matmul(subj.pcol, tape.matmul(pt, params["c2"])))
+    return edge_to_node(tape, _edge_relu(tape, row, col), params["g"], params["b1"])
+
+
+def _subgraph_module(tape: Tape, h1: Tensor, subj: PreparedSubject,
+                     params: dict[str, Tensor], hyper: HyperParams) -> Tensor:
+    s = assignment_scores(tape, subj.pcol, params["theta1"])
+    w = subgraph_filters(tape, s, params["theta2"], params["b2"], hyper.d2)
+    return subgraph_conv(tape, h1, w)
+
+
+def _legnet_features(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
+                     hyper: HyperParams) -> Tensor:
+    return _subgraph_module(tape, _edge_module(tape, subj, params, hyper), subj, params, hyper)
+
+
+def _braingnn_dagger_features(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
+                              hyper: HyperParams) -> Tensor:
+    """Linear per-row node embedding of X, then the subgraph module."""
+    h1 = tape.relu(tape.add(tape.matmul(subj.x, tape.transpose(params["node_w"], (1, 0))),
+                            params["node_b"]))
+    return _subgraph_module(tape, h1, subj, params, hyper)
+
+
+def _mask_damaged(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    keep = p >= BNC_MASK_THRESHOLD
+    return x * np.outer(keep, keep), p
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """One model kind: the tensor groups of its modules in table order (see
+    param_spec; the head's follow), its feature stack, and the map from a
+    record's (X, p) to the kind's inputs."""
+
+    modules: tuple[str, ...]
+    features: Callable[[Tape, PreparedSubject, dict[str, Tensor], HyperParams], Tensor]
+    inputs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] = (
+        lambda x, p: (x, p))
+
+
+KINDS = {
+    MODEL_LEGNET: ModelKind(("edge", "node", "subgraph"), _legnet_features),
+    MODEL_BRAINGNN_DAGGER: ModelKind(("embed", "subgraph"), _braingnn_dagger_features,
+                                     lambda x, p: (x, np.ones_like(p))),
+    MODEL_BNC_MASK: ModelKind(("edge", "node"), _edge_module, _mask_damaged),
+    MODEL_BNC_2CHANNEL: ModelKind(("edge", "lesion_edge", "node"), _two_channel_edge_module),
+}
+MODEL_KINDS = tuple(KINDS)
+
+
+def _kind(kind: str) -> ModelKind:
+    if kind not in KINDS:
+        raise InputError(f"unknown model kind {kind!r}")
+    return KINDS[kind]
 
 
 def prepare_subject(record: SubjectRecord, kind: str) -> PreparedSubject:
-    p = record.lesion.p
-    prepared = PreparedSubject(
+    x, p = _kind(kind).inputs(record.x, record.lesion.p)
+    return PreparedSubject(
         id=record.id,
         y=float(record.y),
-        x=Tensor(record.x, requires_grad=False),
+        x=Tensor(x, requires_grad=False),
         pcol=Tensor(p[:, None], requires_grad=False),
         target=Tensor(np.array([float(record.y)]), requires_grad=False),
     )
-    if kind == MODEL_BNC_MASK:
-        keep = p >= BNC_MASK_THRESHOLD
-        masked = record.x * np.outer(keep, keep)
-        prepared.x_masked = Tensor(masked, requires_grad=False)
-    elif kind == MODEL_BNC_2CHANNEL:
-        prepared.lesion_channel = Tensor(np.outer(p, p), requires_grad=False)
-    return prepared
 
 
 def prepare_dataset(records: list[SubjectRecord], kind: str) -> list[PreparedSubject]:
     return [prepare_subject(r, kind) for r in records]
 
 
-def legnet_forward(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
-                   hyper: HyperParams) -> Tensor:
-    h = edge_to_edge(tape, subj.x, params["r"], params["c"])
-    h1 = edge_to_node(tape, h, params["g"], params["b1"])
-    s = assignment_scores(tape, subj.pcol, params["theta1"])
-    w = subgraph_filters(tape, s, params["theta2"], params["b2"], hyper.d2)
-    h2 = subgraph_conv(tape, h1, w)
-    return predict_head(tape, h2, params["head_w1"], params["head_b1"],
-                        params["head_w2"], params["head_b2"])
+def _with_head(features):
+    def forward(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
+                hyper: HyperParams) -> Tensor:
+        return predict_head(tape, features(tape, subj, params, hyper), params["head_w1"],
+                            params["head_b1"], params["head_w2"], params["head_b2"])
+    return forward
 
 
-def braingnn_dagger_forward(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
-                            hyper: HyperParams) -> Tensor:
-    """Subgraph pathway only: linear per-row node embedding of X, no edge
-    convolution, and assignment scores that ignore the lesion (p == 1)."""
-    h1 = tape.relu(tape.add(tape.matmul(subj.x, tape.transpose(params["node_w"], (1, 0))),
-                            params["node_b"]))
-    s = tape.softmax_lastaxis(tape.transpose(params["theta1"], (1, 0)))
-    w = subgraph_filters(tape, s, params["theta2"], params["b2"], hyper.d2)
-    h2 = subgraph_conv(tape, h1, w)
-    return predict_head(tape, h2, params["head_w1"], params["head_b1"],
-                        params["head_w2"], params["head_b2"])
-
-
-def bnc_mask_forward(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
-                     hyper: HyperParams) -> Tensor:
-    """Edge convolution on X with rows/columns of badly damaged ROIs
-    (p < 0.3) zeroed out; no subgraph module."""
-    h = edge_to_edge(tape, subj.x_masked, params["r"], params["c"])
-    h1 = edge_to_node(tape, h, params["g"], params["b1"])
-    return predict_head(tape, h1, params["head_w1"], params["head_b1"],
-                        params["head_w2"], params["head_b2"])
-
-
-def bnc_2channel_forward(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
-                         hyper: HyperParams) -> Tensor:
-    """Two-channel edge convolution: X plus the rank-one lesion channel
-    B_ij = p_i p_j, filters summed over channels; no subgraph module."""
-    row = tape.add(tape.matmul(subj.x, params["r"]),
-                   tape.matmul(subj.lesion_channel, params["r2"]))
-    col = tape.add(tape.matmul(tape.transpose(subj.x, (1, 0)), params["c"]),
-                   tape.matmul(tape.transpose(subj.lesion_channel, (1, 0)), params["c2"]))
-    h = _edge_relu(tape, row, col)
-    h1 = edge_to_node(tape, h, params["g"], params["b1"])
-    return predict_head(tape, h1, params["head_w1"], params["head_b1"],
-                        params["head_w2"], params["head_b2"])
-
-
-FORWARDS = {
-    MODEL_LEGNET: legnet_forward,
-    MODEL_BRAINGNN_DAGGER: braingnn_dagger_forward,
-    MODEL_BNC_MASK: bnc_mask_forward,
-    MODEL_BNC_2CHANNEL: bnc_2channel_forward,
-}
+FORWARDS = {kind: _with_head(spec.features) for kind, spec in KINDS.items()}
+legnet_forward = FORWARDS[MODEL_LEGNET]
 
 
 def as_tensors(params: dict[str, np.ndarray], requires_grad: bool = True) -> dict[str, Tensor]:
@@ -313,18 +314,23 @@ def predict(record: SubjectRecord, params: dict[str, np.ndarray], hyper: HyperPa
     return float(out.data[0])
 
 
-def regularizer_grads(params_t: dict[str, Tensor], kind: str,
-                      lam: float) -> tuple[float, dict[str, np.ndarray]]:
-    """Value and gradients of lam * sum of squared regularized tensors."""
-    tape = Tape()
+def _ridge(tape: Tape, params_t: dict[str, Tensor], lam: float) -> Tensor:
+    """lam * sum of squares of every tensor but the head's."""
     total = None
-    for name in REG_KEYS[kind]:
-        term = tape.l2_norm_sq(params_t[name])
-        total = term if total is None else tape.add(total, term)
-    reg = tape.scale(total, lam)
-    backward(tape, reg)
-    grads = {name: params_t[name].grad for name in REG_KEYS[kind]}
-    return float(reg.data), grads
+    for name in sorted(params_t):
+        if not name.startswith("head_"):
+            term = tape.l2_norm_sq(params_t[name])
+            total = term if total is None else tape.add(total, term)
+    return tape.scale(total, lam)
+
+
+def regularizer_grads(params_t: dict[str, Tensor],
+                      lam: float) -> tuple[float, dict[str, np.ndarray]]:
+    """Value and gradients of the ridge term."""
+    tape = Tape()
+    reg = _ridge(tape, params_t, lam)
+    leaves = backward(tape, reg)
+    return float(reg.data), {name: leaves[t] for name, t in params_t.items() if t in leaves}
 
 
 def batch_loss_and_grads(
@@ -363,7 +369,7 @@ def batch_loss_and_grads(
         for name in grads:
             grads[name] /= m
     if lam != 0.0:
-        reg_val, reg_grads = regularizer_grads(params_t, kind, lam)
+        reg_val, reg_grads = regularizer_grads(params_t, lam)
         loss += reg_val
         if want_grads:
             for name, g in reg_grads.items():
@@ -374,8 +380,6 @@ def batch_loss_and_grads(
 def loss(batch: list[SubjectRecord], params: dict[str, np.ndarray], hyper: HyperParams,
          kind: str = MODEL_LEGNET) -> float:
     """Training objective on a batch: (1/M) sum (yhat - y)^2 + lam * R."""
-    if not batch:
-        raise InputError("empty batch")
     prepared = prepare_dataset(batch, kind)
     value, _, _ = batch_loss_and_grads(prepared, as_tensors(params), hyper, kind,
                                        lam=hyper.lam, want_grads=False)
@@ -393,11 +397,7 @@ def single_tape_batch_loss(tape: Tape, prepared: list[PreparedSubject],
         total = sq if total is None else tape.add(total, sq)
     out = tape.scale(total, 1.0 / len(prepared))
     if lam != 0.0:
-        reg = None
-        for name in REG_KEYS[kind]:
-            term = tape.l2_norm_sq(params_t[name])
-            reg = term if reg is None else tape.add(reg, term)
-        out = tape.add(out, tape.scale(reg, lam))
+        out = tape.add(out, _ridge(tape, params_t, lam))
     return out
 
 
@@ -422,8 +422,9 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
     """Max relative error of tape gradients vs central differences, per stage.
 
     Instances are seeded random, sized by `hyper` (default: 6 ROIs with a
-    scaled-down k=3). `module` picks one of e2e, e2n, subgraph, head, loss,
-    or all.
+    scaled-down k=3). `module` picks one of e2e, e2n, subgraph, head, loss
+    (LEGNet's full objective), loss-braingnn-dagger, loss-bnc-mask,
+    loss-bnc-2channel, or all.
     """
     from .diffmath import gradient_check
 
@@ -442,17 +443,11 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
         if module in ("all", name):
             checks[name] = gradient_check(build, inputs, step=step)
 
-    check(
-        "e2e",
-        lambda tape, ts: tape.l2_norm_sq(edge_to_edge(tape, x_const, ts[0], ts[1])),
-        [rng.uniform(-1, 1, size=(n, d0)), rng.uniform(-1, 1, size=(n, d0))],
-    )
+    check("e2e", lambda tape, ts: tape.l2_norm_sq(edge_to_edge(tape, x_const, ts[0], ts[1])),
+          [rng.uniform(-1, 1, size=(n, d0)), rng.uniform(-1, 1, size=(n, d0))])
     h_fixed = Tensor(rng.uniform(0.1, 2.0, size=(n, n, d0)), requires_grad=False)
-    check(
-        "e2n",
-        lambda tape, ts: tape.l2_norm_sq(edge_to_node(tape, h_fixed, ts[0], ts[1])),
-        [rng.uniform(-1, 1, size=(n, d1, d0)), rng.uniform(-1, 1, size=(d1,))],
-    )
+    check("e2n", lambda tape, ts: tape.l2_norm_sq(edge_to_node(tape, h_fixed, ts[0], ts[1])),
+          [rng.uniform(-1, 1, size=(n, d1, d0)), rng.uniform(-1, 1, size=(d1,))])
     h1_fixed = Tensor(rng.uniform(0.1, 2.0, size=(n, d1)), requires_grad=False)
 
     def build_subgraph(tape, ts):
@@ -460,32 +455,23 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
         w = subgraph_filters(tape, s, ts[1], ts[2], d2)
         return tape.l2_norm_sq(subgraph_conv(tape, h1_fixed, w))
 
-    check(
-        "subgraph",
-        build_subgraph,
-        [rng.uniform(-1, 1, size=(k, n)), rng.uniform(-1, 1, size=(d2 * d1, k)),
-         rng.uniform(-1, 1, size=(d2 * d1,))],
-    )
+    check("subgraph", build_subgraph,
+          [rng.uniform(-1, 1, size=(k, n)), rng.uniform(-1, 1, size=(d2 * d1, k)),
+           rng.uniform(-1, 1, size=(d2 * d1,))])
     h2_fixed = Tensor(rng.uniform(0.1, 2.0, size=(n, d2)), requires_grad=False)
-    check(
-        "head",
-        lambda tape, ts: tape.l2_norm_sq(
-            predict_head(tape, h2_fixed, ts[0], ts[1], ts[2], ts[3])),
-        [rng.uniform(-1, 1, size=(d3, n * d2)), rng.uniform(-1, 1, size=(d3,)),
-         rng.uniform(-1, 1, size=(1, d3)), rng.uniform(-1, 1, size=(1,))],
-    )
-    if module in ("all", "loss"):
-        spec = param_spec(MODEL_LEGNET, hyper)
-        names = [name for name, *_ in spec]
-        arrays = [init_params(MODEL_LEGNET, hyper, seed=seed + 1)[name] for name in names]
-        prepared = [prepare_subject(record, MODEL_LEGNET)]
+    check("head", lambda tape, ts: tape.l2_norm_sq(predict_head(tape, h2_fixed, *ts)),
+          [rng.uniform(-1, 1, size=(d3, n * d2)), rng.uniform(-1, 1, size=(d3,)),
+           rng.uniform(-1, 1, size=(1, d3)), rng.uniform(-1, 1, size=(1,))])
+    for kind in MODEL_KINDS:
+        names = [row[0] for row in param_spec(kind, hyper)]
+        init = init_params(kind, hyper, seed=seed + 1)
 
-        def build_loss(tape, ts):
-            params_t = dict(zip(names, ts))
-            return single_tape_batch_loss(tape, prepared, params_t, hyper,
-                                          MODEL_LEGNET, lam=hyper.lam)
+        def build_loss(tape, ts, kind=kind, names=names):
+            return single_tape_batch_loss(tape, [prepare_subject(record, kind)],
+                                          dict(zip(names, ts)), hyper, kind, lam=hyper.lam)
 
-        checks["loss"] = gradient_check(build_loss, arrays, step=step)
+        check("loss" if kind == MODEL_LEGNET else f"loss-{kind}", build_loss,
+              [init[name] for name in names])
     if not checks:
         raise InputError(f"unknown gradcheck module {module!r}")
     return checks
@@ -504,10 +490,7 @@ def save_checkpoint(path, kind: str, hyper: HyperParams,
     header = json.dumps(
         {
             "model": kind,
-            "hyper": {
-                "n_rois": hyper.n_rois, "k": hyper.k, "d0": hyper.d0, "d1": hyper.d1,
-                "d2": hyper.d2, "d3": hyper.d3, "lam": hyper.lam,
-            },
+            "hyper": asdict(hyper),
             "tensors": [[name, list(params[name].shape)] for name in names],
         },
         sort_keys=True,
@@ -521,20 +504,36 @@ def save_checkpoint(path, kind: str, hyper: HyperParams,
 
 
 def load_checkpoint(path) -> tuple[str, HyperParams, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CHECKPOINT_MAGIC:
-            raise InputError(f"not a checkpoint file (magic {magic!r})")
-        version, header_len = struct.unpack("<II", fh.read(8))
-        if version != _CHECKPOINT_VERSION:
-            raise InputError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        params: dict[str, np.ndarray] = {}
-        for name, shape in header["tensors"]:
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8").astype(np.float64)
-            params[name] = data.reshape(shape)
-        if fh.read(1):
-            raise InputError("trailing bytes in checkpoint")
-    hyper = HyperParams(**header["hyper"])
-    return header["model"], hyper, params
+    """Read a checkpoint. A file that is cut, overlong or not UTF-8 JSON, or
+    whose tensor table is not its kind's `param_spec`, is an InputError."""
+    reader = _ExactReader(path, "checkpoint")
+    magic = bytes(reader.take(4))
+    if magic != _CHECKPOINT_MAGIC:
+        raise InputError(f"not a checkpoint file (magic {magic!r})")
+    version, header_len = reader.unpack("<II")
+    if version != _CHECKPOINT_VERSION:
+        raise InputError(f"unsupported checkpoint version {version}")
+    try:
+        header = json.loads(bytes(reader.take(header_len)).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"checkpoint header is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(header, dict) or set(header) != {"model", "hyper", "tensors"}:
+        raise InputError("checkpoint header must hold exactly model, hyper and tensors")
+    kind, hyper_fields = header["model"], header["hyper"]
+    if kind not in MODEL_KINDS:
+        raise InputError(f"unknown model kind {kind!r} in checkpoint")
+    names = sorted(f.name for f in fields(HyperParams))
+    if not isinstance(hyper_fields, dict) or sorted(hyper_fields) != names:
+        raise InputError(f"checkpoint hyperparameters must be exactly {names}")
+    hyper = HyperParams(**hyper_fields)
+    hyper.validate()
+    table = sorted([name, list(shape)] for name, shape, *_ in param_spec(kind, hyper))
+    if header["tensors"] != table:
+        raise InputError(f"checkpoint tensors do not match the {kind} tensor table")
+    params: dict[str, np.ndarray] = {}
+    for name, shape in table:
+        params[name] = reader.array("<f8", math.prod(shape)).astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(params[name])):
+            raise InputError(f"checkpoint tensor {name} has non-finite entries")
+    reader.finish()
+    return kind, hyper, params

@@ -30,11 +30,31 @@ from legnet.connectome import (
     spared_fractions,
     validate_connectivity,
 )
+from legnet.model import MODEL_LEGNET, HyperParams, init_params, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
 def small_atlas():
     return build_toy_atlas(n_rois=24, grid_dims=(16, 16, 16), n_territories=6)
+
+
+def damage(path, cut, flips) -> tuple[bool, bool]:
+    """XOR the (position, mask) flips into the file at `path`, then keep its
+    first `cut` bytes. Returns (whole, flipped): whether the cut kept every
+    byte, and whether a flip landed inside the file."""
+    data = bytearray(path.read_bytes())
+    assert len(data) <= 1024  # every cut and flip position is reachable
+    flipped = False
+    for at, mask in flips:
+        if at < len(data):
+            data[at] ^= mask
+            flipped = True
+    path.write_bytes(bytes(data[:cut]))
+    return cut >= len(data), flipped
+
+
+DAMAGE = dict(cut=st.integers(0, 1024),
+              flips=st.lists(st.tuples(st.integers(0, 1023), st.integers(1, 255)), max_size=3))
 
 
 def box(x0, x1, y0, y1, z0, z1) -> frozenset:
@@ -473,25 +493,38 @@ class TestSubjectIO:
             load_cohort(path)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(cut=st.integers(0, 1024),
-           flips=st.lists(st.tuples(st.integers(0, 1023), st.integers(1, 255)), max_size=3))
+    @given(**DAMAGE)
     def test_damaged_file_loads_or_raises_input_error(self, tmp_path_factory, cut, flips):
         records = self.make_records(n=2)
         path = tmp_path_factory.mktemp("cohort") / "cohort.bin"
         save_cohort(path, records)
-        data = bytearray(path.read_bytes())
-        assert len(data) <= 1024  # every cut and flip position is reachable
-        flipped = False
-        for at, mask in flips:
-            if at < len(data):
-                data[at] ^= mask
-                flipped = True
-        path.write_bytes(bytes(data[:cut]))
+        whole, flipped = damage(path, cut, flips)
         try:
             loaded = load_cohort(path)
         except InputError:
-            assert cut < len(data) or flipped
+            assert not whole or flipped
             return
-        assert cut >= len(data)
+        assert whole
         if not flipped:
             assert all(a.x.tobytes() == b.x.tobytes() for a, b in zip(records, loaded))
+
+
+class TestCheckpointIO:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(**DAMAGE)
+    def test_damaged_checkpoint_loads_or_raises_input_error(self, tmp_path_factory, cut, flips):
+        # checkpoints read through the same exact-length reader as cohorts
+        hyper = HyperParams(n_rois=3, k=2, d0=1, d1=2, d2=1, d3=2)
+        params = init_params(MODEL_LEGNET, hyper, 0)
+        path = tmp_path_factory.mktemp("checkpoint") / "model.ckpt"
+        save_checkpoint(path, MODEL_LEGNET, hyper, params)
+        whole, flipped = damage(path, cut, flips)
+        try:
+            kind, loaded_hyper, loaded = load_checkpoint(path)
+        except InputError:
+            assert not whole or flipped
+            return
+        assert whole
+        if not flipped:
+            assert (kind, loaded_hyper) == (MODEL_LEGNET, hyper)
+            assert all(np.array_equal(params[name], loaded[name]) for name in params)

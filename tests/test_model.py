@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from legnet.model import (
     MODEL_BNC_2CHANNEL,
     MODEL_BNC_MASK,
     MODEL_BRAINGNN_DAGGER,
+    MODEL_KINDS,
     MODEL_LEGNET,
     HyperParams,
     as_tensors,
@@ -333,19 +336,19 @@ class TestLoss:
         with pytest.raises(InputError):
             loss([], init_params(MODEL_LEGNET, hyper, 0), hyper)
 
-    def test_accumulated_grads_match_single_tape(self):
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_accumulated_grads_match_single_tape(self, kind):
         hyper = HyperParams(n_rois=5, k=3, d0=2, d1=3, d2=2, d3=3, lam=0.01)
-        params = init_params(MODEL_LEGNET, hyper, 3)
+        params = init_params(kind, hyper, 3)
         rng = np.random.default_rng(12)
-        batch = prepare_dataset([random_subject(rng, 5) for _ in range(3)], MODEL_LEGNET)
+        batch = prepare_dataset([random_subject(rng, 5) for _ in range(3)], kind)
 
         params_t = as_tensors(params)
-        value, grads, _ = batch_loss_and_grads(batch, params_t, hyper, MODEL_LEGNET,
-                                               lam=hyper.lam)
+        value, grads, _ = batch_loss_and_grads(batch, params_t, hyper, kind, lam=hyper.lam)
 
         tape = Tape()
         params_t2 = as_tensors({k: v.copy() for k, v in params.items()})
-        out = single_tape_batch_loss(tape, batch, params_t2, hyper, MODEL_LEGNET, hyper.lam)
+        out = single_tape_batch_loss(tape, batch, params_t2, hyper, kind, hyper.lam)
         backward(tape, out)
         assert value == pytest.approx(float(out.data), abs=1e-12)
         for name, tensor in params_t2.items():
@@ -378,7 +381,8 @@ class TestBaselines:
         h2 = oracle_conv(h1, w)
         expected = oracle_head(h2, params["head_w1"], params["head_b1"],
                                params["head_w2"], params["head_b2"])
-        assert predict(rec, params, hyper, MODEL_BRAINGNN_DAGGER) == pytest.approx(expected)
+        assert predict(rec, params, hyper, MODEL_BRAINGNN_DAGGER) == pytest.approx(
+            expected, rel=1e-12, abs=0)
 
     def test_bnc_mask_noop_when_all_spared(self):
         rng = np.random.default_rng(15)
@@ -390,7 +394,8 @@ class TestBaselines:
         h1 = oracle_edge_to_node(h, params["g"], params["b1"])
         expected = oracle_head(h1, params["head_w1"], params["head_b1"],
                                params["head_w2"], params["head_b2"])
-        assert predict(rec, params, hyper, MODEL_BNC_MASK) == pytest.approx(expected)
+        assert predict(rec, params, hyper, MODEL_BNC_MASK) == pytest.approx(
+            expected, rel=1e-12, abs=0)
 
     def test_bnc_mask_invariant_to_masked_entries(self):
         rng = np.random.default_rng(16)
@@ -423,13 +428,15 @@ class TestBaselines:
         h1 = oracle_edge_to_node(h, params["g"], params["b1"])
         expected = oracle_head(h1, params["head_w1"], params["head_b1"],
                                params["head_w2"], params["head_b2"])
-        assert predict(rec, params, hyper, MODEL_BNC_2CHANNEL) == pytest.approx(expected)
+        assert predict(rec, params, hyper, MODEL_BNC_2CHANNEL) == pytest.approx(
+            expected, rel=1e-12, abs=0)
 
 
 class TestGradientChecks:
     def test_each_stage_within_tolerance(self):
         checks = run_gradient_checks("all", seed=0)
-        assert set(checks) == {"e2e", "e2n", "subgraph", "head", "loss"}
+        assert set(checks) == {"e2e", "e2n", "subgraph", "head", "loss", "loss-braingnn-dagger",
+                               "loss-bnc-mask", "loss-bnc-2channel"}
         for name, err in checks.items():
             assert err <= 1e-4, f"{name}: {err}"
 
@@ -468,4 +475,68 @@ class TestParamsAndCheckpoints:
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"garbage")
         with pytest.raises(InputError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_every_kind_round_trips(self, tmp_path, kind):
+        hyper = HyperParams(n_rois=5, k=3)
+        params = init_params(kind, hyper, 2)
+        save_checkpoint(tmp_path / "a.ckpt", kind, hyper, params)
+        loaded_kind, loaded_hyper, loaded = load_checkpoint(tmp_path / "a.ckpt")
+        assert (loaded_kind, loaded_hyper) == (kind, hyper)
+        assert all(np.array_equal(params[name], loaded[name]) for name in params)
+        assert loaded.keys() == params.keys()
+
+    def saved_legnet(self, tmp_path):
+        hyper = HyperParams(n_rois=8)
+        path = tmp_path / "legnet.ckpt"
+        save_checkpoint(path, MODEL_LEGNET, hyper, init_params(MODEL_LEGNET, hyper, 0))
+        return path
+
+    @pytest.mark.parametrize("cut", [6, 14, "half"])
+    def test_checkpoint_load_requires_exact_length(self, tmp_path, cut):
+        # these cuts used to raise struct.error, JSONDecodeError and ValueError
+        path = self.saved_legnet(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2 if cut == "half" else cut])
+        with pytest.raises(InputError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        # a TypeError from HyperParams before
+        (lambda h: h["hyper"].update(extra=1), "hyperparameters must be exactly"),
+        # a KeyError in predict before
+        (lambda h: h.update(model="gcn"), "unknown model kind"),
+        # a late "head expects" error in the forward before
+        (lambda h: h.update(model=MODEL_BNC_MASK), "do not match the bnc-mask"),
+        # loaded and predicted before
+        (lambda h: h["hyper"].update(k=0), "k must be a positive integer"),
+        (lambda h: h["hyper"].update(d0="4"), "d0 must be a positive integer"),
+        (lambda h: h["hyper"].update(lam=-1.0), "lam must be"),
+        (lambda h: h["tensors"].remove(["g", [8, 8, 4]]), "do not match the legnet"),
+        (lambda h: h.pop("hyper"), "exactly model, hyper and tensors"),
+    ], ids=["extra-hyper-key", "unknown-kind", "other-kinds-tensors", "k-zero", "string-dim",
+            "negative-lam", "missing-tensor", "no-hyper"])
+    def test_checkpoint_load_checks_header_against_param_spec(self, tmp_path, edit, message):
+        path = self.saved_legnet(tmp_path)
+        data = path.read_bytes()
+        (length,) = struct.unpack_from("<I", data, 8)
+        header = json.loads(data[12:12 + length])
+        edit(header)
+        text = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<I", len(text)) + text + data[12 + length:])
+        with pytest.raises(InputError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe"])
+    def test_checkpoint_load_rejects_header_that_is_not_json(self, tmp_path, header):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"LEGP" + struct.pack("<II", 1, len(header)) + header)
+        with pytest.raises(InputError, match="not UTF-8 JSON"):
+            load_checkpoint(path)
+
+    def test_checkpoint_load_rejects_non_finite_tensors(self, tmp_path):
+        path = self.saved_legnet(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", math.nan))
+        with pytest.raises(InputError, match="non-finite"):
             load_checkpoint(path)
