@@ -1,19 +1,15 @@
-"""Data model for parcellated brains, lesions, time series, and connectivity.
+"""Data model for parcellated brains, lesions, connectivity and subject files.
 
 A :class:`ToyAtlas` labels a voxel grid with ROIs, arterial territories, and
-hemispheres. A :class:`LesionMask` is a set of damaged voxels. The pipeline
-from raw voxel signals to model inputs is deterministic:
+hemispheres. A :class:`LesionMask` is a set of damaged voxels; per ROI it
+removes :func:`lesioned_counts` voxels and leaves the spared fractions p_i,
+held in :class:`LesionEncoding`. Model inputs come from (N, Tlen) ROI mean
+time series:
 
-    voxel signals -> ROI sums (one reduction of the volume)
-                  -> ROI mean time series (lesioned voxels subtracted)
-                  -> Pearson correlation -> exponentiation -> X
-
-One set of ROI sums serves the healthy series and any lesioned one: a lesion
-reads only its own voxels back from the volume (:func:`roi_series_from_sums`).
+    ROI mean series -> Pearson correlation -> exponentiation -> X
 
 Connectivity matrices are plain (N, N) float64 arrays; their invariants can
-be asserted with :func:`validate_connectivity`. Lesions are summarized per
-ROI by the spared voxel fraction p_i, held in :class:`LesionEncoding`.
+be asserted with :func:`validate_connectivity`.
 """
 
 from __future__ import annotations
@@ -79,10 +75,6 @@ class ToyAtlas:
     def territory_size(self, territory: int) -> int:
         return int(np.count_nonzero(self.territory_of_voxel == territory))
 
-    def territory_voxels(self, territory: int) -> np.ndarray:
-        """(K, 3) integer coordinates of a territory, in C order."""
-        return np.argwhere(self.territory_of_voxel == territory)
-
     def left_territories(self) -> list[int]:
         """Territories whose voxels all lie in the left hemisphere."""
         out = []
@@ -91,21 +83,6 @@ class ToyAtlas:
             if hemi.size and np.all(hemi == HEMI_LEFT):
                 out.append(t)
         return out
-
-    def roi_flat_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat voxel indices sorted by ROI id, plus per-ROI segment bounds.
-
-        Background voxels are excluded. Segment i covers ROI i+1 in the
-        returned index array: indices[bounds[i]:bounds[i+1]].
-        """
-        if "order" not in self._roi_cache:
-            flat = self.roi_of_voxel.reshape(-1)
-            nonbg = np.flatnonzero(flat)
-            order = nonbg[np.argsort(flat[nonbg], kind="stable")]
-            counts = np.bincount(flat[nonbg], minlength=self.n_rois + 1)[1:]
-            bounds = np.concatenate([[0], np.cumsum(counts)])
-            self._roi_cache["order"] = (order, bounds)
-        return self._roi_cache["order"]
 
     def validate(self) -> None:
         """Raise InputError on any violated atlas invariant."""
@@ -265,9 +242,8 @@ class LesionMask:
     def coords(self, grid_dims: tuple[int, int, int]) -> np.ndarray:
         """(K, 3) voxel coordinates sorted in C order.
 
-        Raises InputError if any voxel lies outside the grid. The order is
-        part of the contract: `compute_roi_timeseries` accumulates lesioned
-        voxels in it, and cohort bytes depend on that order.
+        Raises InputError if any voxel lies outside the grid. The sort makes
+        the result independent of the set's iteration order.
         """
         idx = np.array(list(self.voxels), dtype=np.intp).reshape(len(self.voxels), 3)
         outside = np.any((idx < 0) | (idx >= np.asarray(grid_dims)), axis=1)
@@ -306,113 +282,12 @@ class LesionMask:
 # ----------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class RoiTimeSeries:
-    """Per-ROI mean signal, shape (N, Tlen). A fully lesioned ROI's row is
-    all zeros."""
-
-    series: np.ndarray
-
-    @property
-    def n_rois(self) -> int:
-        return self.series.shape[0]
-
-    @property
-    def t_len(self) -> int:
-        return self.series.shape[1]
-
-
-# ROI groups are gathered about this many voxels at a time, so the reduction
-# never copies the whole volume
-_REDUCE_BLOCK_VOXELS = 4096
-
-
-def _check_volume(volume_ts: np.ndarray, atlas: ToyAtlas) -> None:
-    if volume_ts.shape[:3] != atlas.grid_dims:
-        raise InputError(
-            f"volume grid {volume_ts.shape[:3]} does not match atlas {atlas.grid_dims}"
-        )
-    if volume_ts.ndim != 4 or volume_ts.shape[3] < 2:
-        raise InputError("volume needs a time axis with Tlen >= 2")
-
-
-def roi_sums(volume_ts: np.ndarray, atlas: ToyAtlas) -> np.ndarray:
-    """(N, Tlen) sums of the voxel signals of each ROI.
-
-    Every ROI must be non-empty, as `ToyAtlas.validate` requires. Voxels are
-    gathered in ROI order one group of whole ROIs at a time
-    (about `_REDUCE_BLOCK_VOXELS` voxels). A group never splits an ROI, so
-    every ROI is summed in the same order as by one `reduceat` over all
-    voxels, bit for bit.
-    """
-    _check_volume(volume_ts, atlas)
-    t_len = volume_ts.shape[3]
-    flat = volume_ts.reshape(-1, t_len)
-    order, bounds = atlas.roi_flat_order()
-    # each group starts at the first ROI that begins at or past a block mark;
-    # empty ROIs fall to the front of the next group, where reduceat can index
-    marks = np.arange(0, bounds[-1], _REDUCE_BLOCK_VOXELS)
-    starts = np.unique(np.append(np.searchsorted(bounds, marks), atlas.n_rois))
-    sums = np.empty((atlas.n_rois, t_len))
-    for r0, r1 in zip(starts[:-1], starts[1:]):
-        lo, hi = bounds[r0], bounds[r1]
-        sums[r0:r1] = np.add.reduceat(flat[order[lo:hi]], bounds[r0:r1] - lo, axis=0)
-    return sums
-
-
-def roi_series_from_sums(
-    sums: np.ndarray,
-    volume_ts: np.ndarray,
-    atlas: ToyAtlas,
-    lesion: LesionMask | None = None,
-) -> RoiTimeSeries:
-    """ROI mean series from `roi_sums(volume_ts, atlas)`, skipping lesioned voxels.
-
-    Only the lesioned voxels are read from `volume_ts`; they are subtracted
-    from a copy of `sums` in `LesionMask.coords` order. ROIs whose voxels are
-    all lesioned get an all-zero row.
-    """
-    _check_volume(volume_ts, atlas)
-    t_len = volume_ts.shape[3]
-    if sums.shape != (atlas.n_rois, t_len):
-        raise InputError(f"ROI sums shape {sums.shape} != {(atlas.n_rois, t_len)}")
-    counts = atlas.roi_sizes().astype(np.float64)
-
-    if lesion is not None and lesion.voxels:
-        flat = volume_ts.reshape(-1, t_len)
-        flat_idx = np.ravel_multi_index(tuple(lesion.coords(atlas.grid_dims).T), atlas.grid_dims)
-        rois = atlas.roi_of_voxel.reshape(-1)[flat_idx]
-        keep = rois > 0
-        flat_idx, rois = flat_idx[keep], rois[keep]
-        sums = sums.copy()
-        np.subtract.at(sums, rois - 1, flat[flat_idx])
-        np.subtract.at(counts, rois - 1, 1.0)
-
-    series = np.zeros((atlas.n_rois, t_len))
-    alive = counts > 0
-    series[alive] = sums[alive] / counts[alive, None]
-    return RoiTimeSeries(series=series)
-
-
-def compute_roi_timeseries(
-    volume_ts: np.ndarray,
-    atlas: ToyAtlas,
-    lesion: LesionMask | None = None,
-) -> RoiTimeSeries:
-    """Average voxel signals into ROI rows, skipping lesioned voxels.
-
-    `volume_ts` has shape grid_dims + (Tlen,). ROIs whose voxels are all
-    lesioned get an all-zero row.
-    """
-    return roi_series_from_sums(roi_sums(volume_ts, atlas), volume_ts, atlas, lesion)
-
-
-def correlation_matrix(ts: RoiTimeSeries) -> np.ndarray:
-    """Pearson correlation between ROI rows; 0 wherever a row has zero
-    variance (the no-information convention for fully lesioned ROIs)."""
-    data = ts.series
-    if data.shape[1] < 2:
-        raise InputError("need Tlen >= 2 for correlations")
+def correlation_matrix(data: np.ndarray) -> np.ndarray:
+    """Pearson correlation between the rows of an (N, Tlen) ROI series; 0
+    wherever a row has zero variance (the no-information convention for
+    fully lesioned ROIs)."""
+    if data.ndim != 2 or data.shape[1] < 2:
+        raise InputError(f"correlations need an (N, Tlen >= 2) series, got {data.shape}")
     centered = data - data.mean(axis=1, keepdims=True)
     norms = np.sqrt((centered * centered).sum(axis=1))
     alive = norms > 0.0
@@ -465,12 +340,16 @@ class LesionEncoding:
             raise InputError("spared fractions must lie in [0, 1]")
 
 
+def lesioned_counts(atlas: ToyAtlas, lesion: LesionMask) -> np.ndarray:
+    """Number of each ROI's voxels that the lesion covers, shape (N,)."""
+    rois = atlas.roi_of_voxel[tuple(lesion.coords(atlas.grid_dims).T)]
+    return np.bincount(rois, minlength=atlas.n_rois + 1)[1:]
+
+
 def spared_fractions(atlas: ToyAtlas, lesion: LesionMask) -> LesionEncoding:
     """Fraction of each ROI's voxels that the lesion spares."""
-    rois = atlas.roi_of_voxel[tuple(lesion.coords(atlas.grid_dims).T)]
-    lesioned = np.bincount(rois, minlength=atlas.n_rois + 1)[1:]
     total = atlas.roi_sizes()
-    return LesionEncoding(p=(total - lesioned) / total)
+    return LesionEncoding(p=(total - lesioned_counts(atlas, lesion)) / total)
 
 
 @dataclass(eq=False)
@@ -574,22 +453,38 @@ def load_atlas(path) -> ToyAtlas:
     return atlas
 
 
+def _check_record(record: SubjectRecord) -> None:
+    """The checks every record passes on save and on load."""
+    try:
+        record.validate()
+        record.lesion.validate()
+        validate_connectivity(record.x)
+    except InputError as exc:
+        raise InputError(f"subject {record.id!r}: {exc}") from None
+
+
 def save_cohort(path, records: list[SubjectRecord]) -> None:
     """Write the binary cohort format: LEGC header + one record per subject.
 
     Per subject: uint16 id length, utf-8 id, float64 y, float64 p[N],
-    float64 X[N*N] row-major. Round trips are lossless.
+    float64 X[N*N] row-major. Round trips are lossless. Every record is
+    checked as `load_cohort` checks it before anything is written.
     """
     if not records:
         raise InputError("refusing to write an empty cohort")
     n = records[0].x.shape[0]
+    idents = []
+    for rec in records:
+        if rec.x.shape != (n, n):
+            raise InputError("all subjects in a cohort must share N")
+        _check_record(rec)
+        idents.append(rec.id.encode("utf-8"))
+        if len(idents[-1]) > 0xFFFF:
+            raise InputError(f"subject id of {len(idents[-1])} UTF-8 bytes exceeds 65535")
     with open(path, "wb") as fh:
         fh.write(_COHORT_MAGIC)
         fh.write(struct.pack("<III", _FORMAT_VERSION, len(records), n))
-        for rec in records:
-            if rec.x.shape != (n, n):
-                raise InputError("all subjects in a cohort must share N")
-            ident = rec.id.encode("utf-8")
+        for rec, ident in zip(records, idents):
             fh.write(struct.pack("<H", len(ident)))
             fh.write(ident)
             fh.write(struct.pack("<d", float(rec.y)))
@@ -620,12 +515,7 @@ def load_cohort(path) -> list[SubjectRecord]:
         p = reader.array("<f8", n).astype(np.float64)
         x = reader.array("<f8", n * n).astype(np.float64).reshape(n, n)
         record = SubjectRecord(id=ident, x=x, lesion=LesionEncoding(p=p), y=y)
-        try:
-            record.validate()
-            record.lesion.validate()
-            validate_connectivity(record.x)
-        except InputError as exc:
-            raise InputError(f"subject {ident!r}: {exc}") from None
+        _check_record(record)
         records.append(record)
     reader.finish()
     return records

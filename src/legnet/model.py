@@ -298,7 +298,22 @@ def _with_head(features):
 
 
 FORWARDS = {kind: _with_head(spec.features) for kind, spec in KINDS.items()}
-legnet_forward = FORWARDS[MODEL_LEGNET]
+
+
+def check_params(kind: str, hyper: HyperParams, shapes: dict) -> None:
+    """Raise InputError, naming the tensor, unless `shapes` (tensor name ->
+    shape) is exactly the kind's tensor table. Entries are not read."""
+    spec = {name: shape for name, shape, *_ in param_spec(kind, hyper)}
+    if shapes == spec:
+        return
+    mismatch = f"tensors do not match the {kind} tensor table"
+    for name, shape in spec.items():
+        if name not in shapes:
+            raise InputError(f"{mismatch}: {name!r} is missing")
+        if shapes[name] != shape:
+            raise InputError(f"{mismatch}: {name!r} has shape {shapes[name]}, expected {shape}")
+    extra = sorted(map(repr, shapes.keys() - spec.keys()))
+    raise InputError(f"{mismatch}: {extra[0]} is not in it")
 
 
 def as_tensors(params: dict[str, np.ndarray], requires_grad: bool = True) -> dict[str, Tensor]:
@@ -309,6 +324,7 @@ def as_tensors(params: dict[str, np.ndarray], requires_grad: bool = True) -> dic
 
 def predict(record: SubjectRecord, params: dict[str, np.ndarray], hyper: HyperParams,
             kind: str = MODEL_LEGNET) -> float:
+    check_params(kind, hyper, {name: arr.shape for name, arr in params.items()})
     subj = prepare_subject(record, kind)
     out = FORWARDS[kind](Tape(), subj, as_tensors(params, requires_grad=False), hyper)
     return float(out.data[0])
@@ -348,6 +364,7 @@ def batch_loss_and_grads(
     """
     if not prepared:
         raise InputError("empty batch")
+    check_params(kind, hyper, {name: t.shape for name, t in params_t.items()})
     forward = FORWARDS[kind]
     m = len(prepared)
     preds = np.empty(m)
@@ -407,10 +424,9 @@ def single_tape_batch_loss(tape: Tape, prepared: list[PreparedSubject],
 
 
 def _random_subject(rng, n: int) -> SubjectRecord:
-    from .connectome import LesionEncoding, RoiTimeSeries, correlation_matrix, exponentiate
+    from .connectome import LesionEncoding, correlation_matrix, exponentiate
 
-    ts = RoiTimeSeries(series=rng.normal(size=(n, 3 * n)))
-    x = exponentiate(correlation_matrix(ts))
+    x = exponentiate(correlation_matrix(rng.normal(size=(n, 3 * n))))
     p = np.clip(rng.uniform(-0.2, 1.4, size=n), 0.0, 1.0)
     return SubjectRecord(id="gradcheck", x=x, lesion=LesionEncoding(p=p),
                          y=float(rng.uniform(20, 90)))
@@ -527,11 +543,17 @@ def load_checkpoint(path) -> tuple[str, HyperParams, dict[str, np.ndarray]]:
         raise InputError(f"checkpoint hyperparameters must be exactly {names}")
     hyper = HyperParams(**hyper_fields)
     hyper.validate()
-    table = sorted([name, list(shape)] for name, shape, *_ in param_spec(kind, hyper))
-    if header["tensors"] != table:
-        raise InputError(f"checkpoint tensors do not match the {kind} tensor table")
+    try:
+        shapes = {name: tuple(shape) for name, shape in header["tensors"]}
+    except (TypeError, ValueError):
+        raise InputError("checkpoint tensor table must be a list of [name, shape]") from None
+    if len(shapes) != len(header["tensors"]):
+        raise InputError("checkpoint tensor table names a tensor twice")
+    check_params(kind, hyper, shapes)
+    if list(shapes) != sorted(shapes):
+        raise InputError("checkpoint tensor table is not in name order")
     params: dict[str, np.ndarray] = {}
-    for name, shape in table:
+    for name, shape, *_ in sorted(param_spec(kind, hyper)):
         params[name] = reader.array("<f8", math.prod(shape)).astype(np.float64).reshape(shape)
         if not np.all(np.isfinite(params[name])):
             raise InputError(f"checkpoint tensor {name} has non-finite entries")

@@ -1,21 +1,26 @@
 """Synthetic cohorts: healthy-subject simulation plus artificial lesions.
 
-Healthy voxel signals follow a three-level model: latent community time
-series, per-ROI series (community signal plus ROI noise), and per-voxel
-series (ROI series plus voxel noise). ROIs of one designated "language"
-territory share a community whose per-subject coupling strength varies, so
-the pre-lesion score y0 carries a learnable connectivity signal. Each subject
-allocates one voxel volume, filled block by block in C order, and reduces it
-to ROI sums once; the healthy series and y0 come from those sums.
+Healthy signals follow a three-level model: latent community time series,
+per-ROI series (community signal plus ROI noise), and per-voxel series (ROI
+series plus independent voxel noise of scale sigma_voxel). ROIs of one
+designated "language" territory share a community whose per-subject
+coupling strength varies, so the pre-lesion score y0 carries a learnable
+connectivity signal.
+
+No voxel signal is ever drawn. A subject holds only the sum S_i of each
+ROI's n_i voxel signals, which is exactly normal given the ROI series:
+S_i = n_i roi_ts_i + sigma_voxel sqrt(n_i) z_i. Given S_i, the sum over k_i
+lesioned voxels is normal with mean (k_i / n_i) S_i and variance
+sigma_voxel^2 k_i (n_i - k_i) / n_i, so a lesioned subject's ROI series
+draws that sum and keeps the rest; both draws match the voxel model in
+distribution.
 
 Lesions are grown by seeded region growing inside a single left-hemisphere
 arterial territory, then hole-filled so the mask is simply connected.
-Lesioning a subject subtracts the lesioned voxels from the healthy ROI sums
-(no second reduction of the volume), diminishes and noises connectivity
-entries touching damaged ROIs as
-X'_ij = clip(X_ij^(min(p_i,p_j)^gamma) + eta_ij, min X, max X) (diminution
-shrinks the correlation log X toward 0), and rescales the language score by
-the territory's spared fraction.
+Lesioning a subject also diminishes and noises connectivity entries touching
+damaged ROIs as X'_ij = clip(X_ij^(min(p_i,p_j)^gamma) + eta_ij, min X, max X)
+(diminution shrinks the correlation log X toward 0), and rescales the
+language score by the territory's spared fraction.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from .connectome import (
     ToyAtlas,
     correlation_matrix,
     exponentiate,
-    roi_series_from_sums,
-    roi_sums,
+    lesioned_counts,
     spared_fractions,
 )
 
@@ -43,8 +47,6 @@ FRACTION_MIN = 0.05
 FRACTION_MAX = 0.20
 HOLE_FILL_SLACK = 0.02  # relative overshoot allowed from cavity filling
 _MAX_GROW_ATTEMPTS = 64
-# voxels whose signals are drawn and written per step of the volume build
-_VOXEL_BLOCK = 4096
 
 
 class LesionSpecError(ValueError):
@@ -119,6 +121,12 @@ class LesionPolicy:
     fraction_range: tuple[float, float] = (FRACTION_MIN, FRACTION_MAX)
     score_mu: float | None = None  # overrides CohortParams.score_mu when set
 
+    def __post_init__(self):
+        low, high = self.fraction_range
+        if not FRACTION_MIN <= low <= high <= FRACTION_MAX:
+            raise InputError(f"fraction_range {self.fraction_range} must be ordered and "
+                             f"inside [{FRACTION_MIN}, {FRACTION_MAX}]")
+
 
 POLICIES = {
     "hcp-sl": LesionPolicy(name="hcp-sl"),
@@ -136,16 +144,16 @@ def policy_by_name(name: str) -> LesionPolicy:
 
 @dataclass(eq=False)
 class HealthySubject:
-    """A pre-lesion subject: voxel signals, their ROI sums and the score y0.
+    """A pre-lesion subject: the (N, Tlen) sums of its ROIs' voxel signals,
+    the voxel noise scale they were drawn with, and the score y0.
 
-    `roi_sums` is `connectome.roi_sums(volume_ts, atlas)`, the volume's one
-    full reduction. Lesioned ROI series subtract only the lesioned voxels
-    from it (`connectome.roi_series_from_sums`).
+    Lesioning conditions on these sums (`lesioned_roi_series`), so any
+    number of lesions can be applied to one healthy subject.
     """
 
     id: str
-    volume_ts: np.ndarray  # grid_dims + (t_len,)
-    roi_sums: np.ndarray   # (n_rois, t_len)
+    roi_sums: np.ndarray  # (n_rois, t_len)
+    sigma_voxel: float
     y0: float
 
 
@@ -165,6 +173,22 @@ def mean_language_connectivity(x: np.ndarray, atlas: ToyAtlas, params: CohortPar
     return float((sub.sum() - np.trace(sub)) / (n * (n - 1)))
 
 
+def _latent_roi_series(rng: np.random.Generator, atlas: ToyAtlas,
+                       cp: CohortParams) -> np.ndarray:
+    """(N, Tlen) ROI series: community signal plus ROI noise."""
+    n, t_len = atlas.n_rois, cp.t_len
+    language = _language_rois(atlas, cp)
+    community_of_roi = 1 + np.arange(n) % (cp.n_communities - 1)
+    community_of_roi[language] = 0
+
+    community_ts = rng.standard_normal((cp.n_communities, t_len))
+    coherence = rng.uniform(*cp.coherence_range)
+    weight = np.ones(n)
+    weight[language] = coherence
+    roi_ts = weight[:, None] * community_ts[community_of_roi]
+    return roi_ts + cp.sigma_roi * rng.standard_normal((n, t_len))
+
+
 def generate_healthy_subject(
     atlas: ToyAtlas,
     seed,
@@ -179,39 +203,39 @@ def generate_healthy_subject(
     """
     cp = cohort_params
     rng = np.random.default_rng(seed)
-    n, t_len = atlas.n_rois, cp.t_len
+    roi_ts = _latent_roi_series(rng, atlas, cp)
+    sizes = atlas.roi_sizes()
+    sums = sizes[:, None] * roi_ts
+    sums += (cp.sigma_voxel * np.sqrt(sizes))[:, None] * rng.standard_normal(roi_ts.shape)
 
-    language = _language_rois(atlas, cp)
-    community_of_roi = 1 + np.arange(n) % (cp.n_communities - 1)
-    community_of_roi[language] = 0
-
-    community_ts = rng.standard_normal((cp.n_communities, t_len))
-    coherence = rng.uniform(*cp.coherence_range)
-    weight = np.ones(n)
-    weight[language] = coherence
-    roi_ts = weight[:, None] * community_ts[community_of_roi]
-    roi_ts = roi_ts + cp.sigma_roi * rng.standard_normal((n, t_len))
-
-    # Non-background voxels in C order, one block at a time: the chunked
-    # draws continue one stream, so each voxel gets the same normals as from
-    # a single draw, and noise * sigma + roi equals roi + sigma * noise.
-    flat_roi = atlas.roi_of_voxel.reshape(-1)
-    nonbg = np.flatnonzero(flat_roi)
-    volume = np.zeros((flat_roi.size, t_len))
-    for start in range(0, nonbg.size, _VOXEL_BLOCK):
-        idx = nonbg[start:start + _VOXEL_BLOCK]
-        signal = rng.standard_normal((idx.size, t_len))
-        signal *= cp.sigma_voxel
-        signal += roi_ts[flat_roi[idx] - 1]
-        volume[idx] = signal
-    volume = volume.reshape(atlas.grid_dims + (t_len,))
-
-    sums = roi_sums(volume, atlas)
-    x = exponentiate(correlation_matrix(roi_series_from_sums(sums, volume, atlas)))
+    x = exponentiate(correlation_matrix(sums / sizes[:, None]))
     m = mean_language_connectivity(x, atlas, cp)
     y0 = float(np.clip(cp.score_mu + cp.score_beta * m + cp.score_eps * rng.standard_normal(),
                        0.0, 100.0))
-    return HealthySubject(id=subject_id, volume_ts=volume, roi_sums=sums, y0=y0)
+    return HealthySubject(id=subject_id, roi_sums=sums, sigma_voxel=cp.sigma_voxel, y0=y0)
+
+
+def lesioned_roi_series(healthy: HealthySubject, atlas: ToyAtlas, lesion: LesionMask,
+                        seed) -> np.ndarray:
+    """(N, Tlen) mean series of the voxels the lesion spares in each ROI.
+
+    The lesioned voxels' sum is drawn given the healthy ROI sums from the
+    `seed` stream and subtracted. ROIs the lesion misses keep their healthy
+    mean exactly; ROIs it covers whole get an all-zero row.
+    """
+    sums = healthy.roi_sums
+    if sums.shape[0] != atlas.n_rois:
+        raise InputError(f"healthy subject has {sums.shape[0]} ROIs, atlas {atlas.n_rois}")
+    sizes = atlas.roi_sizes()
+    cut = lesioned_counts(atlas, lesion)
+    rng = np.random.default_rng(seed)
+    spread = healthy.sigma_voxel * np.sqrt(cut * (sizes - cut) / sizes)
+    removed = (cut / sizes)[:, None] * sums + spread[:, None] * rng.standard_normal(sums.shape)
+    kept = sizes - cut
+    series = np.zeros(sums.shape)
+    alive = kept > 0
+    series[alive] = (sums - removed)[alive] / kept[alive, None]
+    return series
 
 
 # ----------------------------------------------------------------------
@@ -369,9 +393,14 @@ def lesion_subject(
     spec: LesionSpec,
     corruption: CorruptionParams,
 ) -> tuple[SubjectRecord, LesionMask]:
-    """Apply one artificial lesion to a healthy subject."""
+    """Apply one artificial lesion to a healthy subject.
+
+    The mask comes from `grow_lesion`'s stream SeedSequence(spec.seed) and the
+    lesioned voxels' signal from the independent SeedSequence((spec.seed, 1)),
+    so the record is a pure function of the healthy subject and the spec.
+    """
     lesion = grow_lesion(atlas, spec)
-    ts = roi_series_from_sums(healthy.roi_sums, healthy.volume_ts, atlas, lesion)
+    ts = lesioned_roi_series(healthy, atlas, lesion, np.random.SeedSequence((spec.seed, 1)))
     x = exponentiate(correlation_matrix(ts))
     encoding = spared_fractions(atlas, lesion)
     x = corrupt_connectivity(x, encoding, corruption)

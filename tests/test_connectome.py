@@ -13,24 +13,28 @@ from legnet.connectome import (
     InputError,
     LesionEncoding,
     LesionMask,
-    RoiTimeSeries,
     SubjectRecord,
     ToyAtlas,
     build_toy_atlas,
-    compute_roi_timeseries,
     correlation_matrix,
     exponentiate,
+    lesioned_counts,
     load_atlas,
     load_cohort,
     region_is_face_connected,
     region_is_hole_free,
-    roi_sums,
     save_atlas,
     save_cohort,
     spared_fractions,
     validate_connectivity,
 )
 from legnet.model import MODEL_LEGNET, HyperParams, init_params, load_checkpoint, save_checkpoint
+from legnet.synthgen import (
+    CohortParams,
+    HealthySubject,
+    generate_healthy_subject,
+    lesioned_roi_series,
+)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +137,7 @@ class TestToyAtlas:
         left = small_atlas.left_territories()
         assert left == [1, 2, 3]
         for t in left:
-            vox = small_atlas.territory_voxels(t)
+            vox = np.argwhere(small_atlas.territory_of_voxel == t)
             assert np.all(small_atlas.hemisphere_of_voxel[tuple(vox.T)] == HEMI_LEFT)
 
     def test_roi_sizes_cover_grid(self, small_atlas):
@@ -249,9 +253,8 @@ class TestGeometryChecks:
     @pytest.mark.parametrize("voxel", [(16, 0, 0), (0, -1, 0)])
     def test_out_of_grid_lesion_voxel_rejected(self, small_atlas, voxel):
         lesion = LesionMask(frozenset({(0, 0, 0), voxel}))
-        vol = np.zeros(small_atlas.grid_dims + (2,))
         with pytest.raises(InputError, match="outside grid"):
-            compute_roi_timeseries(vol, small_atlas, lesion)
+            lesioned_counts(small_atlas, lesion)
         with pytest.raises(InputError, match="outside grid"):
             spared_fractions(small_atlas, lesion)
 
@@ -283,79 +286,71 @@ class TestLesionMask:
 
 
 class TestRoiTimeseries:
+    """Lesioned ROI mean series (`synthgen.lesioned_roi_series`) on a 3x1x1
+    grid: ROI 1 is the voxels x = 0, 1 and ROI 2 the voxel x = 2."""
+
+    SUMS = np.array([[2.0, 4.0, 6.0], [1.0, 1.0, 1.0]])
+
     def grid_atlas(self):
-        # 2x1x1 grid, single ROI in one territory, left hemisphere
-        roi = np.ones((2, 1, 1), dtype=np.int32)
-        terr = np.ones((2, 1, 1), dtype=np.int32)
-        hemi = np.zeros((2, 1, 1), dtype=np.uint8)
-        return ToyAtlas((2, 1, 1), roi, terr, hemi, n_rois=1, n_territories=1)
+        roi = np.array([1, 1, 2], dtype=np.int32).reshape(3, 1, 1)
+        terr = np.ones((3, 1, 1), dtype=np.int32)
+        hemi = np.zeros((3, 1, 1), dtype=np.uint8)
+        return ToyAtlas((3, 1, 1), roi, terr, hemi, n_rois=2, n_territories=1)
+
+    def series(self, voxels, sums=SUMS, sigma_voxel=1.0):
+        healthy = HealthySubject(id="h", roi_sums=sums, sigma_voxel=sigma_voxel, y0=50.0)
+        return lesioned_roi_series(healthy, self.grid_atlas(), LesionMask(frozenset(voxels)), 0)
 
     def test_unmasked_mean(self):
-        atlas = self.grid_atlas()
-        vol = np.zeros((2, 1, 1, 3))
-        vol[0, 0, 0] = [1, 2, 3]
-        vol[1, 0, 0] = [3, 4, 5]
-        ts = compute_roi_timeseries(vol, atlas)
-        assert np.array_equal(ts.series[0], [2, 3, 4])
+        assert np.array_equal(self.series(set()), [[1, 2, 3], [1, 1, 1]])
 
     def test_masked_mean_skips_lesioned_voxel(self):
-        atlas = self.grid_atlas()
-        vol = np.zeros((2, 1, 1, 3))
-        vol[0, 0, 0] = [1, 2, 3]
-        vol[1, 0, 0] = [3, 4, 5]
-        ts = compute_roi_timeseries(vol, atlas, LesionMask(frozenset({(0, 0, 0)})))
-        assert np.array_equal(ts.series[0], [3, 4, 5])
+        # without voxel noise both voxels carry the ROI signal: the mean holds
+        assert np.array_equal(self.series({(0, 0, 0)}, sigma_voxel=0.0), [[1, 2, 3], [1, 1, 1]])
+        # with it, ROI 1's row is its one spared voxel, which scatters around
+        # the healthy mean with variance sigma^2 k / (n (n - k)) = sigma^2 / 2
+        t_len, var = 20_000, 2.0 ** 2 / 2
+        sums = np.stack([np.full(t_len, 2.0), np.full(t_len, 1.0)])
+        ts = self.series({(0, 0, 0)}, sums=sums, sigma_voxel=2.0)
+        assert np.array_equal(ts[1], sums[1])
+        assert abs(ts[0].mean() - 1.0) <= 5 * math.sqrt(var / t_len)
+        assert abs(ts[0].var() - var) <= 5 * var * math.sqrt(2 / t_len)
 
     def test_fully_lesioned_roi_is_zero(self):
-        atlas = self.grid_atlas()
-        vol = np.ones((2, 1, 1, 3))
-        lesion = LesionMask(frozenset({(0, 0, 0), (1, 0, 0)}))
-        ts = compute_roi_timeseries(vol, atlas, lesion)
-        assert np.array_equal(ts.series[0], [0, 0, 0])
+        ts = self.series({(0, 0, 0), (1, 0, 0)})
+        assert np.array_equal(ts, [[0, 0, 0], [1, 1, 1]])
 
     def test_dimension_mismatch_rejected(self):
-        atlas = self.grid_atlas()
-        with pytest.raises(InputError):
-            compute_roi_timeseries(np.zeros((3, 1, 1, 4)), atlas)
-
-    @pytest.mark.parametrize("n_rois", [6, 90, 246])
-    def test_grouped_sums_equal_one_reduction(self, n_rois):
-        # ROIs of ~5,500 voxels (one per group) down to ~130 (many per group)
-        atlas = build_toy_atlas(n_rois=n_rois)
-        vol = np.random.default_rng(n_rois).normal(size=atlas.grid_dims + (2,))
-        order, bounds = atlas.roi_flat_order()
-        whole = np.add.reduceat(vol.reshape(-1, 2)[order], bounds[:-1], axis=0)
-        assert roi_sums(vol, atlas).tobytes() == whole.tobytes()
+        with pytest.raises(InputError, match="ROIs"):
+            self.series(set(), sums=np.ones((3, 3)))
 
     def test_empty_lesion_equals_unmasked(self, small_atlas):
-        rng = np.random.default_rng(0)
-        vol = rng.normal(size=small_atlas.grid_dims + (5,))
-        plain = compute_roi_timeseries(vol, small_atlas)
-        masked = compute_roi_timeseries(vol, small_atlas, None)
-        assert np.array_equal(plain.series, masked.series)
+        healthy = generate_healthy_subject(small_atlas, 0, CohortParams(t_len=5))
+        got = lesioned_roi_series(healthy, small_atlas, LesionMask(frozenset()), 0)
+        assert got.tobytes() == (healthy.roi_sums / small_atlas.roi_sizes()[:, None]).tobytes()
 
 
 class TestCorrelation:
     def test_self_correlation_is_one(self):
-        ts = RoiTimeSeries(series=np.array([[1.0, 2.0, 4.0]]))
+        ts = np.array([[1.0, 2.0, 4.0]])
         corr = correlation_matrix(ts)
         assert corr[0, 0] == 1.0
 
     def test_zero_variance_row_gives_zero(self):
-        ts = RoiTimeSeries(series=np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
+        ts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
         corr = correlation_matrix(ts)
         assert corr[0, 1] == 0.0 and corr[1, 0] == 0.0 and corr[0, 0] == 0.0
         assert corr[1, 1] == 1.0
 
     def test_anticorrelated_rows(self):
         # hand computation: [1,2,3] vs [3,2,1] is exactly -1
-        ts = RoiTimeSeries(series=np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]))
+        ts = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
         corr = correlation_matrix(ts)
         assert corr[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_symmetry_and_unit_diagonal_on_random_input(self):
         rng = np.random.default_rng(3)
-        ts = RoiTimeSeries(series=rng.normal(size=(12, 40)))
+        ts = rng.normal(size=(12, 40))
         corr = correlation_matrix(ts)
         assert np.array_equal(corr, corr.T)
         assert np.all(np.diag(corr) == 1.0)
@@ -375,7 +370,7 @@ class TestExponentiate:
 
     def test_preserves_symmetry_and_validates(self):
         rng = np.random.default_rng(4)
-        ts = RoiTimeSeries(series=rng.normal(size=(8, 30)))
+        ts = rng.normal(size=(8, 30))
         x = exponentiate(correlation_matrix(ts))
         validate_connectivity(x)
 
@@ -416,7 +411,7 @@ class TestSubjectIO:
         rng = np.random.default_rng(seed)
         records = []
         for i in range(n):
-            ts = RoiTimeSeries(series=rng.normal(size=(n_rois, 20)))
+            ts = rng.normal(size=(n_rois, 20))
             x = exponentiate(correlation_matrix(ts))
             p = np.clip(rng.uniform(0, 1.4, size=n_rois), 0, 1)
             records.append(
@@ -443,6 +438,32 @@ class TestSubjectIO:
         save_cohort(p1, records)
         save_cohort(p2, records)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("field", ["x", "y", "p"])
+    def test_save_checks_records_as_load_does(self, tmp_path, field):
+        # each of these used to save, then fail on load ("truncated" for p)
+        records = self.make_records(n=2, n_rois=4)
+        rec = records[1]
+        if field == "x":
+            rec.x[0, 1] = rec.x[1, 0] = np.nan
+        elif field == "y":
+            rec.y = 150.0
+        else:
+            rec.lesion.p = rec.lesion.p[:3]
+        path = tmp_path / "cohort.bin"
+        with pytest.raises(InputError, match="subject 's001'"):
+            save_cohort(path, records)
+        assert not path.exists()
+
+    def test_save_rejects_id_longer_than_its_length_field(self, tmp_path):
+        # a 70,000-byte id used to raise struct.error mid-file
+        records = self.make_records(n=1)
+        records[0].id = "a" * 70_000
+        with pytest.raises(InputError, match="65535"):
+            save_cohort(tmp_path / "cohort.bin", records)
+        records[0].id = "\u00e9" * 32_767  # 65,534 UTF-8 bytes
+        save_cohort(tmp_path / "cohort.bin", records)
+        assert load_cohort(tmp_path / "cohort.bin")[0].id == records[0].id
 
     def test_subject_validation(self):
         rec = self.make_records(n=1)[0]
@@ -479,16 +500,17 @@ class TestSubjectIO:
         ("y", np.inf, "score"),
     ])
     def test_load_validates_records(self, tmp_path, field, value, message):
+        # save_cohort refuses such records, so the value is written into the
+        # file: after the header and record 's000', past record 's001's id
         records = self.make_records(n=2)
-        rec = records[1]
-        if field == "x":
-            rec.x[0, 1] = value
-        elif field == "p":
-            rec.lesion.p[0] = value
-        else:
-            rec.y = value
         path = tmp_path / "cohort.bin"
         save_cohort(path, records)
+        n = records[0].n_rois
+        record_1 = 16 + 2 + 4 + 8 * (1 + n + n * n)
+        offset = {"y": 0, "p": 8, "x": 8 + 8 * n + 8}[field]  # y, p[0], X[0, 1]
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, record_1 + 2 + 4 + offset, value)
+        path.write_bytes(bytes(data))
         with pytest.raises(InputError, match=f"subject 's001'.*({message})"):
             load_cohort(path)
 

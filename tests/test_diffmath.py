@@ -57,9 +57,10 @@ class TestPrimitives:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
+        # the sum of x as its dot product with a constant vector of ones
         tape = Tape()
         x = Tensor([1.0, -2.0, 5.0])
-        backward(tape, tape.sum(x))
+        backward(tape, tape.matmul(Tensor(np.ones(3), requires_grad=False), x))
         assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_mse_gradient_matches_quadratic(self):
@@ -72,18 +73,18 @@ class TestBackward:
         tape = Tape()
         x = Tensor([1.0, 2.0])
         unused = Tensor([7.0])
-        loss = tape.sum(x)
-        tape.sum(unused)  # recorded but not feeding the loss
+        loss = tape.l2_norm_sq(x)
+        tape.l2_norm_sq(unused)  # recorded but not feeding the loss
         leaves = backward(tape, loss)
         assert np.array_equal(unused.grad, [0.0])
         assert unused in leaves
 
     def test_two_use_leaf_accumulates_both_paths(self):
-        # loss = sum(x * x) has gradient 2x; both uses of x must contribute
+        # loss = |x + x|^2 = 4 |x|^2 has gradient 8x; one path alone gives 4x
         tape = Tape()
         x = Tensor([1.5, -2.0, 0.5])
-        backward(tape, tape.sum(tape.mul(x, x)))
-        assert np.allclose(x.grad, 2.0 * x.data, atol=1e-15)
+        backward(tape, tape.l2_norm_sq(tape.add(x, x)))
+        assert np.allclose(x.grad, 8.0 * x.data, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
@@ -96,8 +97,8 @@ class TestBackward:
         tape = Tape()
         x = Tensor([2.0])
         c = Tensor([3.0], requires_grad=False)
-        leaves = backward(tape, tape.sum(tape.mul(x, c)))
-        assert np.allclose(x.grad, [3.0])
+        leaves = backward(tape, tape.l2_norm_sq(tape.mul(x, c)))
+        assert np.allclose(x.grad, [36.0])  # 2 c^2 x
         assert c.grad is None and c not in leaves
 
     def test_three_layer_composition_matches_finite_differences(self):
@@ -120,7 +121,7 @@ class TestGradientCheck:
         x[np.abs(x) < 0.1] += 0.5  # keep clear of the kink
 
         def build(tape, ts):
-            return tape.sum(tape.relu(ts[0]))
+            return tape.l2_norm_sq(tape.relu(ts[0]))
 
         assert gradient_check(build, [x], step=1e-5) <= 1e-6
 
@@ -145,7 +146,7 @@ class TestGradientCheck:
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            gradient_check(lambda tape, ts: tape.sum(ts[0]), [np.ones(2)], step=0.0)
+            gradient_check(lambda tape, ts: tape.l2_norm_sq(ts[0]), [np.ones(2)], step=0.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -167,7 +168,7 @@ def test_every_primitive_matches_central_differences(seed):
         mixed = tape.mul(ta, tv)                     # (3, 4)
         t = tape.transpose(tape.reshape(mixed, (4, 3)), (1, 0))
         t = tape.mul(t, weight)                      # (3, 4)
-        total = tape.add(tape.l2_norm_sq(s), tape.sum(t))
+        total = tape.add(tape.l2_norm_sq(s), tape.l2_norm_sq(t))
         total = tape.add(total, tape.scale(tape.l2_norm_sq(tv), 0.3))
         return tape.add(total, tape.mse(tv, Tensor(np.zeros((3, 4)), requires_grad=False)))
 

@@ -8,7 +8,6 @@ import pytest
 from legnet.connectome import (
     InputError,
     LesionEncoding,
-    RoiTimeSeries,
     SubjectRecord,
     correlation_matrix,
     exponentiate,
@@ -27,7 +26,6 @@ from legnet.model import (
     edge_to_edge,
     edge_to_node,
     init_params,
-    legnet_forward,
     load_checkpoint,
     loss,
     predict,
@@ -108,7 +106,7 @@ def oracle_head(h2, w1, b1, w2, b2):
 
 
 def random_subject(rng, n):
-    ts = RoiTimeSeries(series=rng.normal(size=(n, 3 * n)))
+    ts = rng.normal(size=(n, 3 * n))
     x = exponentiate(correlation_matrix(ts))
     p = np.clip(rng.uniform(-0.3, 1.5, size=n), 0.0, 1.0)
     return SubjectRecord(id="t", x=x, lesion=LesionEncoding(p=p), y=float(rng.uniform(0, 100)))
@@ -486,6 +484,29 @@ class TestParamsAndCheckpoints:
         assert (loaded_kind, loaded_hyper) == (kind, hyper)
         assert all(np.array_equal(params[name], loaded[name]) for name in params)
         assert loaded.keys() == params.keys()
+
+    def test_predict_names_a_missing_tensor(self):
+        # a KeyError: 'g' inside the forward before
+        hyper = HyperParams(n_rois=6)
+        params = init_params(MODEL_LEGNET, hyper, 0)
+        del params["g"]
+        with pytest.raises(InputError, match="'g' is missing"):
+            predict(random_subject(np.random.default_rng(0), 6), params, hyper)
+
+    def test_predict_rejects_another_kinds_tensors(self):
+        # a late "head expects 12 features, got 48" from the head before
+        hyper = HyperParams(n_rois=6)
+        params = init_params(MODEL_LEGNET, hyper, 0)
+        with pytest.raises(InputError, match="bnc-mask tensor table: 'head_w1' has shape"):
+            predict(random_subject(np.random.default_rng(0), 6), params, hyper, MODEL_BNC_MASK)
+
+    def test_batch_loss_rejects_unknown_kind(self):
+        # a KeyError: 'nope' before
+        hyper = HyperParams(n_rois=6)
+        batch = prepare_dataset([random_subject(np.random.default_rng(0), 6)], MODEL_LEGNET)
+        params_t = as_tensors(init_params(MODEL_LEGNET, hyper, 0))
+        with pytest.raises(InputError, match="unknown model kind 'nope'"):
+            batch_loss_and_grads(batch, params_t, hyper, "nope", lam=0.0)
 
     def saved_legnet(self, tmp_path):
         hyper = HyperParams(n_rois=8)

@@ -9,28 +9,23 @@ from legnet.connectome import (
     InputError,
     LesionEncoding,
     LesionMask,
-    RoiTimeSeries,
-    SubjectRecord,
-    ToyAtlas,
     build_toy_atlas,
-    compute_roi_timeseries,
-    correlation_matrix,
-    exponentiate,
-    roi_series_from_sums,
+    lesioned_counts,
     save_cohort,
-    spared_fractions,
 )
 from legnet.synthgen import (
+    FRACTION_MAX,
+    FRACTION_MIN,
     CohortParams,
     CorruptionParams,
+    LesionPolicy,
     LesionSpec,
     LesionSpecError,
-    _language_rois,
     corrupt_connectivity,
     generate_cohort,
     generate_healthy_subject,
     grow_lesion,
-    mean_language_connectivity,
+    lesioned_roi_series,
     policy_by_name,
     rescale_score,
     territory_spared_fraction,
@@ -166,7 +161,7 @@ class TestRescaleScore:
 
     def test_monotone_in_lesion_size(self, atlas):
         # nested boxes inside territory 1: a larger lesion never scores higher
-        vox = atlas.territory_voxels(1)
+        vox = np.argwhere(atlas.territory_of_voxel == 1)
         x0, y0, z0 = vox.min(axis=0)
         small = LesionMask(frozenset(
             (x, y, z) for x in range(x0, x0 + 2) for y in range(y0, y0 + 3)
@@ -184,7 +179,7 @@ class TestHealthySubjects:
         a = generate_healthy_subject(atlas, 123, cohort_params)
         b = generate_healthy_subject(atlas, 123, cohort_params)
         assert a.y0 == b.y0
-        assert np.array_equal(a.volume_ts, b.volume_ts)
+        assert a.roi_sums.tobytes() == b.roi_sums.tobytes()
 
     def test_degenerate_cohort_is_constant(self, atlas, cohort_params):
         from dataclasses import replace
@@ -193,12 +188,12 @@ class TestHealthySubjects:
         assert scores == [55.0] * 5
 
     def test_connectivity_drives_scores(self, atlas, cohort_params):
-        from legnet.connectome import compute_roi_timeseries, correlation_matrix, exponentiate
+        from legnet.connectome import correlation_matrix, exponentiate
         from legnet.synthgen import mean_language_connectivity
         ms, y0s = [], []
         for i in range(200):
             hs = generate_healthy_subject(atlas, np.random.SeedSequence((7, i)), cohort_params)
-            ts = compute_roi_timeseries(hs.volume_ts, atlas)
+            ts = hs.roi_sums / atlas.roi_sizes()[:, None]
             x = exponentiate(correlation_matrix(ts))
             ms.append(mean_language_connectivity(x, atlas, cohort_params))
             y0s.append(hs.y0)
@@ -246,112 +241,88 @@ class TestGenerateCohort:
         with pytest.raises(InputError):
             policy_by_name("nope")
 
+    @pytest.mark.parametrize("fraction_range", [
+        (0.3, 0.5), (0.15, 0.10), (FRACTION_MIN - 0.01, FRACTION_MAX)])
+    def test_policy_checks_its_fraction_range(self, fraction_range):
+        # (0.3, 0.5) used to construct, then raise LesionSpecError in generate_cohort
+        with pytest.raises(InputError, match="fraction_range"):
+            LesionPolicy("x", fraction_range)
+        LesionPolicy("x", (FRACTION_MIN, FRACTION_MIN))
+
 
 # ----------------------------------------------------------------------
-# byte-identity oracle: the straightforward voxel build and double reduction
+# the voxel model: every voxel signal drawn, then reduced per ROI
 # ----------------------------------------------------------------------
 
 
-def _reference_roi_timeseries(volume_ts, atlas, lesion=None):
-    """Gather every voxel into ROI order, reduce, subtract lesioned voxels."""
-    t_len = volume_ts.shape[3]
-    flat = volume_ts.reshape(-1, t_len)
-    labels = atlas.roi_of_voxel.reshape(-1)
-    nonbg = np.flatnonzero(labels)
-    order = nonbg[np.argsort(labels[nonbg], kind="stable")]
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels[nonbg],
-                                                        minlength=atlas.n_rois + 1)[1:])])
-    sums = np.add.reduceat(flat[order], bounds[:-1], axis=0)
-    counts = np.diff(bounds).astype(np.float64)
-    if lesion is not None and lesion.voxels:
-        flat_idx = np.ravel_multi_index(tuple(lesion.coords(atlas.grid_dims).T), atlas.grid_dims)
-        rois = labels[flat_idx]
-        keep = rois > 0
-        flat_idx, rois = flat_idx[keep], rois[keep]
-        np.subtract.at(sums, rois - 1, flat[flat_idx])
-        np.subtract.at(counts, rois - 1, 1.0)
-    series = np.zeros((atlas.n_rois, t_len))
-    alive = counts > 0
-    series[alive] = sums[alive] / counts[alive, None]
-    return RoiTimeSeries(series=series)
-
-
-def _reference_healthy_subject(atlas, seed, cp, subject_id="healthy"):
-    """Whole-volume voxel build: zeros, ROI gather, one full noise draw."""
+def _reference_healthy_subject(atlas, seed, cp):
+    """Voxel v of ROI i carries roi_ts_i + sigma_voxel * eps_v; S_i sums them."""
     rng = np.random.default_rng(seed)
-    n, t_len = atlas.n_rois, cp.t_len
-    language = _language_rois(atlas, cp)
-    community_of_roi = 1 + np.arange(n) % max(1, cp.n_communities - 1)
-    community_of_roi[language] = 0
-    community_ts = rng.standard_normal((cp.n_communities, t_len))
-    coherence = rng.uniform(*cp.coherence_range)
-    weight = np.ones(n)
-    weight[language] = coherence
-    roi_ts = weight[:, None] * community_ts[community_of_roi]
-    roi_ts = roi_ts + cp.sigma_roi * rng.standard_normal((n, t_len))
-
-    flat_roi = atlas.roi_of_voxel.reshape(-1)
-    volume = np.zeros((flat_roi.size, t_len))
-    nonbg = flat_roi > 0
-    volume[nonbg] = roi_ts[flat_roi[nonbg] - 1]
-    volume[nonbg] += cp.sigma_voxel * rng.standard_normal((int(nonbg.sum()), t_len))
-    volume = volume.reshape(atlas.grid_dims + (t_len,))
-
-    x = exponentiate(correlation_matrix(_reference_roi_timeseries(volume, atlas)))
-    m = mean_language_connectivity(x, atlas, cp)
-    y0 = float(np.clip(cp.score_mu + cp.score_beta * m + cp.score_eps * rng.standard_normal(),
-                       0.0, 100.0))
-    return SimpleNamespace(id=subject_id, volume_ts=volume, y0=y0)
+    roi_ts = synthgen._latent_roi_series(rng, atlas, cp)
+    labels = atlas.roi_of_voxel
+    inside = labels > 0
+    volume = np.zeros(atlas.grid_dims + (cp.t_len,))
+    volume[inside] = roi_ts[labels[inside] - 1]
+    volume[inside] += cp.sigma_voxel * rng.standard_normal((int(inside.sum()), cp.t_len))
+    sums = np.stack([volume[labels == roi].sum(axis=0) for roi in range(1, atlas.n_rois + 1)])
+    return SimpleNamespace(volume_ts=volume, roi_sums=sums)
 
 
-def _reference_lesion_subject(healthy, atlas, spec, corruption):
-    lesion = grow_lesion(atlas, spec)
-    ts = _reference_roi_timeseries(healthy.volume_ts, atlas, lesion)
-    x = exponentiate(correlation_matrix(ts))
-    encoding = spared_fractions(atlas, lesion)
-    x = corrupt_connectivity(x, encoding, corruption)
-    y = rescale_score(healthy.y0, atlas, lesion)
-    return SubjectRecord(id=healthy.id, x=x, lesion=encoding, y=y), lesion
+def _reference_spared_sums(healthy, atlas, lesion):
+    """(N, Tlen) sums of each ROI's voxels outside the lesion."""
+    spared = ~lesion.to_dense(atlas.grid_dims)
+    return np.stack([healthy.volume_ts[(atlas.roi_of_voxel == roi) & spared].sum(axis=0)
+                     for roi in range(1, atlas.n_rois + 1)])
 
 
-def _padded(atlas, pad):
-    """The atlas inside a larger grid; the added voxels are background."""
-    roi, terr, hemi = (np.pad(a, pad) for a in (atlas.roi_of_voxel, atlas.territory_of_voxel,
-                                                 atlas.hemisphere_of_voxel))
-    return ToyAtlas(roi.shape, roi, terr, hemi, atlas.n_rois, atlas.n_territories)
+class TestVoxelModelMoments:
+    """S and the spared remainder R of the generator and of the voxel model
+    against the analytic moments given fixed ROI series c_i: S_i has mean
+    n_i c_i and variance sigma^2 n_i, R_i mean (n_i - k_i) c_i, variance and
+    covariance with S_i sigma^2 (n_i - k_i). Time points are independent
+    samples; every moment must lie within 5 standard errors."""
 
+    T_LEN = 10_000
+    SIGMA = 1.5
+    LEVELS = np.linspace(-1.0, 1.0, 12)  # c_i
 
-@pytest.fixture(scope="module", params=["default", "padded"])
-def oracle_atlas(request):
-    atlas = build_toy_atlas()
-    if request.param == "padded":
-        atlas = _padded(atlas, ((1, 2), (0, 3), (2, 1)))
-    atlas.validate()
-    return atlas
+    @pytest.fixture(scope="class")
+    def small(self):
+        # two ROIs of 8 and 12 voxels per territory; the lesion covers all
+        # of ROI 1, 3 voxels of ROI 2 and 5 of ROI 3
+        atlas = build_toy_atlas(n_rois=12, grid_dims=(8, 5, 3), n_territories=6)
+        voxels = [np.argwhere(atlas.roi_of_voxel == roi)[:k] for roi, k in ((1, 8), (2, 3), (3, 5))]
+        lesion = LesionMask(frozenset(map(tuple, np.concatenate(voxels).tolist())))
+        return atlas, lesion
 
+    def draw(self, build, atlas, lesion, kept, monkeypatch):
+        """(S, R), each (N, T_LEN), from the generator or the voxel model."""
+        monkeypatch.setattr(synthgen, "_latent_roi_series", lambda rng, atlas, cp:
+                            np.repeat(self.LEVELS[:, None], cp.t_len, axis=1))
+        cp = CohortParams(t_len=self.T_LEN, sigma_voxel=self.SIGMA)
+        if build == "voxel model":
+            healthy = _reference_healthy_subject(atlas, 1, cp)
+            return healthy.roi_sums, _reference_spared_sums(healthy, atlas, lesion)
+        healthy = generate_healthy_subject(atlas, 1, cp)
+        return healthy.roi_sums, lesioned_roi_series(healthy, atlas, lesion, 2) * kept[:, None]
 
-class TestByteIdentityOracle:
-    def test_healthy_and_lesioned_signals(self, oracle_atlas):
-        cp = CohortParams()
-        seed = np.random.SeedSequence((4, 0, 3))
-        got = generate_healthy_subject(oracle_atlas, seed, cp)
-        ref = _reference_healthy_subject(oracle_atlas, seed, cp)
-        assert got.volume_ts.tobytes() == ref.volume_ts.tobytes()
-        assert got.y0 == ref.y0
-        lesion = grow_lesion(oracle_atlas, LesionSpec(territory=2, target_fraction=0.15, seed=3))
-        for mask in (lesion, None):  # the lesioned pass must leave the sums intact
-            want = _reference_roi_timeseries(ref.volume_ts, oracle_atlas, mask).series.tobytes()
-            kept = roi_series_from_sums(got.roi_sums, got.volume_ts, oracle_atlas, mask)
-            assert kept.series.tobytes() == want
-            assert compute_roi_timeseries(got.volume_ts, oracle_atlas, mask).series.tobytes() \
-                == want
-
-    def test_cohort_bytes(self, oracle_atlas, monkeypatch):
-        got, _ = generate_cohort(2, oracle_atlas, master_seed=4)
-        monkeypatch.setattr(synthgen, "generate_healthy_subject", _reference_healthy_subject)
-        monkeypatch.setattr(synthgen, "lesion_subject", _reference_lesion_subject)
-        ref, _ = generate_cohort(2, oracle_atlas, master_seed=4)
-        assert cohort_bytes(got) == cohort_bytes(ref)
+    @pytest.mark.parametrize("build", ["generator", "voxel model"])
+    def test_sums_and_spared_remainder(self, small, build, monkeypatch):
+        atlas, lesion = small
+        n = atlas.roi_sizes().astype(float)
+        kept = n - lesioned_counts(atlas, lesion)
+        s, r = self.draw(build, atlas, lesion, kept, monkeypatch)
+        levels = self.LEVELS
+        var_s, var_r, t = self.SIGMA ** 2 * n, self.SIGMA ** 2 * kept, self.T_LEN
+        cov = ((s - s.mean(axis=1, keepdims=True)) * (r - r.mean(axis=1, keepdims=True))).sum(axis=1)
+        for name, got, want, se in [
+            ("mean S", s.mean(axis=1), n * levels, np.sqrt(var_s / t)),
+            ("var S", s.var(axis=1, ddof=1), var_s, var_s * np.sqrt(2 / (t - 1))),
+            ("mean R", r.mean(axis=1), kept * levels, np.sqrt(var_r / t)),
+            ("var R", r.var(axis=1, ddof=1), var_r, var_r * np.sqrt(2 / (t - 1))),
+            ("cov S R", cov / (t - 1), var_r, np.sqrt((var_s * var_r + var_r ** 2) / t)),
+        ]:
+            assert np.all(np.abs(got - want) <= 5 * se), (name, got, want, se)
 
 
 class TestCohortParams:
@@ -373,14 +344,13 @@ class TestCohortParams:
     def test_smallest_valid_model_simulates(self, atlas):
         cp = CohortParams(t_len=2, n_communities=2, sigma_roi=0.0, sigma_voxel=0.0,
                           score_eps=0.0, coherence_range=(1.0, 1.0))
-        assert generate_healthy_subject(atlas, 0, cp).volume_ts.shape == atlas.grid_dims + (2,)
+        assert generate_healthy_subject(atlas, 0, cp).roi_sums.shape == (atlas.n_rois, 2)
 
 
 class TestMemory:
     def test_cohort_peak_stays_near_one_volume(self):
-        # one subject allocates its voxel volume once; block temporaries and
-        # ROI-group gathers stay small beside it (3.0x with whole-volume
-        # temporaries)
+        # no voxel volume is allocated: a subject's peak stays a small
+        # fraction of the 26 MB one volume of signals would take
         atlas = build_toy_atlas(n_rois=90, grid_dims=(32, 32, 32))
         cp = CohortParams()
         generate_cohort(1, atlas, master_seed=0, cohort_params=cp)  # fills atlas caches
@@ -391,4 +361,4 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         volume_bytes = np.prod(atlas.grid_dims) * cp.t_len * 8
-        assert peak <= 1.5 * volume_bytes
+        assert peak <= 0.1 * volume_bytes
