@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -77,12 +78,14 @@ class ToyAtlas:
 
     def left_territories(self) -> list[int]:
         """Territories whose voxels all lie in the left hemisphere."""
-        out = []
-        for t in range(1, self.n_territories + 1):
-            hemi = self.hemisphere_of_voxel[self.territory_of_voxel == t]
-            if hemi.size and np.all(hemi == HEMI_LEFT):
-                out.append(t)
-        return out
+        if "left" not in self._roi_cache:
+            out = []
+            for t in range(1, self.n_territories + 1):
+                hemi = self.hemisphere_of_voxel[self.territory_of_voxel == t]
+                if hemi.size and np.all(hemi == HEMI_LEFT):
+                    out.append(t)
+            self._roi_cache["left"] = out
+        return list(self._roi_cache["left"])
 
     def validate(self) -> None:
         """Raise InputError on any violated atlas invariant."""
@@ -239,18 +242,26 @@ class LesionMask:
     def size(self) -> int:
         return len(self.voxels)
 
+    @cached_property
+    def _sorted_coords(self) -> np.ndarray:
+        idx = np.array(list(self.voxels), dtype=np.intp).reshape(len(self.voxels), 3)
+        idx = idx[np.lexsort(idx.T[::-1])]
+        idx.flags.writeable = False
+        return idx
+
     def coords(self, grid_dims: tuple[int, int, int]) -> np.ndarray:
-        """(K, 3) voxel coordinates sorted in C order.
+        """(K, 3) read-only voxel coordinates sorted in C order.
 
         Raises InputError if any voxel lies outside the grid. The sort makes
-        the result independent of the set's iteration order.
+        the result independent of the set's iteration order; it runs once
+        per mask, the grid check on every call.
         """
-        idx = np.array(list(self.voxels), dtype=np.intp).reshape(len(self.voxels), 3)
+        idx = self._sorted_coords
         outside = np.any((idx < 0) | (idx >= np.asarray(grid_dims)), axis=1)
         if outside.any():
             voxel = tuple(int(a) for a in idx[outside][0])
             raise InputError(f"lesion voxel {voxel} outside grid {tuple(grid_dims)}")
-        return idx[np.lexsort(idx.T[::-1])]
+        return idx
 
     def to_dense(self, grid_dims: tuple[int, int, int]) -> np.ndarray:
         mask = np.zeros(grid_dims, dtype=bool)

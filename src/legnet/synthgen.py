@@ -252,12 +252,17 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
     round(target_fraction * |territory|) up to a 2% slack; attempts whose
     last filling step overshoots the slack are regrown from the same random
     stream, keeping the result a pure function of the spec.
+
+    Growth runs on flat indices into the territory padded by one empty voxel,
+    so neighbours need no bounds check. Any cavity is enclosed by grown
+    voxels, so hole filling runs on the grown voxels' bounding box plus that
+    one-voxel margin, which the padding keeps inside the grid.
     """
     if spec.territory not in atlas.left_territories():
         raise LesionSpecError(f"territory {spec.territory} is not a left-hemisphere territory")
-    in_territory = atlas.territory_of_voxel == spec.territory
-    territory_voxels = np.argwhere(in_territory)
-    territory_size = territory_voxels.shape[0]
+    padded = np.pad(atlas.territory_of_voxel == spec.territory, 1)
+    territory_voxels = np.flatnonzero(padded)  # C order, as np.argwhere gives
+    territory_size = territory_voxels.size
     target = int(round(spec.target_fraction * territory_size))
     if target < 1 or target > territory_size:
         raise LesionSpecError(
@@ -266,59 +271,51 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
         )
 
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    dims = atlas.grid_dims
     slack = int(np.ceil(HOLE_FILL_SLACK * target))
-
-    # cavities can only form inside the territory's bounding box, so hole
-    # filling runs on that subgrid (padded by one voxel) for speed
-    lo = np.maximum(territory_voxels.min(axis=0) - 1, 0)
-    hi = np.minimum(territory_voxels.max(axis=0) + 2, dims)
-    box = tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
+    sy, sx = padded.shape[2], padded.shape[1] * padded.shape[2]
+    steps = (sx, -sx, sy, -sy, 1, -1)  # +x, -x, +y, -y, +z, -z
+    open_voxels = padded.tobytes()  # 1 where in territory
 
     for _ in range(_MAX_GROW_ATTEMPTS):
-        grown = np.zeros(dims, dtype=bool)
-        start = tuple(int(v) for v in territory_voxels[rng.integers(territory_size)])
-        grown[start] = True
-        frontier: list[tuple[int, int, int]] = []
-        in_frontier: set[tuple[int, int, int]] = set()
-
-        def push_neighbors(vox):
-            x, y, z = vox
-            for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
-                               (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-                nx, ny, nz = x + dx, y + dy, z + dz
-                if 0 <= nx < dims[0] and 0 <= ny < dims[1] and 0 <= nz < dims[2]:
-                    cand = (nx, ny, nz)
-                    if in_territory[cand] and not grown[cand] and cand not in in_frontier:
-                        in_frontier.add(cand)
-                        frontier.append(cand)
-
-        push_neighbors(start)
+        free = bytearray(open_voxels)  # in territory, neither grown nor queued
+        grown = np.zeros(padded.shape, dtype=bool)  # with its cavities filled
+        start = int(territory_voxels[rng.integers(territory_size)])
+        free[start] = 0
+        grown.flat[start] = True
+        frontier = [start + step for step in steps if free[start + step]]
+        for vox in frontier:
+            free[vox] = 0
+        lo = hi = np.unravel_index(start, padded.shape)
         filled_count = 1
-        filled_box = grown[box]
         while filled_count < target and frontier:
             # approach the target geometrically, one voxel at a time near the
             # end, so the final fill step closes at most a tiny pocket
             deficit = target - filled_count
-            chunk = max(1, deficit // 2) if deficit > slack else 1
-            for _ in range(chunk):
+            chunk = []
+            for _ in range(max(1, deficit // 2) if deficit > slack else 1):
                 if not frontier:
                     break
                 pick = int(rng.integers(len(frontier)))
                 vox = frontier[pick]
                 frontier[pick] = frontier[-1]
                 frontier.pop()
-                in_frontier.discard(vox)
-                grown[vox] = True
-                push_neighbors(vox)
-            filled_box = ndimage.binary_fill_holes(grown[box], structure=FACE_STRUCTURE)
-            filled_count = int(filled_box.sum())
+                chunk.append(vox)
+                for step in steps:
+                    if free[vox + step]:
+                        free[vox + step] = 0
+                        frontier.append(vox + step)
+            grown.flat[chunk] = True
+            chunk_xyz = np.unravel_index(chunk, padded.shape)
+            lo = np.minimum(lo, [a.min() for a in chunk_xyz])
+            hi = np.maximum(hi, [a.max() for a in chunk_xyz])
+            # filling a mask whose cavities are already filled gives the
+            # same as filling the grown voxels alone
+            box = tuple(slice(a - 1, b + 2) for a, b in zip(lo, hi))
+            grown[box] = ndimage.binary_fill_holes(grown[box], structure=FACE_STRUCTURE)
+            filled_count = int(np.count_nonzero(grown[box]))
 
-        overshoot = filled_count - target
-        if 0 <= overshoot <= slack:
-            filled = np.zeros(dims, dtype=bool)
-            filled[box] = filled_box
-            return LesionMask(voxels=frozenset(map(tuple, np.argwhere(filled))))
+        if 0 <= filled_count - target <= slack:
+            return LesionMask(voxels=frozenset(map(tuple, (np.argwhere(grown) - 1).tolist())))
 
     raise LesionSpecError(
         f"could not grow a lesion within the hole-fill slack after "

@@ -140,6 +140,10 @@ class TestToyAtlas:
             vox = np.argwhere(small_atlas.territory_of_voxel == t)
             assert np.all(small_atlas.hemisphere_of_voxel[tuple(vox.T)] == HEMI_LEFT)
 
+    def test_left_territories_list_is_a_fresh_copy(self, small_atlas):
+        small_atlas.left_territories().append(99)
+        assert small_atlas.left_territories() == [1, 2, 3]
+
     def test_roi_sizes_cover_grid(self, small_atlas):
         assert small_atlas.roi_sizes().sum() == np.prod(small_atlas.grid_dims)
 
@@ -270,6 +274,33 @@ class TestLesionMask:
         lesion = LesionMask(frozenset({(1, 0, 0), (0, 2, 1), (0, 2, 0), (0, 0, 3)}))
         assert lesion.coords((2, 3, 4)).tolist() == [[0, 0, 3], [0, 2, 0], [0, 2, 1], [1, 0, 0]]
         assert LesionMask(frozenset()).coords((2, 3, 4)).shape == (0, 3)
+
+    def test_coords_repeat_read_only(self):
+        lesion = LesionMask(frozenset({(1, 0, 0), (0, 2, 1), (0, 0, 3)}))
+        first = lesion.coords((2, 3, 4))
+        assert np.array_equal(lesion.coords((2, 3, 4)), first)
+        assert np.array_equal(lesion.coords((5, 5, 5)), first)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
+
+    def test_coords_check_the_grid_on_every_call(self):
+        lesion = LesionMask(frozenset({(0, 0, 0), (3, 1, 1)}))
+        for dims in ((3, 2, 2), (3, 2, 2), (4, 1, 2)):
+            with pytest.raises(InputError, match="outside grid"):
+                lesion.coords(dims)
+        assert lesion.coords((4, 2, 2)).tolist() == [[0, 0, 0], [3, 1, 1]]
+        with pytest.raises(InputError, match=r"\(3, 1, 1\) outside grid \(2, 2, 2\)"):
+            lesion.coords((2, 2, 2))
+
+    def test_coords_cache_leaves_equality_and_hash(self):
+        cached, fresh = LesionMask(self.VALID), LesionMask(self.VALID)
+        before = hash(cached)
+        cached.coords((16, 8, 8))
+        assert cached == fresh
+        assert hash(cached) == before == hash(fresh)
+        assert len({cached, fresh}) == 1
+        assert repr(cached) == repr(fresh)
 
     @pytest.mark.parametrize("voxels, message", [
         (frozenset(), "empty"),

@@ -3,12 +3,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from legnet import synthgen
 from legnet.connectome import (
+    FACE_STRUCTURE,
     InputError,
     LesionEncoding,
     LesionMask,
+    ToyAtlas,
     build_toy_atlas,
     lesioned_counts,
     save_cohort,
@@ -95,6 +98,142 @@ class TestGrowLesion:
         tsize = atlas.territory_size(1)
         mask = grow_lesion(atlas, LesionSpec(territory=1, target_fraction=0.05, seed=7))
         assert mask.size == pytest.approx(0.05 * tsize, abs=np.ceil(0.02 * 0.05 * tsize) + 0.5)
+
+    def test_one_voxel_lesion_is_the_start_voxel(self):
+        # territories of 12 voxels: a 5% lesion is one voxel, so the growth
+        # loop never runs and the mask is the first draw's voxel
+        tiny = build_toy_atlas(n_rois=6, grid_dims=(6, 4, 3), n_territories=6)
+        for territory in tiny.left_territories():
+            assert round(0.05 * tiny.territory_size(territory)) == 1
+            voxels = np.argwhere(tiny.territory_of_voxel == territory)
+            for seed in range(8):
+                rng = np.random.default_rng(np.random.SeedSequence(seed))
+                start = tuple(voxels[rng.integers(len(voxels))].tolist())
+                mask = grow_lesion(tiny, LesionSpec(territory, 0.05, seed))
+                assert mask.voxels == {start}
+                mask.validate(tiny)
+
+
+# ----------------------------------------------------------------------
+# lesion growth against a straightforward reference implementation
+# ----------------------------------------------------------------------
+
+
+def _reference_grow_lesion(atlas, spec):
+    """Region growing on voxel tuples with bounds checks, hole filling on the
+    territory's box at every step. Returns (voxels, attempts), or the
+    exception type when no attempt lands within the slack."""
+    in_territory = atlas.territory_of_voxel == spec.territory
+    territory_voxels = np.argwhere(in_territory)
+    territory_size = territory_voxels.shape[0]
+    target = int(round(spec.target_fraction * territory_size))
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    dims = atlas.grid_dims
+    slack = int(np.ceil(synthgen.HOLE_FILL_SLACK * target))
+    lo = np.maximum(territory_voxels.min(axis=0) - 1, 0)
+    hi = np.minimum(territory_voxels.max(axis=0) + 2, dims)
+    box = tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
+
+    for attempt in range(1, synthgen._MAX_GROW_ATTEMPTS + 1):
+        grown = np.zeros(dims, dtype=bool)
+        start = tuple(int(v) for v in territory_voxels[rng.integers(territory_size)])
+        grown[start] = True
+        frontier, in_frontier = [], set()
+
+        def push_neighbors(vox):
+            x, y, z = vox
+            for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                               (0, -1, 0), (0, 0, 1), (0, 0, -1)):
+                cand = (x + dx, y + dy, z + dz)
+                if all(0 <= c < d for c, d in zip(cand, dims)):
+                    if in_territory[cand] and not grown[cand] and cand not in in_frontier:
+                        in_frontier.add(cand)
+                        frontier.append(cand)
+
+        push_neighbors(start)
+        filled_count = 1
+        filled_box = grown[box]
+        while filled_count < target and frontier:
+            deficit = target - filled_count
+            for _ in range(max(1, deficit // 2) if deficit > slack else 1):
+                if not frontier:
+                    break
+                pick = int(rng.integers(len(frontier)))
+                vox = frontier[pick]
+                frontier[pick] = frontier[-1]
+                frontier.pop()
+                in_frontier.discard(vox)
+                grown[vox] = True
+                push_neighbors(vox)
+            filled_box = ndimage.binary_fill_holes(grown[box], structure=FACE_STRUCTURE)
+            filled_count = int(filled_box.sum())
+
+        if 0 <= filled_count - target <= slack:
+            filled = np.zeros(dims, dtype=bool)
+            filled[box] = filled_box
+            return frozenset(map(tuple, np.argwhere(filled).tolist())), attempt
+    return LesionSpecError, synthgen._MAX_GROW_ATTEMPTS
+
+
+def _padded_atlas(atlas, pad):
+    """The atlas inside a background margin, so no territory meets the grid edge."""
+    roi, terr, hemi = (np.pad(a, pad) for a in (atlas.roi_of_voxel, atlas.territory_of_voxel,
+                                                  atlas.hemisphere_of_voxel))
+    padded = ToyAtlas(grid_dims=roi.shape, roi_of_voxel=roi, territory_of_voxel=terr,
+                      hemisphere_of_voxel=hemi, n_rois=atlas.n_rois,
+                      n_territories=atlas.n_territories)
+    padded.validate()
+    return padded
+
+
+class TestGrowLesionOracle:
+    """`grow_lesion` returns the reference's voxels spec for spec: the same
+    random stream, the same frontier order and the same hole-filled sizes."""
+
+    N_SPECS = 100
+
+    @staticmethod
+    def specs(atlas, count, seed):
+        rng = np.random.default_rng(seed)
+        left = atlas.left_territories()
+        return [LesionSpec(territory=int(rng.choice(left)),
+                           target_fraction=float(rng.uniform(FRACTION_MIN, FRACTION_MAX)),
+                           seed=int(rng.integers(1 << 31))) for _ in range(count)]
+
+    @staticmethod
+    def outcome(atlas, spec):
+        try:
+            return grow_lesion(atlas, spec).voxels
+        except LesionSpecError:
+            return LesionSpecError
+
+    @pytest.fixture(scope="class", params=["90 ROIs, 32^3", "90 ROIs, 16^3", "12 ROIs, 8^3",
+                                           "padded 90 ROIs, 16^3"])
+    def oracle_atlas(self, request):
+        return {
+            "90 ROIs, 32^3": lambda: build_toy_atlas(n_rois=90, grid_dims=(32, 32, 32)),
+            "90 ROIs, 16^3": lambda: build_toy_atlas(n_rois=90, grid_dims=(16, 16, 16)),
+            "12 ROIs, 8^3": lambda: build_toy_atlas(n_rois=12, grid_dims=(8, 8, 8)),
+            "padded 90 ROIs, 16^3": lambda: _padded_atlas(
+                build_toy_atlas(n_rois=90, grid_dims=(16, 16, 16)), ((1, 2), (2, 1), (1, 3))),
+        }[request.param]()
+
+    def test_same_voxels(self, oracle_atlas):
+        for spec in self.specs(oracle_atlas, self.N_SPECS, seed=17):
+            want, _ = _reference_grow_lesion(oracle_atlas, spec)
+            assert self.outcome(oracle_atlas, spec) == want, spec
+
+    def test_same_voxels_when_attempts_are_retried(self, monkeypatch):
+        # with no slack, an attempt whose last fill overshoots by one voxel
+        # is regrown from the same stream
+        monkeypatch.setattr(synthgen, "HOLE_FILL_SLACK", 0.0)
+        atlas = build_toy_atlas(n_rois=90, grid_dims=(32, 32, 32))
+        retried = 0
+        for spec in self.specs(atlas, self.N_SPECS, seed=23):
+            want, attempts = _reference_grow_lesion(atlas, spec)
+            retried += attempts > 1
+            assert self.outcome(atlas, spec) == want, spec
+        assert retried >= 3
 
 
 class TestCorruptConnectivity:
