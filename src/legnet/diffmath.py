@@ -1,10 +1,15 @@
 """Minimal dense-tensor math with reverse-mode gradient support.
 
-Tensors are 64-bit float arrays with at most three axes. Operations are
+Tensors are 64-bit float arrays with at most four axes. Operations are
 recorded on a :class:`Tape`; calling :func:`backward` on a scalar output
 propagates gradients to every leaf in reverse recording order. The primitive
 set is intentionally small: exactly what a dense edge-based graph network
 needs, plus a central-difference gradient checker.
+
+Every primitive accepts leading batch axes: elementwise operations broadcast
+by numpy's rules and `matmul` by `np.matmul`'s, so a minibatch stacked on a
+leading axis runs as one tape. The gradient of an operand that broadcast
+over the batch (a shared weight) is summed over the batch axes.
 """
 
 from __future__ import annotations
@@ -18,17 +23,25 @@ import numpy as np
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
+# Arrays up to MMAP_THRESHOLD bytes come from the heap; callers that batch
+# size their largest array to fit. Up to TRIM_THRESHOLD bytes of free heap
+# stay mapped between tapes.
+MMAP_THRESHOLD = 4 << 20
+TRIM_THRESHOLD = 32 << 20
+
 
 def _keep_freed_tape_memory() -> None:
     """Let glibc reuse one tape's freed arrays for the next tape.
 
-    A subject's tape allocates and frees ~1 MB of (N, N, d0) arrays at
-    N = 90. Under glibc's adaptive defaults, unless the process has already
-    freed a multi-megabyte block, each freed heap top goes back to the OS
-    and the next tape faults it in again (~2,500 minor faults and ~30% more
-    time per four-kind training step). This serves blocks up to 4 MiB from
-    the heap and keeps up to 8 MiB of free heap. A C library without mallopt
-    is left as it is.
+    A minibatch tape at N = 90 allocates and frees its (B, N, N, d0) arrays:
+    its loss and gradients peak at ~1.5 MB for one subject, ~10 MB for 8
+    and ~20 MB for the 16 that `model` puts in one chunk (tracemalloc). Under glibc's adaptive defaults, unless
+    the process has already freed a multi-megabyte block, each freed heap
+    top goes back to the OS and the next tape faults it in again (~2,500
+    minor faults and ~30% more time per four-kind training step at one
+    subject per tape). This serves blocks up to MMAP_THRESHOLD (4 MiB) from
+    the heap and keeps up to TRIM_THRESHOLD (32 MiB, above a full chunk's
+    peak) of free heap. A C library without mallopt is left as it is.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -36,11 +49,14 @@ def _keep_freed_tape_memory() -> None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 8 << 20)
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 _keep_freed_tape_memory()
+
+
+MAX_AXES = 4
 
 
 class ShapeError(ValueError):
@@ -62,8 +78,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = True, validate: bool = True):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim > 3:
-            raise ShapeError(f"tensors support at most 3 axes, got shape {arr.shape}")
+        if arr.ndim > MAX_AXES:
+            raise ShapeError(f"tensors support at most {MAX_AXES} axes, got shape {arr.shape}")
         if validate and not np.all(np.isfinite(arr)):
             raise ValueError("tensor entries must be finite")
         self.data = arr
@@ -127,9 +143,8 @@ class Tape:
     # ------------------------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        """Matrix product for 1-D/2-D operands (np.matmul semantics)."""
-        if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-            raise ShapeError("matmul operands must be 1-D or 2-D")
+        """Matrix product with np.matmul semantics: 1-D operands are
+        promoted, leading axes broadcast."""
         try:
             out = np.matmul(a.data, b.data)
         except ValueError as exc:
@@ -137,13 +152,19 @@ class Tape:
 
         def backward(g):
             ad, bd = a.data, b.data
-            if ad.ndim == 2 and bd.ndim == 2:
-                return g @ bd.T, ad.T @ g
-            if ad.ndim == 2 and bd.ndim == 1:
-                return np.outer(g, bd), ad.T @ g
-            if ad.ndim == 1 and bd.ndim == 2:
-                return bd @ g, np.outer(ad, g)
-            return g * bd, g * ad
+            # np.matmul's promotion of 1-D operands, undone on the way out
+            a2 = ad[None, :] if ad.ndim == 1 else ad
+            b2 = bd[:, None] if bd.ndim == 1 else bd
+            if bd.ndim == 1:
+                g = g[..., None]
+            if ad.ndim == 1:
+                g = np.expand_dims(g, -2)
+            ga = gb = None
+            if a.requires_grad:
+                ga = _unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(ad.shape)
+            if b.requires_grad:
+                gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape).reshape(bd.shape)
+            return ga, gb
 
         return self._emit(out, (a, b), backward)
 
@@ -189,6 +210,21 @@ class Tape:
 
         return self._emit(out, (a,), backward)
 
+    def add_relu(self, a: Tensor, b: Tensor) -> Tensor:
+        """relu(a + b) as one node with add's broadcasting; keeps only its
+        output, whose positive entries are where the gradient passes."""
+        try:
+            out = a.data + b.data
+        except ValueError as exc:
+            raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}") from exc
+        np.maximum(out, 0.0, out=out)
+
+        def backward(g):
+            g = g * (out > 0.0)
+            return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+
+        return self._emit(out, (a, b), backward)
+
     def softmax_lastaxis(self, a: Tensor) -> Tensor:
         """Softmax over the last axis, with max-subtraction for stability."""
         shifted = a.data - a.data.max(axis=-1, keepdims=True)
@@ -226,8 +262,8 @@ class Tape:
 
     def reshape(self, a: Tensor, shape: tuple[int, ...]) -> Tensor:
         """Reshape without changing the row-major element order."""
-        if len(shape) > 3:
-            raise ShapeError("tensors support at most 3 axes")
+        if len(shape) > MAX_AXES:
+            raise ShapeError(f"tensors support at most {MAX_AXES} axes")
         try:
             out = a.data.reshape(shape)
         except ValueError as exc:

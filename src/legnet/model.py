@@ -23,6 +23,13 @@ modules and ends in one dense head (predict_head):
 ridge term covers every tensor but the head's. The neighbourhood is the
 complete node set including self. All stages are tape operations, so the
 loss is differentiable end to end.
+
+Every stage takes optional leading batch axes, written "...": X (..., N, N)
+and p as pcol (..., N, 1) give H (..., N, N, d0), h1 (..., N, d1), S
+(..., N, k), W (..., N, d2, d1), h2 (..., N, d2) and a score (..., 1). One
+subject has no leading axis (`predict`); `batch_loss_and_grads` stacks a
+minibatch into chunks of `chunk_subjects(hyper)` subjects and runs each
+chunk through the same forward as one tape with one backward.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .connectome import InputError, SubjectRecord, _ExactReader
-from .diffmath import Tape, Tensor, backward
+from .diffmath import MMAP_THRESHOLD, Tape, Tensor, backward
 
 MODEL_LEGNET = "legnet"
 MODEL_BRAINGNN_DAGGER = "braingnn-dagger"
@@ -45,6 +52,9 @@ MODEL_BNC_MASK = "bnc-mask"
 MODEL_BNC_2CHANNEL = "bnc-2channel"
 
 BNC_MASK_THRESHOLD = 0.3  # spared fraction below which bnc-mask drops an ROI
+
+# a chunk's largest array, (C, N, N, d0), stays on the heap (see diffmath)
+CHUNK_BYTES = MMAP_THRESHOLD
 
 _CHECKPOINT_MAGIC = b"LEGP"
 _CHECKPOINT_VERSION = 1
@@ -114,77 +124,93 @@ def init_params(kind: str, hyper: HyperParams, seed: int) -> dict[str, np.ndarra
 # ----------------------------------------------------------------------
 
 
+def _swap_last(tape: Tape, a: Tensor) -> Tensor:
+    """Transpose the last two axes."""
+    lead = tuple(range(len(a.shape) - 2))
+    return tape.transpose(a, lead + (len(lead) + 1, len(lead)))
+
+
 def edge_to_edge(tape: Tape, x: Tensor, r: Tensor, c: Tensor) -> Tensor:
-    """H_ij = relu(sum_n r_n X_in + sum_n c_n X_nj), shape (N, N, d0)."""
+    """H_ij = relu(sum_n r_n X_in + sum_n c_n X_nj), shape (..., N, N, d0)."""
     n, d0 = r.shape
-    if x.shape != (n, n) or c.shape != (n, d0):
+    if x.shape[-2:] != (n, n) or c.shape != (n, d0):
         raise InputError(f"edge_to_edge shapes disagree: X {x.shape}, r {r.shape}, c {c.shape}")
-    row = tape.matmul(x, r)
-    col = tape.matmul(tape.transpose(x, (1, 0)), c)
-    return _edge_relu(tape, row, col)
+    return _edge_relu(tape, tape.matmul(x, r), tape.matmul(_swap_last(tape, x), c))
 
 
 def _edge_relu(tape: Tape, row: Tensor, col: Tensor) -> Tensor:
-    """H_ij = relu(row_i + col_j) from per-node row/column terms (N, d0)."""
-    n, d0 = row.shape
-    return tape.relu(tape.add(tape.reshape(row, (n, 1, d0)), tape.reshape(col, (1, n, d0))))
+    """H_ij = relu(row_i + col_j) from per-node row/column terms (..., N, d0).
+
+    row_i is repeated over j as a product with the 0/1 matrix [I I ... I]
+    (d0, N d0), which is exact. Every pass over H then runs along rows of
+    N d0 contiguous entries instead of d0.
+    """
+    lead, (n, d0) = row.shape[:-2], row.shape[-2:]
+    tile = Tensor(np.tile(np.eye(d0), n), requires_grad=False)
+    h = tape.add_relu(tape.matmul(row, tile), tape.reshape(col, lead + (1, n * d0)))
+    return tape.reshape(h, lead + (n, n, d0))
 
 
 def edge_to_node(tape: Tape, h: Tensor, g: Tensor, b1: Tensor) -> Tensor:
-    """h1_i = relu(sum_n g_n H_in + b1), shape (N, d1)."""
-    n, n2, d0 = h.shape
+    """h1_i = relu(sum_n g_n H_in + b1), shape (..., N, d1)."""
+    lead, (n, n2, d0) = h.shape[:-3], h.shape[-3:]
     if n != n2 or g.shape[0] != n or g.shape[2] != d0 or b1.shape != (g.shape[1],):
         raise InputError(f"edge_to_node shapes disagree: H {h.shape}, g {g.shape}, b1 {b1.shape}")
     d1 = g.shape[1]
-    hr = tape.reshape(h, (n, n * d0))
+    hr = tape.reshape(h, lead + (n, n * d0))
     gr = tape.reshape(tape.transpose(g, (0, 2, 1)), (n * d0, d1))
-    return tape.relu(tape.add(tape.matmul(hr, gr), b1))
+    return tape.add_relu(tape.matmul(hr, gr), b1)
 
 
 def assignment_scores(tape: Tape, pcol: Tensor, theta1: Tensor) -> Tensor:
-    """Row j = softmax(p_j * theta1[:, j]): subgraph membership per node."""
+    """Row j = softmax(p_j * theta1[:, j]): subgraph membership per node,
+    shape (..., N, k)."""
     k, n = theta1.shape
-    if pcol.shape != (n, 1):
+    if pcol.shape[-2:] != (n, 1):
         raise InputError(f"lesion column {pcol.shape} does not match theta1 {theta1.shape}")
     logits = tape.mul(tape.transpose(theta1, (1, 0)), pcol)
     return tape.softmax_lastaxis(logits)
 
 
 def subgraph_filters(tape: Tape, s: Tensor, theta2: Tensor, b2: Tensor, d2: int) -> Tensor:
-    """W_j with vec(W_j) = theta2 S_j + b2 (column-major vec), shape (N, d2, d1)."""
-    n, k = s.shape
+    """W_j with vec(W_j) = theta2 S_j + b2 (column-major vec), shape (..., N, d2, d1)."""
+    lead, (n, k) = s.shape[:-2], s.shape[-2:]
     dd, k2 = theta2.shape
     if k != k2 or b2.shape != (dd,) or dd % d2:
         raise InputError(f"subgraph_filters shapes disagree: S {s.shape}, theta2 {theta2.shape}")
     d1 = dd // d2
     flat = tape.add(tape.matmul(s, tape.transpose(theta2, (1, 0))), b2)
-    return tape.transpose(tape.reshape(flat, (n, d1, d2)), (0, 2, 1))
+    return _swap_last(tape, tape.reshape(flat, lead + (n, d1, d2)))
 
 
 def subgraph_conv(tape: Tape, h1: Tensor, w: Tensor) -> Tensor:
-    """h2_i = relu(sum_j W_j h1_j), shape (N, d2).
+    """h2_i = relu(sum_j W_j h1_j), shape (..., N, d2).
 
     With the complete-graph neighborhood the inner sum is the same for every
     i; the per-node output layout is kept anyway.
     """
-    n, d1 = h1.shape
-    if w.shape[0] != n or w.shape[2] != d1:
+    lead, (n, d1) = h1.shape[:-2], h1.shape[-2:]
+    if w.shape[:-3] != lead or w.shape[-3] != n or w.shape[-1] != d1:
         raise InputError(f"subgraph_conv shapes disagree: h1 {h1.shape}, W {w.shape}")
-    d2 = w.shape[1]
-    wc = tape.reshape(tape.transpose(w, (1, 0, 2)), (d2, n * d1))
-    pooled = tape.matmul(wc, tape.reshape(h1, (n * d1,)))
+    d2 = w.shape[-2]
+    axes = tuple(range(len(lead)))
+    node, row, col = len(lead), len(lead) + 1, len(lead) + 2
+    wc = tape.reshape(tape.transpose(w, axes + (row, node, col)), lead + (d2, n * d1))
+    pooled = tape.matmul(wc, tape.reshape(h1, lead + (n * d1, 1)))
     ones = Tensor(np.ones((n, 1)), requires_grad=False)
-    return tape.relu(tape.matmul(ones, tape.reshape(pooled, (1, d2))))
+    return tape.relu(tape.matmul(ones, tape.reshape(pooled, lead + (1, d2))))
 
 
 def predict_head(tape: Tape, features: Tensor, w1: Tensor, b1: Tensor,
                  w2: Tensor, b2: Tensor) -> Tensor:
-    """Flatten + dense(d3) + relu + dense(1); returns shape (1,)."""
-    flat = tape.reshape(features, (int(np.prod(features.shape)),))
-    if w1.shape[1] != flat.shape[0]:
-        raise InputError(f"head expects {w1.shape[1]} features, got {flat.shape[0]}")
-    hidden = tape.relu(tape.add(tape.matmul(w1, flat), b1))
-    return tape.add(tape.matmul(w2, hidden), b2)
+    """Flatten the last two axes + dense(d3) + relu + dense(1); returns
+    shape (..., 1)."""
+    lead, (n, d) = features.shape[:-2], features.shape[-2:]
+    flat = tape.reshape(features, lead + (n * d,))
+    if w1.shape[1] != n * d:
+        raise InputError(f"head expects {w1.shape[1]} features, got {n * d}")
+    hidden = tape.add_relu(tape.matmul(flat, tape.transpose(w1, (1, 0))), b1)
+    return tape.add(tape.matmul(hidden, tape.transpose(w2, (1, 0))), b2)
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +221,7 @@ def predict_head(tape: Tape, features: Tensor, w1: Tensor, b1: Tensor,
 @dataclass(eq=False)
 class PreparedSubject:
     """Constant leaf tensors for one subject, reusable across tapes: the
-    kind's inputs x (N, N) and pcol (N, 1), and the target."""
+    kind's inputs x (N, N) and pcol (N, 1), and the target (1,)."""
 
     id: str
     y: float
@@ -204,16 +230,47 @@ class PreparedSubject:
     target: Tensor
 
 
-def _edge_module(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
+@dataclass(eq=False)
+class PreparedBatch:
+    """Prepared subjects stacked on a leading axis: x (B, N, N), pcol
+    (B, N, 1) and target (B, 1). A forward reads only x and pcol, so it
+    takes a PreparedBatch or one PreparedSubject alike."""
+
+    x: Tensor
+    pcol: Tensor
+    target: Tensor
+
+
+Prepared = PreparedSubject | PreparedBatch
+
+
+def stack_subjects(prepared: list[PreparedSubject], hyper: HyperParams) -> PreparedBatch:
+    """Stack subjects for one tape. An InputError names the first subject
+    whose x or pcol does not fit `hyper.n_rois`. Entries are not checked
+    again: `prepare_subject` checked them."""
+    n = hyper.n_rois
+    for subj in prepared:
+        if subj.x.shape != (n, n) or subj.pcol.shape != (n, 1):
+            raise InputError(f"subject {subj.id!r} has X {subj.x.shape} and lesion column "
+                             f"{subj.pcol.shape}; the model expects {n} ROIs")
+
+    def stack(name):
+        data = np.stack([getattr(subj, name).data for subj in prepared])
+        return Tensor(data, requires_grad=False, validate=False)
+
+    return PreparedBatch(stack("x"), stack("pcol"), stack("target"))
+
+
+def _edge_module(tape: Tape, subj: Prepared, params: dict[str, Tensor],
                  hyper: HyperParams) -> Tensor:
     h = edge_to_edge(tape, subj.x, params["r"], params["c"])
     return edge_to_node(tape, h, params["g"], params["b1"])
 
 
-def _two_channel_edge_module(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
+def _two_channel_edge_module(tape: Tape, subj: Prepared, params: dict[str, Tensor],
                              hyper: HyperParams) -> Tensor:
     """The edge module on X and B = p p^T, with B r2 = p (p^T r2)."""
-    xt, pt = tape.transpose(subj.x, (1, 0)), tape.transpose(subj.pcol, (1, 0))
+    xt, pt = _swap_last(tape, subj.x), _swap_last(tape, subj.pcol)
     row = tape.add(tape.matmul(subj.x, params["r"]),
                    tape.matmul(subj.pcol, tape.matmul(pt, params["r2"])))
     col = tape.add(tape.matmul(xt, params["c"]),
@@ -221,23 +278,23 @@ def _two_channel_edge_module(tape: Tape, subj: PreparedSubject, params: dict[str
     return edge_to_node(tape, _edge_relu(tape, row, col), params["g"], params["b1"])
 
 
-def _subgraph_module(tape: Tape, h1: Tensor, subj: PreparedSubject,
+def _subgraph_module(tape: Tape, h1: Tensor, subj: Prepared,
                      params: dict[str, Tensor], hyper: HyperParams) -> Tensor:
     s = assignment_scores(tape, subj.pcol, params["theta1"])
     w = subgraph_filters(tape, s, params["theta2"], params["b2"], hyper.d2)
     return subgraph_conv(tape, h1, w)
 
 
-def _legnet_features(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
+def _legnet_features(tape: Tape, subj: Prepared, params: dict[str, Tensor],
                      hyper: HyperParams) -> Tensor:
     return _subgraph_module(tape, _edge_module(tape, subj, params, hyper), subj, params, hyper)
 
 
-def _braingnn_dagger_features(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
+def _braingnn_dagger_features(tape: Tape, subj: Prepared, params: dict[str, Tensor],
                               hyper: HyperParams) -> Tensor:
     """Linear per-row node embedding of X, then the subgraph module."""
-    h1 = tape.relu(tape.add(tape.matmul(subj.x, tape.transpose(params["node_w"], (1, 0))),
-                            params["node_b"]))
+    h1 = tape.add_relu(tape.matmul(subj.x, tape.transpose(params["node_w"], (1, 0))),
+                       params["node_b"])
     return _subgraph_module(tape, h1, subj, params, hyper)
 
 
@@ -253,7 +310,7 @@ class ModelKind:
     record's (X, p) to the kind's inputs."""
 
     modules: tuple[str, ...]
-    features: Callable[[Tape, PreparedSubject, dict[str, Tensor], HyperParams], Tensor]
+    features: Callable[[Tape, Prepared, dict[str, Tensor], HyperParams], Tensor]
     inputs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] = (
         lambda x, p: (x, p))
 
@@ -290,7 +347,7 @@ def prepare_dataset(records: list[SubjectRecord], kind: str) -> list[PreparedSub
 
 
 def _with_head(features):
-    def forward(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
+    def forward(tape: Tape, subj: Prepared, params: dict[str, Tensor],
                 hyper: HyperParams) -> Tensor:
         return predict_head(tape, features(tape, subj, params, hyper), params["head_w1"],
                             params["head_b1"], params["head_w2"], params["head_b2"])
@@ -349,6 +406,12 @@ def regularizer_grads(params_t: dict[str, Tensor],
     return float(reg.data), {name: leaves[t] for name, t in params_t.items() if t in leaves}
 
 
+def chunk_subjects(hyper: HyperParams) -> int:
+    """Subjects per tape: as many as keep one (C, N, N, d0) array within
+    CHUNK_BYTES (16 at N = 90 and d0 = 4)."""
+    return max(1, CHUNK_BYTES // (hyper.n_rois ** 2 * hyper.d0 * 8))
+
+
 def batch_loss_and_grads(
     prepared: list[PreparedSubject],
     params_t: dict[str, Tensor],
@@ -360,31 +423,31 @@ def batch_loss_and_grads(
     """Mean squared prediction error plus ridge term, with gradients.
 
     Returns (loss, grads or None, predictions). Gradients are averaged over
-    the batch exactly as the loss is.
+    the batch exactly as the loss is. Each chunk of `chunk_subjects(hyper)`
+    subjects runs as one tape with one backward.
     """
     if not prepared:
         raise InputError("empty batch")
     check_params(kind, hyper, {name: t.shape for name, t in params_t.items()})
     forward = FORWARDS[kind]
     m = len(prepared)
+    chunk = chunk_subjects(hyper)
     preds = np.empty(m)
-    total_sq = 0.0
+    loss = 0.0
     grads = {name: np.zeros_like(t.data) for name, t in params_t.items()} if want_grads else None
-    for i, subj in enumerate(prepared):
+    for start in range(0, m, chunk):
+        batch = stack_subjects(prepared[start:start + chunk], hyper)
+        weight = len(batch.target.data) / m
         tape = Tape()
-        yhat = forward(tape, subj, params_t, hyper)
-        preds[i] = float(yhat.data[0])
-        sq = tape.mse(yhat, subj.target)
-        total_sq += float(sq.data)
+        yhat = forward(tape, batch, params_t, hyper)
+        preds[start:start + chunk] = yhat.data[:, 0]
+        sq = tape.mse(yhat, batch.target)
+        loss += weight * float(sq.data)
         if want_grads:
             backward(tape, sq)
             for name, t in params_t.items():
                 if t.grad is not None:
-                    grads[name] += t.grad
-    loss = total_sq / m
-    if want_grads:
-        for name in grads:
-            grads[name] /= m
+                    grads[name] += weight * t.grad
     if lam != 0.0:
         reg_val, reg_grads = regularizer_grads(params_t, lam)
         loss += reg_val
@@ -406,7 +469,8 @@ def loss(batch: list[SubjectRecord], params: dict[str, np.ndarray], hyper: Hyper
 def single_tape_batch_loss(tape: Tape, prepared: list[PreparedSubject],
                            params_t: dict[str, Tensor], hyper: HyperParams,
                            kind: str, lam: float) -> Tensor:
-    """The whole objective as one tape node graph (used by gradient checks)."""
+    """The whole objective as one tape node graph, one forward per subject:
+    the per-subject reference that batch_loss_and_grads is tested against."""
     forward = FORWARDS[kind]
     total = None
     for subj in prepared:
@@ -440,7 +504,8 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
     Instances are seeded random, sized by `hyper` (default: 6 ROIs with a
     scaled-down k=3). `module` picks one of e2e, e2n, subgraph, head, loss
     (LEGNet's full objective), loss-braingnn-dagger, loss-bnc-mask,
-    loss-bnc-2channel, or all.
+    loss-bnc-2channel, or all. The full objectives run a 2-subject batch as
+    one tape, as batch_loss_and_grads does.
     """
     from .diffmath import gradient_check
 
@@ -478,13 +543,16 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
     check("head", lambda tape, ts: tape.l2_norm_sq(predict_head(tape, h2_fixed, *ts)),
           [rng.uniform(-1, 1, size=(d3, n * d2)), rng.uniform(-1, 1, size=(d3,)),
            rng.uniform(-1, 1, size=(1, d3)), rng.uniform(-1, 1, size=(1,))])
+    records = [record, _random_subject(rng, n)]
     for kind in MODEL_KINDS:
         names = [row[0] for row in param_spec(kind, hyper)]
         init = init_params(kind, hyper, seed=seed + 1)
+        batch = stack_subjects(prepare_dataset(records, kind), hyper)
 
-        def build_loss(tape, ts, kind=kind, names=names):
-            return single_tape_batch_loss(tape, [prepare_subject(record, kind)],
-                                          dict(zip(names, ts)), hyper, kind, lam=hyper.lam)
+        def build_loss(tape, ts, kind=kind, names=names, batch=batch):
+            params_t = dict(zip(names, ts))
+            sq = tape.mse(FORWARDS[kind](tape, batch, params_t, hyper), batch.target)
+            return tape.add(sq, _ridge(tape, params_t, hyper.lam))
 
         check("loss" if kind == MODEL_LEGNET else f"loss-{kind}", build_loss,
               [init[name] for name in names])

@@ -39,9 +39,22 @@ class TestPrimitives:
         with pytest.raises(ShapeError):
             Tape().add(Tensor(np.ones(3)), Tensor(np.ones(4)))
 
-    def test_tensor_rejects_four_axes(self):
+    def test_tensor_rejects_five_axes(self):
         with pytest.raises(ShapeError):
-            Tensor(np.zeros((2, 2, 2, 2)))
+            Tensor(np.zeros((2, 2, 2, 2, 2)))
+
+    def test_add_relu_equals_relu_of_add(self):
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.normal(size=(2, 3, 1, 4)))
+        b = Tensor(rng.normal(size=(2, 1, 3, 4)))
+        fused, tape = Tape().add_relu(a, b), Tape()
+        assert np.array_equal(fused.data, tape.relu(tape.add(a, b)).data)
+
+    def test_matmul_broadcasts_leading_axes(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))
+        out = Tape().matmul(Tensor(a), Tensor(b))
+        assert np.array_equal(out.data, np.matmul(a, b))
 
     def test_tensor_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -154,15 +167,23 @@ def test_every_primitive_matches_central_differences(seed):
     """Backward of each primitive agrees with finite differences at random
     inputs kept away from relu kinks (|x| > 1e-3)."""
     rng = np.random.default_rng(seed)
-    a = rng.uniform(0.2, 1.5, size=(3, 4)) * rng.choice([-1.0, 1.0], size=(3, 4))
+
+    def away_from_zero(shape):
+        return rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+    a = away_from_zero((3, 4))
     b = rng.uniform(0.2, 1.5, size=(4, 2))
     v = rng.uniform(0.2, 1.5, size=(3, 4))
+    batched = rng.uniform(-1.0, 1.0, size=(2, 3, 4))
+    u = rng.uniform(-1.0, 1.0, size=(4,))
+    row = away_from_zero((2, 3, 1, 2))
+    col = rng.uniform(-0.1, 0.1, size=(2, 1, 3, 2))  # |row + col| >= 0.1
     # constants are drawn once: build() must be the same function on every call
     shift = Tensor(rng.uniform(0.3, 0.9, size=(2,)), requires_grad=False)
     weight = Tensor(rng.uniform(-1.0, 1.0, size=(3, 4)), requires_grad=False)
 
     def build(tape, ts):
-        ta, tb, tv = ts
+        ta, tb, tv, tbatch, tu, trow, tcol = ts
         m = tape.add(tape.matmul(ta, tb), shift)     # (3, 2)
         s = tape.softmax_lastaxis(tape.relu(m))
         mixed = tape.mul(ta, tv)                     # (3, 4)
@@ -170,6 +191,16 @@ def test_every_primitive_matches_central_differences(seed):
         t = tape.mul(t, weight)                      # (3, 4)
         total = tape.add(tape.l2_norm_sq(s), tape.l2_norm_sq(t))
         total = tape.add(total, tape.scale(tape.l2_norm_sq(tv), 0.3))
-        return tape.add(total, tape.mse(tv, Tensor(np.zeros((3, 4)), requires_grad=False)))
+        total = tape.add(total, tape.mse(tv, Tensor(np.zeros((3, 4)), requires_grad=False)))
+        # leading batch axes: 3-D @ 2-D (also strided and @ 1-D), 2-D @ 3-D, 1-D @ 3-D
+        wide = tape.transpose(tbatch, (0, 2, 1))                          # (2, 4, 3)
+        for x, y in ((tbatch, tb), (wide, ta), (tbatch, tu), (ta, wide), (tu, wide)):
+            total = tape.add(total, tape.l2_norm_sq(tape.matmul(x, y)))
+        # 4-D reshape and transpose, then the fused add + relu
+        four = tape.transpose(tape.reshape(tbatch, (2, 3, 2, 2)), (0, 2, 1, 3))
+        total = tape.add(total, tape.l2_norm_sq(tape.mul(four, four)))
+        # mse against ones: its gradient is nonzero where relu outputs 0
+        fused = tape.add_relu(trow, tcol)
+        return tape.add(total, tape.mse(fused, Tensor(np.ones(fused.shape), requires_grad=False)))
 
-    assert gradient_check(build, [a, b, v], step=1e-5) <= 1e-4
+    assert gradient_check(build, [a, b, v, batched, u, row, col], step=1e-5) <= 1e-4

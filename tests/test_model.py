@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from legnet.connectome import (
     correlation_matrix,
     exponentiate,
 )
-from legnet.diffmath import Tape, Tensor, backward
+from legnet import model
+from legnet.diffmath import MMAP_THRESHOLD, TRIM_THRESHOLD, Tape, Tensor, backward
 from legnet.model import (
+    FORWARDS,
     MODEL_BNC_2CHANNEL,
     MODEL_BNC_MASK,
     MODEL_BRAINGNN_DAGGER,
@@ -23,6 +26,7 @@ from legnet.model import (
     as_tensors,
     assignment_scores,
     batch_loss_and_grads,
+    chunk_subjects,
     edge_to_edge,
     edge_to_node,
     init_params,
@@ -35,6 +39,7 @@ from legnet.model import (
     run_gradient_checks,
     save_checkpoint,
     single_tape_batch_loss,
+    stack_subjects,
     subgraph_conv,
     subgraph_filters,
 )
@@ -110,6 +115,12 @@ def random_subject(rng, n):
     x = exponentiate(correlation_matrix(ts))
     p = np.clip(rng.uniform(-0.3, 1.5, size=n), 0.0, 1.0)
     return SubjectRecord(id="t", x=x, lesion=LesionEncoding(p=p), y=float(rng.uniform(0, 100)))
+
+
+def assert_rel_close(a, b, rtol, what):
+    """max |a - b| <= rtol * max(|a|, |b|), over all entries."""
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    assert np.max(np.abs(a - b)) <= rtol * scale, what
 
 
 def t(arr, **kw):
@@ -336,21 +347,77 @@ class TestLoss:
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_accumulated_grads_match_single_tape(self, kind):
+        self.check_batch_against_references(kind, n_subjects=3)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_several_chunks_match_single_tape(self, kind, monkeypatch):
+        # two subjects per tape: chunks of 2, 2 and 1
+        monkeypatch.setattr(model, "CHUNK_BYTES", 2 * 5 * 5 * 2 * 8)
+        assert chunk_subjects(HyperParams(n_rois=5, d0=2)) == 2
+        self.check_batch_against_references(kind, n_subjects=5)
+
+    @staticmethod
+    def check_batch_against_references(kind, n_subjects):
+        """Loss and gradients equal one per-subject tape; predictions equal
+        `predict`."""
         hyper = HyperParams(n_rois=5, k=3, d0=2, d1=3, d2=2, d3=3, lam=0.01)
         params = init_params(kind, hyper, 3)
         rng = np.random.default_rng(12)
-        batch = prepare_dataset([random_subject(rng, 5) for _ in range(3)], kind)
+        records = [random_subject(rng, 5) for _ in range(n_subjects)]
+        batch = prepare_dataset(records, kind)
 
         params_t = as_tensors(params)
-        value, grads, _ = batch_loss_and_grads(batch, params_t, hyper, kind, lam=hyper.lam)
+        value, grads, preds = batch_loss_and_grads(batch, params_t, hyper, kind, lam=hyper.lam)
 
         tape = Tape()
         params_t2 = as_tensors({k: v.copy() for k, v in params.items()})
         out = single_tape_batch_loss(tape, batch, params_t2, hyper, kind, hyper.lam)
         backward(tape, out)
-        assert value == pytest.approx(float(out.data), abs=1e-12)
+        assert value == pytest.approx(float(out.data), rel=1e-12, abs=0)
         for name, tensor in params_t2.items():
-            assert np.allclose(grads[name], tensor.grad, atol=1e-10), name
+            assert_rel_close(grads[name], tensor.grad, 1e-10, name)
+        single = [predict(rec, params, hyper, kind) for rec in records]
+        assert_rel_close(preds, np.array(single), 1e-12, "predictions")
+
+    @pytest.mark.parametrize("wrong", ["x", "pcol", "n_rois"])
+    def test_batch_with_a_mismatched_subject_raises_input_error(self, wrong):
+        hyper = HyperParams(n_rois=6, k=3, d0=2, d1=3, d2=2, d3=3)
+        params_t = as_tensors(init_params(MODEL_LEGNET, hyper, 0))
+        rng = np.random.default_rng(1)
+        batch = prepare_dataset([random_subject(rng, 6) for _ in range(3)], MODEL_LEGNET)
+        if wrong == "x":
+            batch[1] = prepare_subject(random_subject(rng, 5), MODEL_LEGNET)
+        elif wrong == "pcol":
+            batch[1].pcol = t(np.ones((5, 1)), requires_grad=False)
+        else:
+            hyper = HyperParams(n_rois=5, k=3, d0=2, d1=3, d2=2, d3=3)
+            params_t = as_tensors(init_params(MODEL_LEGNET, hyper, 0))
+        with pytest.raises(InputError):
+            batch_loss_and_grads(batch, params_t, hyper, MODEL_LEGNET, lam=0.0)
+
+    def test_full_chunk_stays_within_the_allocator_thresholds(self):
+        # at N = 90 a chunk is 16 subjects; its (16, 90, 90, 4) H is 4.1 MB
+        hyper = HyperParams(n_rois=90)
+        c = chunk_subjects(hyper)
+        assert c == 16
+        rng = np.random.default_rng(2)
+        batch = prepare_dataset([random_subject(rng, 90) for _ in range(c)], MODEL_LEGNET)
+        params_t = as_tensors(init_params(MODEL_LEGNET, hyper, 0))
+
+        tracemalloc.start()
+        try:
+            batch_loss_and_grads(batch, params_t, hyper, MODEL_LEGNET, lam=hyper.lam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < TRIM_THRESHOLD
+
+        tape = Tape()
+        stacked = stack_subjects(batch, hyper)
+        yhat = FORWARDS[MODEL_LEGNET](tape, stacked, params_t, hyper)
+        backward(tape, tape.mse(yhat, stacked.target))
+        largest = max(max(out.data.nbytes, out.grad.nbytes) for out, _, _ in tape.nodes)
+        assert largest == c * 90 * 90 * hyper.d0 * 8 <= MMAP_THRESHOLD
 
 
 class TestBaselines:
