@@ -15,6 +15,7 @@ be asserted with :func:`validate_connectivity`.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,6 +38,17 @@ FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
 class InputError(ValueError):
     """Rejected input: dimension mismatch, out-of-range entries, bad file."""
+
+
+def check_number(name: str, value, low: float = -math.inf, integral: bool = False) -> None:
+    """InputError unless `value` is a finite number >= low, and an integer
+    if `integral`. A bool is not a number here."""
+    kind = numbers.Integral if integral else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not -math.inf < value < math.inf or value < low):
+        floor = f" >= {low}" if low > -math.inf else ""
+        raise InputError(f"{name} must be {'an integer' if integral else 'a finite number'}"
+                         f"{floor}, got {value!r}")
 
 
 class AtlasLayoutError(ValueError):

@@ -113,14 +113,11 @@ class Tape:
     single-threaded object; build a fresh one per forward pass.
     """
 
-    __slots__ = ("nodes", "_touched", "_seen", "_produced")
+    __slots__ = ("nodes",)
 
     def __init__(self):
         # each node: (output tensor, input tensors, backward closure)
         self.nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self._touched: list[Tensor] = []
-        self._seen: set[int] = set()
-        self._produced: set[int] = set()
 
     def _emit(self, out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
         requires = False
@@ -131,11 +128,6 @@ class Tape:
         out = Tensor(out_data, requires_grad=requires, validate=False)
         if requires:
             self.nodes.append((out, inputs, backward_fn))
-            self._produced.add(id(out))
-            for t in (out,) + inputs:
-                if id(t) not in self._seen:
-                    self._seen.add(id(t))
-                    self._touched.append(t)
         return out
 
     # ------------------------------------------------------------------
@@ -289,16 +281,20 @@ class Tape:
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Propagate d(loss)/d(tensor) to every gradient-enabled leaf on the tape.
 
-    `loss` must be a 0-d tensor produced on the tape. After the call every
-    tensor touched by the tape has `.grad` set; leaves that do not influence
-    the loss get a zero gradient. Returns the leaf gradients keyed by tensor.
+    `loss` must be a 0-d tensor produced on the tape. A leaf is a
+    gradient-enabled input that the tape did not produce, even if another
+    tape did. After the call every leaf has `.grad` set, a zero gradient if
+    it does not influence the loss; so has every output the loss depends
+    on. Constants are left alone. Returns the leaf gradients keyed by tensor.
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"loss must be a scalar, got shape {loss.shape}")
 
-    produced = tape._produced
-    touched = tape._touched
-    for t in touched:
+    outputs = [out for out, _, _ in tape.nodes]
+    produced = set(map(id, outputs))
+    leaves = dict.fromkeys(t for _, inputs, _ in tape.nodes for t in inputs
+                           if t.requires_grad and id(t) not in produced)
+    for t in outputs + list(leaves):
         t.grad = None
 
     loss.grad = np.ones(())
@@ -311,14 +307,10 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
                 continue
             t.grad = g if t.grad is None else t.grad + g
 
-    leaves: dict[Tensor, np.ndarray] = {}
-    for t in touched:
-        if id(t) in produced:
-            continue
-        if t.requires_grad and t.grad is None:
+    for t in leaves:
+        if t.grad is None:
             t.grad = np.zeros(t.data.shape)
-        if t.requires_grad:
-            leaves[t] = t.grad
+        leaves[t] = t.grad
     return leaves
 
 

@@ -29,21 +29,21 @@ and p as pcol (..., N, 1) give H (..., N, N, d0), h1 (..., N, d1), S
 (..., N, k), W (..., N, d2, d1), h2 (..., N, d2) and a score (..., 1). One
 subject has no leading axis (`predict`); `batch_loss_and_grads` stacks a
 minibatch into chunks of `chunk_subjects(hyper)` subjects and runs each
-chunk through the same forward as one tape with one backward.
+chunk through the same forward as one tape that holds the chunk's share of
+the objective.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .connectome import InputError, SubjectRecord, _ExactReader
+from .connectome import InputError, SubjectRecord, _ExactReader, check_number
 from .diffmath import MMAP_THRESHOLD, Tape, Tensor, backward
 
 MODEL_LEGNET = "legnet"
@@ -74,12 +74,8 @@ class HyperParams:
 
     def validate(self) -> None:
         for name in ("n_rois", "k", "d0", "d1", "d2", "d3"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise InputError(f"hyperparameter {name} must be a positive integer, "
-                                 f"got {value!r}")
-        if not isinstance(self.lam, numbers.Real) or not 0 <= self.lam < math.inf:
-            raise InputError(f"lam must be finite and nonnegative, got {self.lam!r}")
+            check_number(f"hyperparameter {name}", getattr(self, name), 1, integral=True)
+        check_number("lam", self.lam, 0)
 
 
 def param_spec(kind: str, hyper: HyperParams) -> list[tuple[str, tuple[int, ...], int, int]]:
@@ -224,7 +220,6 @@ class PreparedSubject:
     kind's inputs x (N, N) and pcol (N, 1), and the target (1,)."""
 
     id: str
-    y: float
     x: Tensor
     pcol: Tensor
     target: Tensor
@@ -335,7 +330,6 @@ def prepare_subject(record: SubjectRecord, kind: str) -> PreparedSubject:
     x, p = _kind(kind).inputs(record.x, record.lesion.p)
     return PreparedSubject(
         id=record.id,
-        y=float(record.y),
         x=Tensor(x, requires_grad=False),
         pcol=Tensor(p[:, None], requires_grad=False),
         target=Tensor(np.array([float(record.y)]), requires_grad=False),
@@ -397,13 +391,16 @@ def _ridge(tape: Tape, params_t: dict[str, Tensor], lam: float) -> Tensor:
     return tape.scale(total, lam)
 
 
-def regularizer_grads(params_t: dict[str, Tensor],
-                      lam: float) -> tuple[float, dict[str, np.ndarray]]:
-    """Value and gradients of the ridge term."""
-    tape = Tape()
-    reg = _ridge(tape, params_t, lam)
-    leaves = backward(tape, reg)
-    return float(reg.data), {name: leaves[t] for name, t in params_t.items() if t in leaves}
+def _chunk_objective(tape: Tape, batch: PreparedBatch, params_t: dict[str, Tensor],
+                     hyper: HyperParams, kind: str, weight: float,
+                     lam: float) -> tuple[Tensor, Tensor]:
+    """weight * (the chunk's mean squared error), plus the ridge term when
+    lam != 0; returns (objective, predictions)."""
+    yhat = FORWARDS[kind](tape, batch, params_t, hyper)
+    out = tape.scale(tape.mse(yhat, batch.target), weight)
+    if lam != 0.0:
+        out = tape.add(out, _ridge(tape, params_t, lam))
+    return out, yhat
 
 
 def chunk_subjects(hyper: HyperParams) -> int:
@@ -424,12 +421,13 @@ def batch_loss_and_grads(
 
     Returns (loss, grads or None, predictions). Gradients are averaged over
     the batch exactly as the loss is. Each chunk of `chunk_subjects(hyper)`
-    subjects runs as one tape with one backward.
+    subjects runs as one tape holding its share of the objective: the first
+    chunk's also holds the ridge term. With `want_grads`, each chunk's tape
+    gets one backward; without, none runs.
     """
     if not prepared:
         raise InputError("empty batch")
     check_params(kind, hyper, {name: t.shape for name, t in params_t.items()})
-    forward = FORWARDS[kind]
     m = len(prepared)
     chunk = chunk_subjects(hyper)
     preds = np.empty(m)
@@ -437,23 +435,15 @@ def batch_loss_and_grads(
     grads = {name: np.zeros_like(t.data) for name, t in params_t.items()} if want_grads else None
     for start in range(0, m, chunk):
         batch = stack_subjects(prepared[start:start + chunk], hyper)
-        weight = len(batch.target.data) / m
         tape = Tape()
-        yhat = forward(tape, batch, params_t, hyper)
+        objective, yhat = _chunk_objective(tape, batch, params_t, hyper, kind,
+                                           len(batch.target.data) / m, lam if start == 0 else 0.0)
         preds[start:start + chunk] = yhat.data[:, 0]
-        sq = tape.mse(yhat, batch.target)
-        loss += weight * float(sq.data)
+        loss += float(objective.data)
         if want_grads:
-            backward(tape, sq)
+            backward(tape, objective)
             for name, t in params_t.items():
-                if t.grad is not None:
-                    grads[name] += weight * t.grad
-    if lam != 0.0:
-        reg_val, reg_grads = regularizer_grads(params_t, lam)
-        loss += reg_val
-        if want_grads:
-            for name, g in reg_grads.items():
-                grads[name] += g
+                grads[name] += t.grad
     return loss, grads, preds
 
 
@@ -505,7 +495,7 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
     scaled-down k=3). `module` picks one of e2e, e2n, subgraph, head, loss
     (LEGNet's full objective), loss-braingnn-dagger, loss-bnc-mask,
     loss-bnc-2channel, or all. The full objectives run a 2-subject batch as
-    one tape, as batch_loss_and_grads does.
+    one tape through the chunk objective that batch_loss_and_grads uses.
     """
     from .diffmath import gradient_check
 
@@ -551,8 +541,7 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
 
         def build_loss(tape, ts, kind=kind, names=names, batch=batch):
             params_t = dict(zip(names, ts))
-            sq = tape.mse(FORWARDS[kind](tape, batch, params_t, hyper), batch.target)
-            return tape.add(sq, _ridge(tape, params_t, hyper.lam))
+            return _chunk_objective(tape, batch, params_t, hyper, kind, 1.0, hyper.lam)[0]
 
         check("loss" if kind == MODEL_LEGNET else f"loss-{kind}", build_loss,
               [init[name] for name in names])

@@ -37,6 +37,7 @@ from .connectome import (
     LesionMask,
     SubjectRecord,
     ToyAtlas,
+    check_number,
     correlation_matrix,
     exponentiate,
     lesioned_counts,
@@ -79,8 +80,8 @@ class CorruptionParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma < 0 or self.sigma_rel < 0:
-            raise InputError("gamma and sigma_rel must be nonnegative")
+        check_number("gamma", self.gamma, 0)
+        check_number("sigma_rel", self.sigma_rel, 0)
 
 
 @dataclass(frozen=True)
@@ -100,15 +101,17 @@ class CohortParams:
     corruption_sigma_rel: float = 0.1
 
     def __post_init__(self):
-        if self.t_len < 2:
-            raise InputError(f"t_len must be >= 2, got {self.t_len}")
         # community 0 is the language network; the others need at least one
-        if self.n_communities < 2:
-            raise InputError(f"n_communities must be >= 2, got {self.n_communities}")
-        for name in ("sigma_roi", "sigma_voxel", "score_eps"):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be nonnegative")
+        for name, low in (("t_len", 2), ("n_communities", 2), ("language_territory", 1)):
+            check_number(name, getattr(self, name), low, integral=True)
+        for name in ("sigma_roi", "sigma_voxel", "score_eps", "corruption_gamma",
+                     "corruption_sigma_rel"):
+            check_number(name, getattr(self, name), 0)
+        for name in ("score_mu", "score_beta"):
+            check_number(name, getattr(self, name))
         low, high = self.coherence_range
+        for value in (low, high):
+            check_number("coherence_range", value)
         if low > high:
             raise InputError(f"coherence_range {self.coherence_range} is inverted")
 
@@ -122,6 +125,8 @@ class LesionPolicy:
     score_mu: float | None = None  # overrides CohortParams.score_mu when set
 
     def __post_init__(self):
+        if self.score_mu is not None:
+            check_number("score_mu", self.score_mu)
         low, high = self.fraction_range
         if not FRACTION_MIN <= low <= high <= FRACTION_MAX:
             raise InputError(f"fraction_range {self.fraction_range} must be ordered and "
@@ -419,8 +424,7 @@ def generate_cohort(
     (master_seed, subject index, stage), so generation is order-independent
     and reproducible byte-for-byte.
     """
-    if n < 1:
-        raise InputError("cohort size must be >= 1")
+    check_number("cohort size", n, 1, integral=True)
     policy = policy or POLICIES["hcp-sl"]
     params = cohort_params or CohortParams()
     if policy.score_mu is not None:

@@ -92,6 +92,27 @@ class TestBackward:
         assert np.array_equal(unused.grad, [0.0])
         assert unused in leaves
 
+    def test_leaf_reused_on_a_second_tape_gets_only_that_tapes_gradient(self):
+        x = Tensor([1.0, -2.0])
+        first = Tape()
+        backward(first, first.l2_norm_sq(x))  # 2x
+        second = Tape()
+        backward(second, second.mse(x, Tensor([0.0, 0.0], requires_grad=False)))
+        assert np.array_equal(x.grad, x.data)  # mse over 2 entries: x, not 2x + x
+
+    def test_output_of_another_tape_is_a_leaf_there(self):
+        x = Tensor([1.0, 2.0])
+        first = Tape()
+        h, u = first.scale(x, 3.0), first.scale(x, -1.0)
+        backward(first, first.add(first.l2_norm_sq(h), first.l2_norm_sq(u)))
+        second = Tape()
+        loss = second.l2_norm_sq(h)
+        second.l2_norm_sq(u)  # recorded but not feeding the loss
+        leaves = backward(second, loss)
+        assert list(leaves) == [h, u]
+        assert np.array_equal(h.grad, 2.0 * h.data)
+        assert np.array_equal(u.grad, [0.0, 0.0])  # not the first tape's -2 u
+
     def test_two_use_leaf_accumulates_both_paths(self):
         # loss = |x + x|^2 = 4 |x|^2 has gradient 8x; one path alone gives 4x
         tape = Tape()

@@ -356,6 +356,25 @@ class TestLoss:
         assert chunk_subjects(HyperParams(n_rois=5, d0=2)) == 2
         self.check_batch_against_references(kind, n_subjects=5)
 
+    @pytest.mark.parametrize("want_grads, backwards", [(True, 3), (False, 0)])
+    def test_one_backward_per_chunk_and_none_without_grads(self, monkeypatch, want_grads,
+                                                           backwards):
+        # chunks of 2, 2 and 1; the ridge term rides on the first chunk's tape
+        monkeypatch.setattr(model, "CHUNK_BYTES", 2 * 5 * 5 * 2 * 8)
+        calls = []
+
+        def counting_backward(tape, loss):
+            calls.append(tape)
+            return backward(tape, loss)
+
+        monkeypatch.setattr(model, "backward", counting_backward)
+        hyper = HyperParams(n_rois=5, k=3, d0=2, d1=3, d2=2, d3=3, lam=0.01)
+        rng = np.random.default_rng(13)
+        batch = prepare_dataset([random_subject(rng, 5) for _ in range(5)], MODEL_LEGNET)
+        params_t = as_tensors(init_params(MODEL_LEGNET, hyper, 0))
+        batch_loss_and_grads(batch, params_t, hyper, MODEL_LEGNET, hyper.lam, want_grads)
+        assert len(calls) == backwards
+
     @staticmethod
     def check_batch_against_references(kind, n_subjects):
         """Loss and gradients equal one per-subject tape; predictions equal
@@ -598,13 +617,17 @@ class TestParamsAndCheckpoints:
         # a late "head expects" error in the forward before
         (lambda h: h.update(model=MODEL_BNC_MASK), "do not match the bnc-mask"),
         # loaded and predicted before
-        (lambda h: h["hyper"].update(k=0), "k must be a positive integer"),
-        (lambda h: h["hyper"].update(d0="4"), "d0 must be a positive integer"),
+        (lambda h: h["hyper"].update(k=0), "k must be an integer >= 1"),
+        (lambda h: h["hyper"].update(d0="4"), "d0 must be an integer >= 1"),
+        # true was the integer 1 before: with a dimension of 1 in the table
+        # the file loaded, then the forward raised TypeError
+        (lambda h: h["hyper"].update(k=True), "k must be an integer >= 1"),
+        (lambda h: h["hyper"].update(lam=True), "lam must be"),
         (lambda h: h["hyper"].update(lam=-1.0), "lam must be"),
         (lambda h: h["tensors"].remove(["g", [8, 8, 4]]), "do not match the legnet"),
         (lambda h: h.pop("hyper"), "exactly model, hyper and tensors"),
     ], ids=["extra-hyper-key", "unknown-kind", "other-kinds-tensors", "k-zero", "string-dim",
-            "negative-lam", "missing-tensor", "no-hyper"])
+            "bool-dim", "bool-lam", "negative-lam", "missing-tensor", "no-hyper"])
     def test_checkpoint_load_checks_header_against_param_spec(self, tmp_path, edit, message):
         path = self.saved_legnet(tmp_path)
         data = path.read_bytes()

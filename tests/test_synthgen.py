@@ -375,6 +375,12 @@ class TestGenerateCohort:
                                      policy=policy_by_name("ds2-like"))
         assert np.mean([r.y for r in shifted]) < np.mean([r.y for r in base])
 
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_cohort_size_must_be_a_positive_integer(self, atlas, n):
+        # 2.5 used to raise TypeError from range()
+        with pytest.raises(InputError, match="cohort size"):
+            generate_cohort(n, atlas, master_seed=0)
+
     def test_unknown_policy_rejected(self):
         from legnet.connectome import InputError
         with pytest.raises(InputError):
@@ -473,12 +479,39 @@ class TestCohortParams:
         {"sigma_voxel": -1.0},
         {"score_eps": -2.0},
         {"coherence_range": (2.0, 1.0)},
+        {"sigma_roi": float("nan")},
+        {"sigma_voxel": float("nan")},
+        {"sigma_voxel": float("inf")},
+        {"score_mu": float("nan")},
+        {"score_beta": float("-inf")},
+        {"score_eps": float("nan")},
+        {"corruption_gamma": float("nan")},
+        {"corruption_gamma": -1.0},
+        {"corruption_sigma_rel": float("nan")},
+        {"coherence_range": (float("nan"), 1.0)},
+        {"t_len": 2.5},
+        {"n_communities": True},
+        {"language_territory": 2.0},
     ])
     def test_rejected(self, bad):
         # n_communities 1 and 0 used to raise IndexError and an inverted
-        # coherence range numpy's "high - low < 0", inside the simulation
+        # coherence range numpy's "high - low < 0", inside the simulation;
+        # a NaN sigma gave X = 1 for every subject, other NaNs surfaced only
+        # in save_cohort, a NaN coherence bound raised OverflowError and a
+        # fractional t_len TypeError
         with pytest.raises(InputError):
             CohortParams(**bad)
+
+    @pytest.mark.parametrize("make", [
+        lambda: CorruptionParams(gamma=float("nan")),
+        lambda: CorruptionParams(sigma_rel=float("inf")),
+        lambda: CorruptionParams(sigma_rel=-0.1),
+        lambda: LesionPolicy("x", score_mu=float("nan")),
+        lambda: LesionPolicy("x", score_mu=True),
+    ], ids=["gamma-nan", "sigma-inf", "sigma-negative", "policy-mu-nan", "policy-mu-bool"])
+    def test_corruption_and_policy_reject_non_finite(self, make):
+        with pytest.raises(InputError):
+            make()
 
     def test_smallest_valid_model_simulates(self, atlas):
         cp = CohortParams(t_len=2, n_communities=2, sigma_roi=0.0, sigma_voxel=0.0,
