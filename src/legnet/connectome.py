@@ -37,7 +37,8 @@ FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
 
 class InputError(ValueError):
-    """Rejected input: dimension mismatch, out-of-range entries, bad file."""
+    """Rejected input: dimension mismatch, out-of-range or non-finite entries,
+    bad file, or an atlas layout or lesion spec that cannot be built."""
 
 
 def check_number(name: str, value, low: float = -math.inf, integral: bool = False) -> None:
@@ -51,23 +52,19 @@ def check_number(name: str, value, low: float = -math.inf, integral: bool = Fals
                          f"{floor}, got {value!r}")
 
 
-class AtlasLayoutError(ValueError):
-    """Requested atlas shape cannot satisfy the parcellation invariants."""
-
-
 # ----------------------------------------------------------------------
 # atlas
 # ----------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ToyAtlas:
     """Voxel-grid parcellation with hemisphere, ROI, and territory labels.
 
     Labels are dense integer grids: 0 means background, ROIs are 1..N,
     territories 1..T. Every ROI lies in exactly one hemisphere and one
     territory, and every ROI and territory is a non-empty face-connected
-    region.
+    region. It is frozen, so its cached ROI sizes always match its labels.
     """
 
     grid_dims: tuple[int, int, int]
@@ -76,13 +73,14 @@ class ToyAtlas:
     hemisphere_of_voxel: np.ndarray  # uint8, shape grid_dims
     n_rois: int
     n_territories: int
-    _roi_cache: dict = field(default_factory=dict, repr=False)
+    _roi_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def roi_sizes(self) -> np.ndarray:
-        """Voxel count per ROI, index i holds the size of ROI i+1."""
+        """Read-only voxel count per ROI, index i holds the size of ROI i+1."""
         if "sizes" not in self._roi_cache:
-            counts = np.bincount(self.roi_of_voxel.reshape(-1), minlength=self.n_rois + 1)
-            self._roi_cache["sizes"] = counts[1:].copy()
+            sizes = np.bincount(self.roi_of_voxel.reshape(-1), minlength=self.n_rois + 1)[1:]
+            sizes.flags.writeable = False
+            self._roi_cache["sizes"] = sizes
         return self._roi_cache["sizes"]
 
     def territory_size(self, territory: int) -> int:
@@ -165,10 +163,10 @@ def build_toy_atlas(
     """
     gx, gy, gz = grid_dims
     if n_territories < 2 or n_territories % 2:
-        raise AtlasLayoutError("n_territories must be even and >= 2")
+        raise InputError("n_territories must be even and >= 2")
     per_hemi = n_territories // 2
     if gz < per_hemi or gx < 2:
-        raise AtlasLayoutError(f"grid {grid_dims} too small for {n_territories} territories")
+        raise InputError(f"grid {grid_dims} too small for {n_territories} territories")
 
     roi = np.zeros(grid_dims, dtype=np.int32)
     territory = np.zeros(grid_dims, dtype=np.int32)
@@ -188,21 +186,21 @@ def build_toy_atlas(
     next_roi = 1
     for ((x0, x1), (z0, z1)), quota in zip(territory_boxes, quotas):
         if quota == 0:
-            raise AtlasLayoutError("every territory needs at least one ROI")
+            raise InputError("every territory needs at least one ROI")
         sz = z1 - z0
         stripes = min(gy, max(1, math.isqrt(quota - 1) + 1))
         stripe_counts = _split_counts(quota, stripes)
         if max(stripe_counts) > sz:
-            raise AtlasLayoutError(
+            raise InputError(
                 f"cannot fit {quota} ROIs into a {x1 - x0}x{gy}x{sz} territory"
             )
         y_chunks = _range_chunks(gy, stripes)
         for (y0, y1), count in zip(y_chunks, stripe_counts):
             if y1 <= y0:
-                raise AtlasLayoutError("empty y stripe; raise grid resolution")
+                raise InputError("empty y stripe; raise grid resolution")
             for zz0, zz1 in _range_chunks(sz, count):
                 if zz1 <= zz0:
-                    raise AtlasLayoutError("empty z chunk; raise grid resolution")
+                    raise InputError("empty z chunk; raise grid resolution")
                 roi[x0:x1, y0:y1, z0 + zz0:z0 + zz1] = next_roi
                 next_roi += 1
 

@@ -9,7 +9,8 @@ needs, plus a central-difference gradient checker.
 Every primitive accepts leading batch axes: elementwise operations broadcast
 by numpy's rules and `matmul` by `np.matmul`'s, so a minibatch stacked on a
 leading axis runs as one tape. The gradient of an operand that broadcast
-over the batch (a shared weight) is summed over the batch axes.
+over the batch (a shared weight) is summed over the batch axes. Entries are
+not checked for finiteness: callers check their inputs where they enter.
 """
 
 from __future__ import annotations
@@ -71,17 +72,16 @@ class Tensor:
     """Dense 64-bit float array with an optional gradient slot.
 
     `requires_grad=False` marks constant inputs (data matrices, one-hot
-    helpers); backward skips gradient computation for them.
+    helpers); backward skips gradient computation for them. Finiteness of
+    the entries is the caller's check.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = True, validate: bool = True):
+    def __init__(self, data, requires_grad: bool = True):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > MAX_AXES:
             raise ShapeError(f"tensors support at most {MAX_AXES} axes, got shape {arr.shape}")
-        if validate and not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must be finite")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -125,7 +125,7 @@ class Tape:
             if t.requires_grad:
                 requires = True
                 break
-        out = Tensor(out_data, requires_grad=requires, validate=False)
+        out = Tensor(out_data, requires_grad=requires)
         if requires:
             self.nodes.append((out, inputs, backward_fn))
         return out
@@ -339,7 +339,7 @@ def gradient_check(
 
     def evaluate(current: list[np.ndarray]) -> float:
         t = Tape()
-        out = build(t, [Tensor(x, validate=False) for x in current])
+        out = build(t, [Tensor(x) for x in current])
         return float(out.data)
 
     max_err = 0.0

@@ -62,7 +62,7 @@ _CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Model dimensions and the ridge weight lam."""
+    """Model dimensions and the ridge weight lam, checked at construction."""
 
     n_rois: int
     k: int = 8
@@ -72,7 +72,7 @@ class HyperParams:
     d3: int = 8
     lam: float = 0.005
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("n_rois", "k", "d0", "d1", "d2", "d3"):
             check_number(f"hyperparameter {name}", getattr(self, name), 1, integral=True)
         check_number("lam", self.lam, 0)
@@ -106,7 +106,6 @@ def param_spec(kind: str, hyper: HyperParams) -> list[tuple[str, tuple[int, ...]
 
 def init_params(kind: str, hyper: HyperParams, seed: int) -> dict[str, np.ndarray]:
     """Seeded uniform [-a, a] init with a = sqrt(6 / (fan_in + fan_out))."""
-    hyper.validate()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     params: dict[str, np.ndarray] = {}
     for name, shape, fan_in, fan_out in param_spec(kind, hyper):
@@ -251,7 +250,7 @@ def stack_subjects(prepared: list[PreparedSubject], hyper: HyperParams) -> Prepa
 
     def stack(name):
         data = np.stack([getattr(subj, name).data for subj in prepared])
-        return Tensor(data, requires_grad=False, validate=False)
+        return Tensor(data, requires_grad=False)
 
     return PreparedBatch(stack("x"), stack("pcol"), stack("target"))
 
@@ -327,12 +326,18 @@ def _kind(kind: str) -> ModelKind:
 
 
 def prepare_subject(record: SubjectRecord, kind: str) -> PreparedSubject:
+    """The kind's input tensors for one record; an InputError names the
+    subject if X, p or y has a non-finite entry."""
+    target = np.array([float(record.y)])
+    for name, arr in (("X", record.x), ("p", record.lesion.p), ("y", target)):
+        if not np.all(np.isfinite(arr)):
+            raise InputError(f"subject {record.id!r}: {name} has non-finite entries")
     x, p = _kind(kind).inputs(record.x, record.lesion.p)
     return PreparedSubject(
         id=record.id,
         x=Tensor(x, requires_grad=False),
         pcol=Tensor(p[:, None], requires_grad=False),
-        target=Tensor(np.array([float(record.y)]), requires_grad=False),
+        target=Tensor(target, requires_grad=False),
     )
 
 
@@ -369,7 +374,11 @@ def check_params(kind: str, hyper: HyperParams, shapes: dict) -> None:
 
 def as_tensors(params: dict[str, np.ndarray], requires_grad: bool = True) -> dict[str, Tensor]:
     """Wrap parameter arrays as leaves. Arrays are shared, not copied, so
-    in-place optimizer updates stay visible."""
+    in-place optimizer updates stay visible. An InputError names a tensor
+    with a non-finite entry."""
+    for name, arr in params.items():
+        if not np.all(np.isfinite(arr)):
+            raise InputError(f"parameter tensor {name!r} has non-finite entries")
     return {name: Tensor(arr, requires_grad=requires_grad) for name, arr in params.items()}
 
 
@@ -428,6 +437,7 @@ def batch_loss_and_grads(
     if not prepared:
         raise InputError("empty batch")
     check_params(kind, hyper, {name: t.shape for name, t in params_t.items()})
+    check_number("lam", lam, 0)
     m = len(prepared)
     chunk = chunk_subjects(hyper)
     preds = np.empty(m)
@@ -599,7 +609,6 @@ def load_checkpoint(path) -> tuple[str, HyperParams, dict[str, np.ndarray]]:
     if not isinstance(hyper_fields, dict) or sorted(hyper_fields) != names:
         raise InputError(f"checkpoint hyperparameters must be exactly {names}")
     hyper = HyperParams(**hyper_fields)
-    hyper.validate()
     try:
         shapes = {name: tuple(shape) for name, shape in header["tensors"]}
     except (TypeError, ValueError):

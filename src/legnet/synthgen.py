@@ -33,7 +33,6 @@ from scipy import ndimage
 from .connectome import (
     FACE_STRUCTURE,
     InputError,
-    LesionEncoding,
     LesionMask,
     SubjectRecord,
     ToyAtlas,
@@ -50,10 +49,6 @@ HOLE_FILL_SLACK = 0.02  # relative overshoot allowed from cavity filling
 _MAX_GROW_ATTEMPTS = 64
 
 
-class LesionSpecError(ValueError):
-    """The requested lesion cannot be grown in the given territory."""
-
-
 @dataclass(frozen=True)
 class LesionSpec:
     territory: int
@@ -62,26 +57,10 @@ class LesionSpec:
 
     def __post_init__(self):
         if not (FRACTION_MIN <= self.target_fraction <= FRACTION_MAX):
-            raise LesionSpecError(
+            raise InputError(
                 f"target_fraction {self.target_fraction} outside "
                 f"[{FRACTION_MIN}, {FRACTION_MAX}]"
             )
-
-
-@dataclass(frozen=True)
-class CorruptionParams:
-    """Connectivity corruption: X'_ij = clip(X_ij^(min(p_i,p_j)^gamma) + eta).
-
-    Since X = exp(r), the power scales the correlation r = log X toward 0.
-    """
-
-    gamma: float = 1.0
-    sigma_rel: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        check_number("gamma", self.gamma, 0)
-        check_number("sigma_rel", self.sigma_rel, 0)
 
 
 @dataclass(frozen=True)
@@ -264,13 +243,13 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
     one-voxel margin, which the padding keeps inside the grid.
     """
     if spec.territory not in atlas.left_territories():
-        raise LesionSpecError(f"territory {spec.territory} is not a left-hemisphere territory")
+        raise InputError(f"territory {spec.territory} is not a left-hemisphere territory")
     padded = np.pad(atlas.territory_of_voxel == spec.territory, 1)
     territory_voxels = np.flatnonzero(padded)  # C order, as np.argwhere gives
     territory_size = territory_voxels.size
     target = int(round(spec.target_fraction * territory_size))
     if target < 1 or target > territory_size:
-        raise LesionSpecError(
+        raise InputError(
             f"territory {spec.territory} ({territory_size} voxels) cannot host "
             f"a lesion of {target} voxels"
         )
@@ -322,7 +301,7 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
         if 0 <= filled_count - target <= slack:
             return LesionMask(voxels=frozenset(map(tuple, (np.argwhere(grown) - 1).tolist())))
 
-    raise LesionSpecError(
+    raise InputError(
         f"could not grow a lesion within the hole-fill slack after "
         f"{_MAX_GROW_ATTEMPTS} attempts (spec: {spec})"
     )
@@ -333,21 +312,17 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
 # ----------------------------------------------------------------------
 
 
-def corrupt_connectivity(
-    x: np.ndarray,
-    lesion: LesionEncoding | np.ndarray,
-    cp: CorruptionParams,
-) -> np.ndarray:
+def corrupt_connectivity(x: np.ndarray, p: np.ndarray, params: CohortParams, seed) -> np.ndarray:
     """Diminish and noise off-diagonal entries touching damaged ROIs.
 
-    Entries (i, j) with min(p_i, p_j) < 1 become
-    clip(X_ij^(min(p_i, p_j)^gamma) + eta_ij) with symmetric gaussian noise
-    of scale sigma_rel * std(X); clipping keeps the original [min X, max X]
-    range. As X = exp(r), diminution shrinks the correlation r = log X toward
-    0 with its sign kept: a fully lesioned ROI (p = 0) goes to X = 1 plus
-    noise. Intact pairs and the diagonal are untouched.
+    Entries (i, j) with min(p_i, p_j) < 1 become clip(X_ij^(min(p_i, p_j)^gamma)
+    + eta_ij), gamma = params.corruption_gamma, with symmetric gaussian noise
+    eta of scale params.corruption_sigma_rel * std(X) from SeedSequence(seed);
+    clipping keeps the original [min X, max X] range. As X = exp(r), diminution
+    shrinks the correlation r = log X toward 0 with its sign kept: a fully
+    lesioned ROI (p = 0) goes to X = 1 plus noise. Intact pairs and the
+    diagonal are untouched.
     """
-    p = lesion.p if isinstance(lesion, LesionEncoding) else np.asarray(lesion, dtype=float)
     n = x.shape[0]
     if x.shape != (n, n) or p.shape != (n,):
         raise InputError(f"shape mismatch: X {x.shape}, p {p.shape}")
@@ -357,13 +332,13 @@ def corrupt_connectivity(
     if not modified.any():
         return x.copy()
 
-    rng = np.random.default_rng(np.random.SeedSequence(cp.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     noise = rng.standard_normal((n, n))
     eta = np.triu(noise, 1)
-    eta = (eta + eta.T) * (cp.sigma_rel * float(np.std(x)))
+    eta = (eta + eta.T) * (params.corruption_sigma_rel * float(np.std(x)))
 
     with np.errstate(invalid="ignore"):
-        damped = np.power(x, np.power(pmin, cp.gamma)) + eta
+        damped = np.power(x, np.power(pmin, params.corruption_gamma)) + eta
     damped = np.clip(damped, x.min(), x.max())
     return np.where(modified, damped, x)
 
@@ -389,23 +364,20 @@ def _derived_seed(*key: int) -> int:
     return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
-def lesion_subject(
-    healthy: HealthySubject,
-    atlas: ToyAtlas,
-    spec: LesionSpec,
-    corruption: CorruptionParams,
-) -> tuple[SubjectRecord, LesionMask]:
+def lesion_subject(healthy: HealthySubject, atlas: ToyAtlas, spec: LesionSpec,
+                   params: CohortParams, corruption_seed) -> tuple[SubjectRecord, LesionMask]:
     """Apply one artificial lesion to a healthy subject.
 
-    The mask comes from `grow_lesion`'s stream SeedSequence(spec.seed) and the
-    lesioned voxels' signal from the independent SeedSequence((spec.seed, 1)),
-    so the record is a pure function of the healthy subject and the spec.
+    The mask comes from `grow_lesion`'s stream SeedSequence(spec.seed), the
+    lesioned voxels' signal from the independent SeedSequence((spec.seed, 1))
+    and the connectivity noise, set by `params`' corruption_* fields, from
+    SeedSequence(corruption_seed); the record is a pure function of these.
     """
     lesion = grow_lesion(atlas, spec)
     ts = lesioned_roi_series(healthy, atlas, lesion, np.random.SeedSequence((spec.seed, 1)))
     x = exponentiate(correlation_matrix(ts))
     encoding = spared_fractions(atlas, lesion)
-    x = corrupt_connectivity(x, encoding, corruption)
+    x = corrupt_connectivity(x, encoding.p, params, corruption_seed)
     y = rescale_score(healthy.y0, atlas, lesion)
     record = SubjectRecord(id=healthy.id, x=x, lesion=encoding, y=y)
     return record, lesion
@@ -443,19 +415,17 @@ def generate_cohort(
         fraction = float(draw_rng.uniform(*policy.fraction_range))
         spec = LesionSpec(territory=territory, target_fraction=fraction,
                           seed=_derived_seed(master_seed, i, 1))
-        corruption = CorruptionParams(gamma=params.corruption_gamma,
-                                      sigma_rel=params.corruption_sigma_rel,
-                                      seed=_derived_seed(master_seed, i, 2))
+        corruption_seed = _derived_seed(master_seed, i, 2)
         healthy = generate_healthy_subject(
             atlas, np.random.SeedSequence((master_seed, i, 3)), params, subject_id)
-        record, lesion = lesion_subject(healthy, atlas, spec, corruption)
+        record, lesion = lesion_subject(healthy, atlas, spec, params, corruption_seed)
         records.append(record)
         manifest_subjects.append({
             "id": subject_id,
             "territory": territory,
             "target_fraction": fraction,
             "lesion_seed": spec.seed,
-            "corruption_seed": corruption.seed,
+            "corruption_seed": corruption_seed,
             "lesion_size": lesion.size,
             "territory_spared": territory_spared_fraction(atlas, lesion),
             "y0": healthy.y0,

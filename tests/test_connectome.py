@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import math
 import struct
@@ -146,6 +148,30 @@ class TestToyAtlas:
 
     def test_roi_sizes_cover_grid(self, small_atlas):
         assert small_atlas.roi_sizes().sum() == np.prod(small_atlas.grid_dims)
+
+    def test_roi_sizes_read_only_and_fresh_in_copies(self):
+        atlas = build_toy_atlas(n_rois=12, grid_dims=(8, 8, 8))
+        sizes = atlas.roi_sizes()  # fills the cache
+        assert sizes[:3].tolist() == [48, 48, 32]
+        with pytest.raises(ValueError):
+            sizes[0] = 0
+        # ROI 2 joins ROI 1 and ROI 3 becomes ROI 2
+        roi = atlas.roi_of_voxel
+        relabelled = np.where(roi == 2, 1, np.where(roi == 3, 2, roi))
+        assert dataclasses.replace(atlas, roi_of_voxel=relabelled).roi_sizes()[:3].tolist() == [
+            96, 32, 0]
+        # a shallow copy keeps the labels, and they cannot be reassigned
+        clone = copy.copy(atlas)
+        assert np.array_equal(clone.roi_sizes(), sizes)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.roi_of_voxel = relabelled
+        assert atlas.roi_sizes()[:3].tolist() == [48, 48, 32]
+
+    @pytest.mark.parametrize("kwargs", [{"n_territories": 5},
+                                        {"n_rois": 18, "grid_dims": (6, 6, 3)}])
+    def test_impossible_layout_is_an_input_error(self, kwargs):
+        with pytest.raises(InputError):
+            build_toy_atlas(**kwargs)
 
     def test_atlas_file_round_trip(self, small_atlas, tmp_path):
         path = tmp_path / "atlas.bin"

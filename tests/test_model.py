@@ -651,3 +651,43 @@ class TestParamsAndCheckpoints:
         path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", math.nan))
         with pytest.raises(InputError, match="non-finite"):
             load_checkpoint(path)
+
+
+class TestInputsCheckedWhereTheyEnter:
+    """Bad values raise an InputError, naming the problem, where they enter
+    the model; the tensor engine does not check entries."""
+
+    @pytest.mark.parametrize("bad", [{"lam": float("nan")}, {"lam": -1.0}, {"k": 0}])
+    def test_hyperparams_checked_at_construction(self, bad):
+        with pytest.raises(InputError):
+            HyperParams(n_rois=6, **bad)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("what", ["X", "p", "y"])
+    def test_predict_names_the_subject_with_a_non_finite_input(self, what, kind):
+        hyper = HyperParams(n_rois=6)
+        rec = random_subject(np.random.default_rng(0), 6)
+        rec.id = "s007"
+        if what == "X":
+            rec.x[0, 1] = np.nan
+        elif what == "p":
+            rec.lesion.p[2] = np.inf
+        else:
+            rec.y = np.nan
+        with pytest.raises(InputError, match=f"subject 's007': {what} has non-finite"):
+            predict(rec, init_params(kind, hyper, 0), hyper, kind)
+
+    def test_predict_names_a_non_finite_parameter(self):
+        hyper = HyperParams(n_rois=6)
+        params = init_params(MODEL_LEGNET, hyper, 0)
+        params["r"][0, 0] = np.inf
+        with pytest.raises(InputError, match="'r' has non-finite"):
+            predict(random_subject(np.random.default_rng(0), 6), params, hyper)
+
+    @pytest.mark.parametrize("lam", [float("nan"), -1.0, True])
+    def test_batch_loss_rejects_a_bad_ridge_weight(self, lam):
+        hyper = HyperParams(n_rois=6, k=3)
+        batch = prepare_dataset([random_subject(np.random.default_rng(0), 6)], MODEL_LEGNET)
+        params_t = as_tensors(init_params(MODEL_LEGNET, hyper, 0))
+        with pytest.raises(InputError, match="lam must be"):
+            batch_loss_and_grads(batch, params_t, hyper, MODEL_LEGNET, lam)

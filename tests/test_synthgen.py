@@ -9,7 +9,6 @@ from legnet import synthgen
 from legnet.connectome import (
     FACE_STRUCTURE,
     InputError,
-    LesionEncoding,
     LesionMask,
     ToyAtlas,
     build_toy_atlas,
@@ -20,10 +19,8 @@ from legnet.synthgen import (
     FRACTION_MAX,
     FRACTION_MIN,
     CohortParams,
-    CorruptionParams,
     LesionPolicy,
     LesionSpec,
-    LesionSpecError,
     corrupt_connectivity,
     generate_cohort,
     generate_healthy_subject,
@@ -59,19 +56,19 @@ def cohort_bytes(records):
 
 class TestLesionSpec:
     def test_fraction_bounds_enforced(self):
-        with pytest.raises(LesionSpecError):
+        with pytest.raises(InputError):
             LesionSpec(territory=1, target_fraction=0.03, seed=0)
-        with pytest.raises(LesionSpecError):
+        with pytest.raises(InputError):
             LesionSpec(territory=1, target_fraction=0.25, seed=0)
 
     def test_right_territory_rejected(self, atlas):
-        with pytest.raises(LesionSpecError):
+        with pytest.raises(InputError):
             grow_lesion(atlas, LesionSpec(territory=5, target_fraction=0.1, seed=0))
 
     def test_too_small_territory_rejected(self):
         tiny = build_toy_atlas(n_rois=6, grid_dims=(4, 4, 3), n_territories=6)
         # territories have 8 voxels; 5% rounds to zero target voxels
-        with pytest.raises(LesionSpecError):
+        with pytest.raises(InputError):
             grow_lesion(tiny, LesionSpec(territory=1, target_fraction=0.05, seed=0))
 
 
@@ -172,7 +169,7 @@ def _reference_grow_lesion(atlas, spec):
             filled = np.zeros(dims, dtype=bool)
             filled[box] = filled_box
             return frozenset(map(tuple, np.argwhere(filled).tolist())), attempt
-    return LesionSpecError, synthgen._MAX_GROW_ATTEMPTS
+    return InputError, synthgen._MAX_GROW_ATTEMPTS
 
 
 def _padded_atlas(atlas, pad):
@@ -204,8 +201,8 @@ class TestGrowLesionOracle:
     def outcome(atlas, spec):
         try:
             return grow_lesion(atlas, spec).voxels
-        except LesionSpecError:
-            return LesionSpecError
+        except InputError:
+            return InputError
 
     @pytest.fixture(scope="class", params=["90 ROIs, 32^3", "90 ROIs, 16^3", "12 ROIs, 8^3",
                                            "padded 90 ROIs, 16^3"])
@@ -246,13 +243,13 @@ class TestCorruptConnectivity:
 
     def test_intact_subject_unchanged(self):
         x = self.x_fixture()
-        out = corrupt_connectivity(x, np.ones(5), CorruptionParams(seed=3))
+        out = corrupt_connectivity(x, np.ones(5), CohortParams(), 3)
         assert np.array_equal(out, x)
 
     def test_deterministic_diminution(self):
         x = self.x_fixture()
         p = np.array([0.5, 1.0, 1.0, 1.0, 1.0])
-        out = corrupt_connectivity(x, p, CorruptionParams(gamma=1.0, sigma_rel=0.0, seed=0))
+        out = corrupt_connectivity(x, p, CohortParams(corruption_sigma_rel=0.0), 0)
         expected = np.clip(x[0, 1] ** 0.5, x.min(), x.max())
         assert out[0, 1] == pytest.approx(expected)
         # without noise, every damaged pair keeps the sign of its correlation
@@ -267,8 +264,7 @@ class TestCorruptConnectivity:
     def test_range_symmetry_and_modified_set(self):
         x = self.x_fixture()
         p = np.array([0.0, 0.4, 1.0, 1.0, 0.9])
-        out = corrupt_connectivity(x, LesionEncoding(p=p),
-                                   CorruptionParams(gamma=1.0, sigma_rel=0.2, seed=9))
+        out = corrupt_connectivity(x, p, CohortParams(corruption_sigma_rel=0.2), 9)
         assert np.array_equal(out, out.T)
         assert out.min() >= x.min() and out.max() <= x.max()
         pmin = np.minimum.outer(p, p)
@@ -281,8 +277,9 @@ class TestCorruptConnectivity:
     def test_same_seed_same_noise(self):
         x = self.x_fixture()
         p = np.array([0.2, 1.0, 0.7, 1.0, 1.0])
-        cp = CorruptionParams(sigma_rel=0.3, seed=21)
-        assert np.array_equal(corrupt_connectivity(x, p, cp), corrupt_connectivity(x, p, cp))
+        cp = CohortParams(corruption_sigma_rel=0.3)
+        assert np.array_equal(corrupt_connectivity(x, p, cp, 21),
+                              corrupt_connectivity(x, p, cp, 21))
 
 
 class TestRescaleScore:
@@ -375,6 +372,11 @@ class TestGenerateCohort:
                                      policy=policy_by_name("ds2-like"))
         assert np.mean([r.y for r in shifted]) < np.mean([r.y for r in base])
 
+    def test_lesion_of_no_voxels_is_an_input_error(self):
+        # in 8-voxel territories a lesion fraction under 1/16 rounds to 0 voxels
+        with pytest.raises(InputError, match="cannot host a lesion of 0 voxels"):
+            generate_cohort(40, build_toy_atlas(12, (4, 4, 3)), 0)
+
     @pytest.mark.parametrize("n", [0, 2.5])
     def test_cohort_size_must_be_a_positive_integer(self, atlas, n):
         # 2.5 used to raise TypeError from range()
@@ -389,7 +391,7 @@ class TestGenerateCohort:
     @pytest.mark.parametrize("fraction_range", [
         (0.3, 0.5), (0.15, 0.10), (FRACTION_MIN - 0.01, FRACTION_MAX)])
     def test_policy_checks_its_fraction_range(self, fraction_range):
-        # (0.3, 0.5) used to construct, then raise LesionSpecError in generate_cohort
+        # (0.3, 0.5) used to construct, then fail to grow a lesion in generate_cohort
         with pytest.raises(InputError, match="fraction_range"):
             LesionPolicy("x", fraction_range)
         LesionPolicy("x", (FRACTION_MIN, FRACTION_MIN))
@@ -492,6 +494,8 @@ class TestCohortParams:
         {"t_len": 2.5},
         {"n_communities": True},
         {"language_territory": 2.0},
+        {"corruption_sigma_rel": float("inf")},
+        {"corruption_sigma_rel": -0.1},
     ])
     def test_rejected(self, bad):
         # n_communities 1 and 0 used to raise IndexError and an inverted
@@ -503,13 +507,11 @@ class TestCohortParams:
             CohortParams(**bad)
 
     @pytest.mark.parametrize("make", [
-        lambda: CorruptionParams(gamma=float("nan")),
-        lambda: CorruptionParams(sigma_rel=float("inf")),
-        lambda: CorruptionParams(sigma_rel=-0.1),
         lambda: LesionPolicy("x", score_mu=float("nan")),
         lambda: LesionPolicy("x", score_mu=True),
-    ], ids=["gamma-nan", "sigma-inf", "sigma-negative", "policy-mu-nan", "policy-mu-bool"])
+    ], ids=["policy-mu-nan", "policy-mu-bool"])
     def test_corruption_and_policy_reject_non_finite(self, make):
+        # the corruption settings are CohortParams fields, checked in test_rejected
         with pytest.raises(InputError):
             make()
 
