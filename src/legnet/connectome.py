@@ -1,10 +1,10 @@
 """Data model for parcellated brains, lesions, connectivity and subject files.
 
 A :class:`ToyAtlas` labels a voxel grid with ROIs, arterial territories, and
-hemispheres. A :class:`LesionMask` is a set of damaged voxels; per ROI it
-removes :func:`lesioned_counts` voxels and leaves the spared fractions p_i,
-held in :class:`LesionEncoding`. Model inputs come from (N, Tlen) ROI mean
-time series:
+hemispheres. A :class:`LesionMask` holds the damaged voxels as sorted flat
+indices into that grid; per ROI it removes :func:`lesioned_counts` voxels and
+leaves the spared fractions p_i, held in :class:`LesionEncoding`. Model
+inputs come from (N, Tlen) ROI mean time series:
 
     ROI mean series -> Pearson correlation -> exponentiation -> X
 
@@ -18,17 +18,13 @@ import math
 import numbers
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
 
-Voxel = tuple[int, int, int]
-
 HEMI_LEFT = 0
 HEMI_RIGHT = 1
 
-_ATLAS_MAGIC = b"LEGA"
 _COHORT_MAGIC = b"LEGC"
 _FORMAT_VERSION = 1
 
@@ -124,7 +120,7 @@ class ToyAtlas:
             if bbox is None:
                 raise InputError(f"ROI {roi} is empty")
             cells = self.roi_of_voxel[bbox] == roi
-            if not region_is_face_connected(cells):
+            if not _region_is_face_connected(cells):
                 raise InputError(f"ROI {roi} is not face-connected")
             if len(np.unique(self.hemisphere_of_voxel[bbox][cells])) != 1:
                 raise InputError(f"ROI {roi} spans hemispheres")
@@ -134,7 +130,7 @@ class ToyAtlas:
         for t, bbox in enumerate(boxes, start=1):
             if bbox is None:
                 raise InputError(f"territory {t} is empty")
-            if not region_is_face_connected(self.territory_of_voxel[bbox] == t):
+            if not _region_is_face_connected(self.territory_of_voxel[bbox] == t):
                 raise InputError(f"territory {t} is not face-connected")
 
 
@@ -226,75 +222,69 @@ def _largest_remainder_quotas(total: int, sizes: list[int]) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# geometry helpers shared by lesion validation
+# lesion masks
 # ----------------------------------------------------------------------
 
 
-def region_is_face_connected(cells: np.ndarray) -> bool:
+def _region_is_face_connected(cells: np.ndarray) -> bool:
     """True if the set bits of a boolean grid form one 6-connected component."""
     return ndimage.label(cells, structure=FACE_STRUCTURE)[1] == 1
 
 
-def region_is_hole_free(cells: np.ndarray) -> bool:
-    """True if the mask encloses no cavity: every non-mask voxel reaches the
-    grid boundary through face-adjacent non-mask voxels."""
-    return np.array_equal(ndimage.binary_fill_holes(cells, structure=FACE_STRUCTURE), cells)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LesionMask:
-    """Damaged voxels. Valid masks are non-empty, face-connected, hole-free,
-    entirely left-hemisphere, and confined to one arterial territory."""
+    """Damaged voxels of a `grid_dims` grid as `flat`, a read-only copy of
+    their sorted, distinct C-order flat indices. Valid masks are non-empty,
+    face-connected, hole-free, entirely left-hemisphere, and confined to one
+    arterial territory."""
 
-    voxels: frozenset[Voxel]
+    flat: np.ndarray
+    grid_dims: tuple[int, int, int]
+
+    def __post_init__(self):
+        flat = np.array(self.flat, dtype=np.intp)
+        if flat.ndim != 1:
+            raise InputError(f"lesion indices must be 1-D, got shape {flat.shape}")
+        if np.any(flat[1:] <= flat[:-1]):
+            raise InputError("lesion indices must be sorted and distinct")
+        if flat.size and (flat[0] < 0 or flat[-1] >= math.prod(self.grid_dims)):
+            raise InputError(f"lesion indices {flat[0]}..{flat[-1]} outside grid {self.grid_dims}")
+        flat.flags.writeable = False
+        object.__setattr__(self, "flat", flat)
 
     @property
     def size(self) -> int:
-        return len(self.voxels)
+        return self.flat.size
 
-    @cached_property
-    def _sorted_coords(self) -> np.ndarray:
-        idx = np.array(list(self.voxels), dtype=np.intp).reshape(len(self.voxels), 3)
-        idx = idx[np.lexsort(idx.T[::-1])]
-        idx.flags.writeable = False
-        return idx
+    def labels(self, grid: np.ndarray) -> np.ndarray:
+        """The entries of an atlas label grid at the lesion's voxels."""
+        if grid.shape != self.grid_dims:
+            raise InputError(f"lesion on grid {self.grid_dims} read against grid {grid.shape}")
+        return grid.reshape(-1)[self.flat]
 
-    def coords(self, grid_dims: tuple[int, int, int]) -> np.ndarray:
-        """(K, 3) read-only voxel coordinates sorted in C order.
-
-        Raises InputError if any voxel lies outside the grid. The sort makes
-        the result independent of the set's iteration order; it runs once
-        per mask, the grid check on every call.
-        """
-        idx = self._sorted_coords
-        outside = np.any((idx < 0) | (idx >= np.asarray(grid_dims)), axis=1)
-        if outside.any():
-            voxel = tuple(int(a) for a in idx[outside][0])
-            raise InputError(f"lesion voxel {voxel} outside grid {tuple(grid_dims)}")
-        return idx
-
-    def to_dense(self, grid_dims: tuple[int, int, int]) -> np.ndarray:
-        mask = np.zeros(grid_dims, dtype=bool)
-        mask[tuple(self.coords(grid_dims).T)] = True
+    def to_dense(self) -> np.ndarray:
+        mask = np.zeros(self.grid_dims, dtype=bool)
+        mask.reshape(-1)[self.flat] = True
         return mask
 
     def territory(self, atlas: ToyAtlas) -> int:
         """The single territory containing the mask (raises if mixed)."""
-        territories = np.unique(atlas.territory_of_voxel[tuple(self.coords(atlas.grid_dims).T)])
+        territories = np.unique(self.labels(atlas.territory_of_voxel))
         if len(territories) != 1:
             raise InputError(f"lesion spans territories {territories.tolist()}")
         return int(territories[0])
 
     def validate(self, atlas: ToyAtlas) -> None:
-        if not self.voxels:
+        if not self.size:
             raise InputError("lesion mask is empty")
-        dense = self.to_dense(atlas.grid_dims)
-        if np.any(atlas.hemisphere_of_voxel[dense] != HEMI_LEFT):
+        if np.any(self.labels(atlas.hemisphere_of_voxel) != HEMI_LEFT):
             raise InputError("lesion leaves the left hemisphere")
         self.territory(atlas)
-        if not region_is_face_connected(dense):
+        dense = self.to_dense()
+        if not _region_is_face_connected(dense):
             raise InputError("lesion is not face-connected")
-        if not region_is_hole_free(dense):
+        # a cavity: non-mask voxels with no face-adjacent path to the grid boundary
+        if not np.array_equal(ndimage.binary_fill_holes(dense, structure=FACE_STRUCTURE), dense):
             raise InputError("lesion encloses a cavity")
 
 
@@ -357,14 +347,13 @@ class LesionEncoding:
     def validate(self) -> None:
         if self.p.ndim != 1:
             raise InputError("lesion encoding must be a vector")
-        if np.any(self.p < 0.0) or np.any(self.p > 1.0) or not np.all(np.isfinite(self.p)):
+        if not ((self.p >= 0.0) & (self.p <= 1.0)).all():  # NaN fails both
             raise InputError("spared fractions must lie in [0, 1]")
 
 
 def lesioned_counts(atlas: ToyAtlas, lesion: LesionMask) -> np.ndarray:
     """Number of each ROI's voxels that the lesion covers, shape (N,)."""
-    rois = atlas.roi_of_voxel[tuple(lesion.coords(atlas.grid_dims).T)]
-    return np.bincount(rois, minlength=atlas.n_rois + 1)[1:]
+    return np.bincount(lesion.labels(atlas.roi_of_voxel), minlength=atlas.n_rois + 1)[1:]
 
 
 def spared_fractions(atlas: ToyAtlas, lesion: LesionMask) -> LesionEncoding:
@@ -382,21 +371,19 @@ class SubjectRecord:
     lesion: LesionEncoding
     y: float
 
-    @property
-    def n_rois(self) -> int:
-        return self.x.shape[0]
-
     def validate(self) -> None:
+        """InputError unless X is square, p is a valid N-vector and 0 <= y <= 100."""
         if self.x.ndim != 2 or self.x.shape[0] != self.x.shape[1]:
             raise InputError(f"X must be square, got {self.x.shape}")
         if self.lesion.p.shape != (self.x.shape[0],):
             raise InputError("lesion encoding length does not match X")
         if not (math.isfinite(self.y) and 0.0 <= self.y <= 100.0):
             raise InputError(f"score {self.y} outside [0, 100]")
+        self.lesion.validate()
 
 
 # ----------------------------------------------------------------------
-# file formats (layouts in the save_* docstrings)
+# cohort file format (layout in the save_cohort docstring)
 # ----------------------------------------------------------------------
 
 
@@ -435,50 +422,10 @@ class _ExactReader:
             raise InputError(f"trailing bytes in {self._kind} file")
 
 
-def save_atlas(path, atlas: ToyAtlas) -> None:
-    """Write the binary atlas format: LEGA header + one record per voxel."""
-    gx, gy, gz = atlas.grid_dims
-    with open(path, "wb") as fh:
-        fh.write(_ATLAS_MAGIC)
-        fh.write(struct.pack("<IIIIII", _FORMAT_VERSION, gx, gy, gz,
-                             atlas.n_rois, atlas.n_territories))
-        roi = atlas.roi_of_voxel.reshape(-1).astype("<u2")
-        terr = atlas.territory_of_voxel.reshape(-1).astype("<u2")
-        hemi = atlas.hemisphere_of_voxel.reshape(-1).astype("u1")
-        rec = np.empty(roi.size, dtype=[("roi", "<u2"), ("terr", "<u2"), ("hemi", "u1")])
-        rec["roi"], rec["terr"], rec["hemi"] = roi, terr, hemi
-        fh.write(rec.tobytes())
-
-
-def load_atlas(path) -> ToyAtlas:
-    """Read an atlas file and check every atlas invariant (`ToyAtlas.validate`)."""
-    reader = _ExactReader(path, "atlas")
-    magic = bytes(reader.take(4))
-    if magic != _ATLAS_MAGIC:
-        raise InputError(f"not an atlas file (magic {magic!r})")
-    version, gx, gy, gz, n_rois, n_terr = reader.unpack("<IIIIII")
-    if version != _FORMAT_VERSION:
-        raise InputError(f"unsupported atlas format version {version}")
-    rec = reader.array([("roi", "<u2"), ("terr", "<u2"), ("hemi", "u1")], gx * gy * gz)
-    reader.finish()
-    dims = (gx, gy, gz)
-    atlas = ToyAtlas(
-        grid_dims=dims,
-        roi_of_voxel=rec["roi"].astype(np.int32).reshape(dims),
-        territory_of_voxel=rec["terr"].astype(np.int32).reshape(dims),
-        hemisphere_of_voxel=rec["hemi"].astype(np.uint8).reshape(dims),
-        n_rois=n_rois,
-        n_territories=n_terr,
-    )
-    atlas.validate()
-    return atlas
-
-
 def _check_record(record: SubjectRecord) -> None:
     """The checks every record passes on save and on load."""
     try:
         record.validate()
-        record.lesion.validate()
         validate_connectivity(record.x)
     except InputError as exc:
         raise InputError(f"subject {record.id!r}: {exc}") from None
@@ -514,8 +461,8 @@ def save_cohort(path, records: list[SubjectRecord]) -> None:
 
 
 def load_cohort(path) -> list[SubjectRecord]:
-    """Read a cohort file; every record must pass `SubjectRecord.validate`,
-    `LesionEncoding.validate` and `validate_connectivity`."""
+    """Read a cohort file; every record must pass `SubjectRecord.validate`
+    and `validate_connectivity`."""
     reader = _ExactReader(path, "cohort")
     magic = bytes(reader.take(4))
     if magic != _COHORT_MAGIC:

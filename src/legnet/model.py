@@ -327,11 +327,16 @@ def _kind(kind: str) -> ModelKind:
 
 def prepare_subject(record: SubjectRecord, kind: str) -> PreparedSubject:
     """The kind's input tensors for one record; an InputError names the
-    subject if X, p or y has a non-finite entry."""
+    subject if X, p or y has a non-finite entry or the record fails
+    `SubjectRecord.validate`."""
     target = np.array([float(record.y)])
-    for name, arr in (("X", record.x), ("p", record.lesion.p), ("y", target)):
-        if not np.all(np.isfinite(arr)):
-            raise InputError(f"subject {record.id!r}: {name} has non-finite entries")
+    try:
+        for name, arr in (("X", record.x), ("p", record.lesion.p), ("y", target)):
+            if not np.all(np.isfinite(arr)):
+                raise InputError(f"{name} has non-finite entries")
+        record.validate()
+    except InputError as exc:
+        raise InputError(f"subject {record.id!r}: {exc}") from None
     x, p = _kind(kind).inputs(record.x, record.lesion.p)
     return PreparedSubject(
         id=record.id,

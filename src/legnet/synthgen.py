@@ -299,7 +299,7 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
             filled_count = int(np.count_nonzero(grown[box]))
 
         if 0 <= filled_count - target <= slack:
-            return LesionMask(voxels=frozenset(map(tuple, (np.argwhere(grown) - 1).tolist())))
+            return LesionMask(np.flatnonzero(grown[1:-1, 1:-1, 1:-1]), atlas.grid_dims)
 
     raise InputError(
         f"could not grow a lesion within the hole-fill slack after "

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import re
 import struct
 
 import numpy as np
@@ -21,11 +22,7 @@ from legnet.connectome import (
     correlation_matrix,
     exponentiate,
     lesioned_counts,
-    load_atlas,
     load_cohort,
-    region_is_face_connected,
-    region_is_hole_free,
-    save_atlas,
     save_cohort,
     spared_fractions,
     validate_connectivity,
@@ -66,6 +63,12 @@ DAMAGE = dict(cut=st.integers(0, 1024),
 def box(x0, x1, y0, y1, z0, z1) -> frozenset:
     """Voxels of the half-open box [x0, x1) x [y0, y1) x [z0, z1)."""
     return frozenset(itertools.product(range(x0, x1), range(y0, y1), range(z0, z1)))
+
+
+def mask_of(voxels, grid_dims=(16, 16, 16)) -> LesionMask:
+    """The LesionMask of some (x, y, z) voxels of a grid."""
+    coords = np.array(list(voxels), dtype=np.intp).reshape(-1, 3)
+    return LesionMask(np.sort(np.ravel_multi_index(tuple(coords.T), grid_dims)), grid_dims)
 
 
 # Corruptions of the 24-ROI small atlas. Its ROIs are boxes: ROI 1 is
@@ -173,17 +176,6 @@ class TestToyAtlas:
         with pytest.raises(InputError):
             build_toy_atlas(**kwargs)
 
-    def test_atlas_file_round_trip(self, small_atlas, tmp_path):
-        path = tmp_path / "atlas.bin"
-        save_atlas(path, small_atlas)
-        loaded = load_atlas(path)
-        assert loaded.grid_dims == small_atlas.grid_dims
-        assert loaded.n_rois == small_atlas.n_rois
-        assert loaded.n_territories == small_atlas.n_territories
-        assert np.array_equal(loaded.roi_of_voxel, small_atlas.roi_of_voxel)
-        assert np.array_equal(loaded.territory_of_voxel, small_atlas.territory_of_voxel)
-        assert np.array_equal(loaded.hemisphere_of_voxel, small_atlas.hemisphere_of_voxel)
-
     @pytest.mark.parametrize("corrupt, message", [
         (_merge_roi_24_into_23, "ROI 24 is empty"),
         (_move_corner_of_roi_4_to_roi_1, "ROI 1 is not face-connected"),
@@ -208,125 +200,46 @@ class TestToyAtlas:
         with pytest.raises(InputError, match="outside"):
             corrupted(small_atlas, corrupt).validate()
 
-    def test_atlas_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"nope")
-        with pytest.raises(InputError):
-            load_atlas(path)
-
-    def test_atlas_load_validates_labels_against_header(self, small_atlas, tmp_path):
-        # a header of 20 ROIs over labels reaching 24 used to load, then
-        # raise IndexError in compute_roi_timeseries
-        path = tmp_path / "atlas.bin"
-        save_atlas(path, small_atlas)
-        data = bytearray(path.read_bytes())
-        struct.pack_into("<I", data, 20, 20)  # n_rois: magic + 4 uint32 fields in
-        path.write_bytes(bytes(data))
-        with pytest.raises(InputError, match="outside"):
-            load_atlas(path)
-
-    @pytest.mark.parametrize("length", [14, "half", "one short", "one long"])
-    def test_atlas_load_requires_exact_length(self, small_atlas, tmp_path, length):
-        path = tmp_path / "atlas.bin"
-        save_atlas(path, small_atlas)
-        data = path.read_bytes()
-        size = {"half": len(data) // 2, "one short": len(data) - 1,
-                "one long": len(data) + 1}.get(length, length)
-        path.write_bytes((data + b"\0")[:size])
-        with pytest.raises(InputError, match="truncated|trailing"):
-            load_atlas(path)
-
-
-class TestGeometryChecks:
-    def test_connected_blob(self):
-        grid = np.zeros((5, 5, 5), dtype=bool)
-        grid[1:3, 1, 1] = True
-        assert region_is_face_connected(grid)
-
-    def test_diagonal_is_not_face_connected(self):
-        grid = np.zeros((5, 5, 5), dtype=bool)
-        grid[1, 1, 1] = True
-        grid[2, 2, 2] = True
-        assert not region_is_face_connected(grid)
-
-    def test_hollow_cube_has_a_cavity(self):
-        grid = np.zeros((7, 7, 7), dtype=bool)
-        grid[1:6, 1:6, 1:6] = True
-        grid[3, 3, 3] = False
-        assert not region_is_hole_free(grid)
-        grid[3, 3, 3] = True
-        assert region_is_hole_free(grid)
-
-    def test_empty_mask_is_disconnected_and_hole_free(self):
-        grid = np.zeros((4, 4, 4), dtype=bool)
-        assert not region_is_face_connected(grid)
-        assert region_is_hole_free(grid)
-
-    def test_cavity_with_only_edge_contact_to_outside_is_a_hole(self):
-        # the six face neighbours of the centre are set; the centre still
-        # touches the outside through its edge (diagonal) neighbours
-        grid = np.zeros((5, 5, 5), dtype=bool)
-        for axis in range(3):
-            for step in (-1, 1):
-                v = [2, 2, 2]
-                v[axis] += step
-                grid[tuple(v)] = True
-        assert not region_is_hole_free(grid)
-
-    def test_pocket_open_to_grid_boundary_is_not_a_hole(self):
-        grid = np.zeros((5, 5, 5), dtype=bool)
-        grid[0:3, :, :] = True
-        grid[0:2, 2, 2] = False  # tunnel from the x = 0 face into the slab
-        assert region_is_face_connected(grid)
-        assert region_is_hole_free(grid)
-
-    @pytest.mark.parametrize("voxel", [(16, 0, 0), (0, -1, 0)])
-    def test_out_of_grid_lesion_voxel_rejected(self, small_atlas, voxel):
-        lesion = LesionMask(frozenset({(0, 0, 0), voxel}))
-        with pytest.raises(InputError, match="outside grid"):
-            lesioned_counts(small_atlas, lesion)
-        with pytest.raises(InputError, match="outside grid"):
-            spared_fractions(small_atlas, lesion)
-
 
 class TestLesionMask:
     VALID = box(2, 5, 2, 5, 1, 4)  # inside territory 1, left hemisphere
 
-    def test_valid_lesion_passes(self, small_atlas):
-        LesionMask(self.VALID).validate(small_atlas)
-        assert LesionMask(self.VALID).territory(small_atlas) == 1
+    @pytest.mark.parametrize("voxels", [
+        VALID,
+        # a pocket open to the grid boundary is not a cavity
+        box(0, 3, 0, 5, 0, 5) - {(0, 2, 2), (1, 2, 2)},
+    ])
+    def test_valid_lesion_passes(self, small_atlas, voxels):
+        mask_of(voxels).validate(small_atlas)
+        assert mask_of(voxels).territory(small_atlas) == 1
 
-    def test_coords_are_sorted_in_c_order(self):
-        lesion = LesionMask(frozenset({(1, 0, 0), (0, 2, 1), (0, 2, 0), (0, 0, 3)}))
-        assert lesion.coords((2, 3, 4)).tolist() == [[0, 0, 3], [0, 2, 0], [0, 2, 1], [1, 0, 0]]
-        assert LesionMask(frozenset()).coords((2, 3, 4)).shape == (0, 3)
+    @pytest.mark.parametrize("flat, message", [
+        ([0, 4096], r"indices 0\.\.4096 outside grid"),
+        ([-1, 0], r"indices -1\.\.0 outside grid"),
+        ([5, 3], "sorted and distinct"),
+        ([3, 3], "sorted and distinct"),
+        ([[0, 1]], "1-D"),
+    ], ids=["past-the-end", "negative", "unsorted", "repeated", "2-D"])
+    def test_construction_rejects(self, flat, message):
+        with pytest.raises(InputError, match=message):
+            LesionMask(np.array(flat), (16, 16, 16))
 
-    def test_coords_repeat_read_only(self):
-        lesion = LesionMask(frozenset({(1, 0, 0), (0, 2, 1), (0, 0, 3)}))
-        first = lesion.coords((2, 3, 4))
-        assert np.array_equal(lesion.coords((2, 3, 4)), first)
-        assert np.array_equal(lesion.coords((5, 5, 5)), first)
-        assert not first.flags.writeable
+    def test_flat_is_a_read_only_copy(self):
+        flat = np.array([3, 17, 40])
+        lesion = LesionMask(flat, (4, 4, 4))
+        flat[0] = 0
+        assert lesion.flat.tolist() == [3, 17, 40]
         with pytest.raises(ValueError):
-            first[0, 0] = 1
+            lesion.flat[0] = 1
+        assert np.flatnonzero(lesion.to_dense()).tolist() == [3, 17, 40]
 
-    def test_coords_check_the_grid_on_every_call(self):
-        lesion = LesionMask(frozenset({(0, 0, 0), (3, 1, 1)}))
-        for dims in ((3, 2, 2), (3, 2, 2), (4, 1, 2)):
-            with pytest.raises(InputError, match="outside grid"):
-                lesion.coords(dims)
-        assert lesion.coords((4, 2, 2)).tolist() == [[0, 0, 0], [3, 1, 1]]
-        with pytest.raises(InputError, match=r"\(3, 1, 1\) outside grid \(2, 2, 2\)"):
-            lesion.coords((2, 2, 2))
-
-    def test_coords_cache_leaves_equality_and_hash(self):
-        cached, fresh = LesionMask(self.VALID), LesionMask(self.VALID)
-        before = hash(cached)
-        cached.coords((16, 8, 8))
-        assert cached == fresh
-        assert hash(cached) == before == hash(fresh)
-        assert len({cached, fresh}) == 1
-        assert repr(cached) == repr(fresh)
+    @pytest.mark.parametrize("grid_dims", [(16, 16, 17), (32, 16, 8)])
+    def test_mask_on_another_grid_rejected(self, small_atlas, grid_dims):
+        lesion = mask_of(self.VALID, grid_dims)
+        message = re.escape(f"lesion on grid {grid_dims} read against grid (16, 16, 16)")
+        for use in (lesioned_counts, spared_fractions, lambda atlas, m: m.validate(atlas)):
+            with pytest.raises(InputError, match=message):
+                use(small_atlas, lesion)
 
     @pytest.mark.parametrize("voxels, message", [
         (frozenset(), "empty"),
@@ -334,12 +247,13 @@ class TestLesionMask:
         (box(2, 4, 2, 4, 3, 7), "spans territories"),
         (frozenset({(2, 2, 2), (4, 4, 2)}), "not face-connected"),
         (box(2, 5, 2, 5, 1, 4) - {(3, 3, 2)}, "cavity"),
-        (VALID | {(16, 2, 2)}, "outside grid"),
-        (VALID | {(-1, 2, 2)}, "outside grid"),
+        (frozenset({(2, 2, 2), (3, 3, 3)}), "not face-connected"),  # corners touch
+        # the centre meets the outside only along an edge of (2, 2, 2)
+        (box(2, 5, 2, 5, 1, 4) - {(3, 3, 2), (2, 2, 2)}, "cavity"),
     ])
     def test_validate_rejects(self, small_atlas, voxels, message):
         with pytest.raises(InputError, match=message):
-            LesionMask(voxels).validate(small_atlas)
+            mask_of(voxels).validate(small_atlas)
 
 
 class TestRoiTimeseries:
@@ -356,7 +270,7 @@ class TestRoiTimeseries:
 
     def series(self, voxels, sums=SUMS, sigma_voxel=1.0):
         healthy = HealthySubject(id="h", roi_sums=sums, sigma_voxel=sigma_voxel, y0=50.0)
-        return lesioned_roi_series(healthy, self.grid_atlas(), LesionMask(frozenset(voxels)), 0)
+        return lesioned_roi_series(healthy, self.grid_atlas(), mask_of(voxels, (3, 1, 1)), 0)
 
     def test_unmasked_mean(self):
         assert np.array_equal(self.series(set()), [[1, 2, 3], [1, 1, 1]])
@@ -383,7 +297,7 @@ class TestRoiTimeseries:
 
     def test_empty_lesion_equals_unmasked(self, small_atlas):
         healthy = generate_healthy_subject(small_atlas, 0, CohortParams(t_len=5))
-        got = lesioned_roi_series(healthy, small_atlas, LesionMask(frozenset()), 0)
+        got = lesioned_roi_series(healthy, small_atlas, mask_of([]), 0)
         assert got.tobytes() == (healthy.roi_sums / small_atlas.roi_sizes()[:, None]).tobytes()
 
 
@@ -437,7 +351,7 @@ class TestSparedFractions:
         # lesion 4 voxels of one ROI in a left territory
         roi_id = int(small_atlas.roi_of_voxel[small_atlas.territory_of_voxel == 1][0])
         coords = np.argwhere(small_atlas.roi_of_voxel == roi_id)
-        lesion = LesionMask(frozenset(map(tuple, coords[:4])))
+        lesion = mask_of(coords[:4])
         enc = spared_fractions(small_atlas, lesion)
         size = small_atlas.roi_sizes()[roi_id - 1]
         assert enc.p[roi_id - 1] == pytest.approx(1.0 - 4.0 / size)
@@ -447,7 +361,7 @@ class TestSparedFractions:
     def test_fully_covered_roi_is_zero(self, small_atlas):
         roi_id = 1
         coords = np.argwhere(small_atlas.roi_of_voxel == roi_id)
-        lesion = LesionMask(frozenset(map(tuple, coords)))
+        lesion = mask_of(coords)
         enc = spared_fractions(small_atlas, lesion)
         assert enc.p[0] == 0.0
 
@@ -455,7 +369,7 @@ class TestSparedFractions:
         rng = np.random.default_rng(9)
         coords = np.argwhere(small_atlas.territory_of_voxel == 2)
         chosen = coords[rng.choice(len(coords), size=30, replace=False)]
-        lesion = LesionMask(frozenset(map(tuple, chosen)))
+        lesion = mask_of(chosen)
         enc = spared_fractions(small_atlas, lesion)
         sizes = small_atlas.roi_sizes()
         spared_voxels = float(np.dot(enc.p, sizes))
@@ -562,7 +476,7 @@ class TestSubjectIO:
         records = self.make_records(n=2)
         path = tmp_path / "cohort.bin"
         save_cohort(path, records)
-        n = records[0].n_rois
+        n = records[0].x.shape[0]
         record_1 = 16 + 2 + 4 + 8 * (1 + n + n * n)
         offset = {"y": 0, "p": 8, "x": 8 + 8 * n + 8}[field]  # y, p[0], X[0, 1]
         data = bytearray(path.read_bytes())

@@ -1,4 +1,5 @@
-"""Every name a `legnet` module imports is used somewhere in that module."""
+"""Every name a `legnet` module imports is used somewhere in that module, and
+every module-level private name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -23,11 +24,43 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def unused_private_names(sources: list[str]) -> list[str]:
+    """Module-level `_names` (functions, classes, assigned names) that no
+    expression in any of the sources reads, as a name or an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return sorted(private - read)
+
+
 def test_checker_finds_an_unused_import():
     source = "import os.path\nimport numpy as np\nfrom math import pi, tau\nnp.sqrt(pi)\n"
     assert unused_imports(source) == ["os", "tau"]
 
 
+def test_checker_finds_an_unused_private_name():
+    defines = "_A = 1\n_B: int = 2\n_C, D = 3, 4\ndef _f():\n    return _A\nclass _G:\n    pass\n"
+    reads = "from m import _f\nimport m\n_f()\nm._C\n"
+    assert unused_private_names([defines, reads]) == ["_B", "_G"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_reads_every_private_name():
+    assert unused_private_names([path.read_text() for path in MODULES]) == []

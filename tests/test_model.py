@@ -677,6 +677,22 @@ class TestInputsCheckedWhereTheyEnter:
         with pytest.raises(InputError, match=f"subject 's007': {what} has non-finite"):
             predict(rec, init_params(kind, hyper, 0), hyper, kind)
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("p, message", [
+        (np.full(5, 0.5), "length does not match X"),
+        (np.full(6, 1.5), r"must lie in \[0, 1\]"),
+        (np.full(6, -3.0), r"must lie in \[0, 1\]"),
+    ], ids=["length-5", "p-1.5", "p-minus-3"])
+    def test_predict_names_the_subject_with_a_bad_lesion_encoding(self, p, message, kind):
+        # numpy's broadcast ValueError or a ShapeError used to surface from
+        # inside the forward, and out-of-range fractions were scored
+        hyper = HyperParams(n_rois=6)
+        rec = random_subject(np.random.default_rng(0), 6)
+        rec.id = "s007"
+        rec.lesion.p = p
+        with pytest.raises(InputError, match=f"subject 's007': .*{message}"):
+            predict(rec, init_params(kind, hyper, 0), hyper, kind)
+
     def test_predict_names_a_non_finite_parameter(self):
         hyper = HyperParams(n_rois=6)
         params = init_params(MODEL_LEGNET, hyper, 0)

@@ -75,7 +75,7 @@ class TestLesionSpec:
 class TestGrowLesion:
     def test_determinism(self, atlas):
         spec = LesionSpec(territory=2, target_fraction=0.12, seed=42)
-        assert grow_lesion(atlas, spec).voxels == grow_lesion(atlas, spec).voxels
+        assert np.array_equal(grow_lesion(atlas, spec).flat, grow_lesion(atlas, spec).flat)
 
     def test_mask_invariants_and_size(self, atlas):
         rng = np.random.default_rng(5)
@@ -102,12 +102,12 @@ class TestGrowLesion:
         tiny = build_toy_atlas(n_rois=6, grid_dims=(6, 4, 3), n_territories=6)
         for territory in tiny.left_territories():
             assert round(0.05 * tiny.territory_size(territory)) == 1
-            voxels = np.argwhere(tiny.territory_of_voxel == territory)
+            voxels = np.flatnonzero(tiny.territory_of_voxel == territory)
             for seed in range(8):
                 rng = np.random.default_rng(np.random.SeedSequence(seed))
-                start = tuple(voxels[rng.integers(len(voxels))].tolist())
+                start = int(voxels[rng.integers(len(voxels))])
                 mask = grow_lesion(tiny, LesionSpec(territory, 0.05, seed))
-                assert mask.voxels == {start}
+                assert mask.flat.tolist() == [start]
                 mask.validate(tiny)
 
 
@@ -118,8 +118,8 @@ class TestGrowLesion:
 
 def _reference_grow_lesion(atlas, spec):
     """Region growing on voxel tuples with bounds checks, hole filling on the
-    territory's box at every step. Returns (voxels, attempts), or the
-    exception type when no attempt lands within the slack."""
+    territory's box at every step. Returns (the mask's sorted flat indices,
+    attempts), or the exception type when no attempt lands within the slack."""
     in_territory = atlas.territory_of_voxel == spec.territory
     territory_voxels = np.argwhere(in_territory)
     territory_size = territory_voxels.shape[0]
@@ -168,7 +168,7 @@ def _reference_grow_lesion(atlas, spec):
         if 0 <= filled_count - target <= slack:
             filled = np.zeros(dims, dtype=bool)
             filled[box] = filled_box
-            return frozenset(map(tuple, np.argwhere(filled).tolist())), attempt
+            return np.flatnonzero(filled).tolist(), attempt
     return InputError, synthgen._MAX_GROW_ATTEMPTS
 
 
@@ -184,7 +184,7 @@ def _padded_atlas(atlas, pad):
 
 
 class TestGrowLesionOracle:
-    """`grow_lesion` returns the reference's voxels spec for spec: the same
+    """`grow_lesion` returns the reference's mask spec for spec: the same
     random stream, the same frontier order and the same hole-filled sizes."""
 
     N_SPECS = 100
@@ -200,7 +200,7 @@ class TestGrowLesionOracle:
     @staticmethod
     def outcome(atlas, spec):
         try:
-            return grow_lesion(atlas, spec).voxels
+            return grow_lesion(atlas, spec).flat.tolist()
         except InputError:
             return InputError
 
@@ -299,12 +299,11 @@ class TestRescaleScore:
         # nested boxes inside territory 1: a larger lesion never scores higher
         vox = np.argwhere(atlas.territory_of_voxel == 1)
         x0, y0, z0 = vox.min(axis=0)
-        small = LesionMask(frozenset(
-            (x, y, z) for x in range(x0, x0 + 2) for y in range(y0, y0 + 3)
-            for z in range(z0, z0 + 2)))
-        big = LesionMask(small.voxels | frozenset(
-            (x, y, z) for x in range(x0, x0 + 4) for y in range(y0, y0 + 3)
-            for z in range(z0, z0 + 2)))
+        dense = np.zeros(atlas.grid_dims, dtype=bool)
+        dense[x0:x0 + 2, y0:y0 + 3, z0:z0 + 2] = True
+        small = LesionMask(np.flatnonzero(dense), atlas.grid_dims)
+        dense[x0:x0 + 4, y0:y0 + 3, z0:z0 + 2] = True
+        big = LesionMask(np.flatnonzero(dense), atlas.grid_dims)
         small.validate(atlas)
         big.validate(atlas)
         assert rescale_score(70.0, atlas, big) <= rescale_score(70.0, atlas, small)
@@ -417,7 +416,7 @@ def _reference_healthy_subject(atlas, seed, cp):
 
 def _reference_spared_sums(healthy, atlas, lesion):
     """(N, Tlen) sums of each ROI's voxels outside the lesion."""
-    spared = ~lesion.to_dense(atlas.grid_dims)
+    spared = ~lesion.to_dense()
     return np.stack([healthy.volume_ts[(atlas.roi_of_voxel == roi) & spared].sum(axis=0)
                      for roi in range(1, atlas.n_rois + 1)])
 
@@ -438,8 +437,9 @@ class TestVoxelModelMoments:
         # two ROIs of 8 and 12 voxels per territory; the lesion covers all
         # of ROI 1, 3 voxels of ROI 2 and 5 of ROI 3
         atlas = build_toy_atlas(n_rois=12, grid_dims=(8, 5, 3), n_territories=6)
-        voxels = [np.argwhere(atlas.roi_of_voxel == roi)[:k] for roi, k in ((1, 8), (2, 3), (3, 5))]
-        lesion = LesionMask(frozenset(map(tuple, np.concatenate(voxels).tolist())))
+        flat = np.concatenate([np.flatnonzero(atlas.roi_of_voxel == roi)[:k]
+                               for roi, k in ((1, 8), (2, 3), (3, 5))])
+        lesion = LesionMask(np.sort(flat), atlas.grid_dims)
         return atlas, lesion
 
     def draw(self, build, atlas, lesion, kept, monkeypatch):
