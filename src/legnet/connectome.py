@@ -233,16 +233,20 @@ def _region_is_face_connected(cells: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class LesionMask:
-    """Damaged voxels of a `grid_dims` grid as `flat`, a read-only copy of
-    their sorted, distinct C-order flat indices. Valid masks are non-empty,
-    face-connected, hole-free, entirely left-hemisphere, and confined to one
-    arterial territory."""
+    """Damaged voxels of a `grid_dims` grid as `flat`, a read-only intp copy
+    of their sorted, distinct C-order flat indices, given as integers. Valid
+    masks are non-empty, face-connected, hole-free, entirely left-hemisphere,
+    and confined to one arterial territory."""
 
     flat: np.ndarray
     grid_dims: tuple[int, int, int]
 
     def __post_init__(self):
-        flat = np.array(self.flat, dtype=np.intp)
+        flat = np.asarray(self.flat)
+        # a cast would truncate fractional indices or read booleans as 0/1
+        if not np.issubdtype(flat.dtype, np.integer):
+            raise InputError(f"lesion indices must have an integer dtype, got {flat.dtype}")
+        flat = flat.astype(np.intp)
         if flat.ndim != 1:
             raise InputError(f"lesion indices must be 1-D, got shape {flat.shape}")
         if np.any(flat[1:] <= flat[:-1]):
@@ -323,7 +327,7 @@ def validate_connectivity(x: np.ndarray, atol: float = 1e-12) -> None:
     """Assert the connectivity-matrix invariants: symmetric, range [1/e, e]."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InputError(f"connectivity must be square, got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError("connectivity has non-finite entries")
     if not np.allclose(x, x.T, atol=atol):
         raise InputError("connectivity matrix is not symmetric")
@@ -377,7 +381,8 @@ class SubjectRecord:
             raise InputError(f"X must be square, got {self.x.shape}")
         if self.lesion.p.shape != (self.x.shape[0],):
             raise InputError("lesion encoding length does not match X")
-        if not (math.isfinite(self.y) and 0.0 <= self.y <= 100.0):
+        check_number("score", self.y)
+        if not 0.0 <= self.y <= 100.0:
             raise InputError(f"score {self.y} outside [0, 100]")
         self.lesion.validate()
 

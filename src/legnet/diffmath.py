@@ -58,6 +58,7 @@ _keep_freed_tape_memory()
 
 
 MAX_AXES = 4
+_FLOAT64 = np.dtype(np.float64)
 
 
 class ShapeError(ValueError):
@@ -79,7 +80,11 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = True):
-        arr = np.asarray(data, dtype=np.float64)
+        # a float64 ndarray is already what np.asarray would return
+        if type(data) is np.ndarray and data.dtype is _FLOAT64:
+            arr = data
+        else:
+            arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > MAX_AXES:
             raise ShapeError(f"tensors support at most {MAX_AXES} axes, got shape {arr.shape}")
         self.data = arr
@@ -270,12 +275,14 @@ class Tape:
         """Permute axes."""
         if sorted(axes) != list(range(a.data.ndim)):
             raise ShapeError(f"invalid axes {axes} for shape {a.shape}")
-        inverse = tuple(int(i) for i in np.argsort(axes))
+        # the inverse permutation in Python: np.argsort on a few axes costs
+        # mostly numpy's Python-side dispatch
+        inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
         def backward(g):
-            return (np.transpose(g, inverse),)
+            return (g.transpose(inverse),)
 
-        return self._emit(np.transpose(a.data, axes), (a,), backward)
+        return self._emit(a.data.transpose(axes), (a,), backward)
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:

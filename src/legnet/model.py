@@ -35,8 +35,10 @@ the objective.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
@@ -141,9 +143,18 @@ def _edge_relu(tape: Tape, row: Tensor, col: Tensor) -> Tensor:
     N d0 contiguous entries instead of d0.
     """
     lead, (n, d0) = row.shape[:-2], row.shape[-2:]
-    tile = Tensor(np.tile(np.eye(d0), n), requires_grad=False)
+    tile = Tensor(_edge_tile(n, d0), requires_grad=False)
     h = tape.add_relu(tape.matmul(row, tile), tape.reshape(col, lead + (1, n * d0)))
     return tape.reshape(h, lead + (n, n, d0))
+
+
+@functools.lru_cache(maxsize=8)
+def _edge_tile(n: int, d0: int) -> np.ndarray:
+    """The read-only (d0, N d0) matrix [I I ... I] that `_edge_relu` repeats
+    row terms with, built once per shape."""
+    tile = np.tile(np.eye(d0), n)
+    tile.flags.writeable = False
+    return tile
 
 
 def edge_to_node(tape: Tape, h: Tensor, g: Tensor, b1: Tensor) -> Tensor:
@@ -329,12 +340,15 @@ def prepare_subject(record: SubjectRecord, kind: str) -> PreparedSubject:
     """The kind's input tensors for one record; an InputError names the
     subject if X, p or y has a non-finite entry or the record fails
     `SubjectRecord.validate`."""
-    target = np.array([float(record.y)])
     try:
-        for name, arr in (("X", record.x), ("p", record.lesion.p), ("y", target)):
-            if not np.all(np.isfinite(arr)):
+        for name, arr in (("X", record.x), ("p", record.lesion.p)):
+            if not np.isfinite(arr).all():
                 raise InputError(f"{name} has non-finite entries")
+        # a y that is not a real number is left to validate's score check
+        if isinstance(record.y, numbers.Real) and not math.isfinite(record.y):
+            raise InputError("y has non-finite entries")
         record.validate()
+        target = np.array([float(record.y)])
     except InputError as exc:
         raise InputError(f"subject {record.id!r}: {exc}") from None
     x, p = _kind(kind).inputs(record.x, record.lesion.p)
@@ -382,7 +396,7 @@ def as_tensors(params: dict[str, np.ndarray], requires_grad: bool = True) -> dic
     in-place optimizer updates stay visible. An InputError names a tensor
     with a non-finite entry."""
     for name, arr in params.items():
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InputError(f"parameter tensor {name!r} has non-finite entries")
     return {name: Tensor(arr, requires_grad=requires_grad) for name, arr in params.items()}
 
@@ -626,7 +640,7 @@ def load_checkpoint(path) -> tuple[str, HyperParams, dict[str, np.ndarray]]:
     params: dict[str, np.ndarray] = {}
     for name, shape, *_ in sorted(param_spec(kind, hyper)):
         params[name] = reader.array("<f8", math.prod(shape)).astype(np.float64).reshape(shape)
-        if not np.all(np.isfinite(params[name])):
+        if not np.isfinite(params[name]).all():
             raise InputError(f"checkpoint tensor {name} has non-finite entries")
     reader.finish()
     return kind, hyper, params

@@ -219,7 +219,11 @@ class TestLesionMask:
         ([5, 3], "sorted and distinct"),
         ([3, 3], "sorted and distinct"),
         ([[0, 1]], "1-D"),
-    ], ids=["past-the-end", "negative", "unsorted", "repeated", "2-D"])
+        ([0.5, 1.7, 2.2], "integer dtype, got float64"),
+        ([0.0, 1.0], "integer dtype, got float64"),
+        ([False, True], "integer dtype, got bool"),
+    ], ids=["past-the-end", "negative", "unsorted", "repeated", "2-D", "fractional",
+            "whole-floats", "bool"])
     def test_construction_rejects(self, flat, message):
         with pytest.raises(InputError, match=message):
             LesionMask(np.array(flat), (16, 16, 16))
@@ -441,6 +445,17 @@ class TestSubjectIO:
         rec.y = 150.0
         with pytest.raises(InputError):
             rec.validate()
+
+    @pytest.mark.parametrize("y", [None, "abc", np.array([40.0, 50.0]), True],
+                             ids=["None", "str", "2-vector", "bool"])
+    def test_score_that_is_not_a_real_number_is_an_input_error(self, tmp_path, y):
+        # math.isfinite used to raise TypeError
+        records = self.make_records(n=2)
+        records[1].y = y
+        with pytest.raises(InputError, match="score must be a finite number"):
+            records[1].validate()
+        with pytest.raises(InputError, match="subject 's001': score"):
+            save_cohort(tmp_path / "cohort.bin", records)
 
     @pytest.mark.parametrize("length", [14, "half", "one short", "one long"])
     def test_load_requires_exact_length(self, tmp_path, length):

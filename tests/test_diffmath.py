@@ -64,6 +64,35 @@ class TestPrimitives:
         assert abs(out.data.sum() - 1.0) <= 1e-12
 
 
+class TestTranspose:
+    # none is its own inverse, so a backward that applied `axes` again, or
+    # any other wrong inverse, shows
+    PERMUTATIONS = [(1, 2, 0), (2, 0, 1), (1, 2, 3, 0), (3, 0, 2, 1)]
+
+    @pytest.mark.parametrize("axes", PERMUTATIONS)
+    def test_forward_matches_numpy(self, axes):
+        a = finite((2, 3, 4, 5)[:len(axes)], seed=20)
+        out = Tape().transpose(Tensor(a), axes)
+        assert np.array_equal(out.data, np.transpose(a, axes))
+
+    @pytest.mark.parametrize("axes", PERMUTATIONS)
+    def test_backward_matches_central_differences(self, axes):
+        shape = (2, 3, 4, 5)[:len(axes)]
+        # a weight on the output makes the loss depend on the entry order
+        weight = Tensor(finite(tuple(shape[i] for i in axes), seed=21), requires_grad=False)
+
+        def build(tape, ts):
+            return tape.l2_norm_sq(tape.mul(tape.transpose(ts[0], axes), weight))
+
+        assert gradient_check(build, [finite(shape, seed=22)], step=1e-5) <= 1e-6
+
+    @pytest.mark.parametrize("axes", [(0, 0, 1), (0, 1, 3), (-1, 0, 1), (0, 1)],
+                             ids=["repeated", "out-of-range", "negative", "too-short"])
+    def test_rejects_axes_that_are_not_a_permutation(self, axes):
+        with pytest.raises(ShapeError, match="invalid axes"):
+            Tape().transpose(Tensor(np.zeros((2, 3, 4))), axes)
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         # the sum of x as its dot product with a constant vector of ones

@@ -153,6 +153,38 @@ class TestEdgeToEdge:
             edge_to_edge(Tape(), t(np.ones((3, 3))), t(np.ones((4, 2))), t(np.ones((4, 2))))
 
 
+class TestEdgeTile:
+    def test_is_a_read_only_constant(self):
+        tile = model._edge_tile(5, 3)
+        assert np.array_equal(tile, np.tile(np.eye(3), 5))
+        with pytest.raises(ValueError):
+            tile[0, 0] = 2.0
+
+    def test_one_constant_per_shape(self):
+        assert model._edge_tile(5, 3) is model._edge_tile(5, 3)
+        assert model._edge_tile(5, 3) is not model._edge_tile(6, 3)
+        assert model._edge_tile(5, 3).shape == (3, 15)
+        assert model._edge_tile(6, 3).shape == (3, 18)
+        assert model._edge_tile(5, 2).shape == (2, 10)
+
+    def test_predictions_unchanged_across_roi_counts(self):
+        rng = np.random.default_rng(4)
+        sizes = list(range(3, 15))  # more shapes than the cache holds
+        cases = {}
+        for n in sizes:
+            hyper = HyperParams(n_rois=n)
+            cases[n] = (random_subject(rng, n), hyper,
+                        {kind: init_params(kind, hyper, n) for kind in MODEL_KINDS})
+
+        def predictions(order):
+            return {(n, kind): predict(rec, params[kind], hyper, kind)
+                    for n in order for rec, hyper, params in [cases[n]] for kind in MODEL_KINDS}
+
+        first = predictions(sizes)
+        assert predictions(sizes[::-1]) == first
+        assert predictions(sizes[::2] + sizes[1::2]) == first
+
+
 class TestEdgeToNode:
     def test_bias_only(self):
         b1 = np.array([1.0, -2.0, 0.5])
@@ -675,6 +707,18 @@ class TestInputsCheckedWhereTheyEnter:
         else:
             rec.y = np.nan
         with pytest.raises(InputError, match=f"subject 's007': {what} has non-finite"):
+            predict(rec, init_params(kind, hyper, 0), hyper, kind)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("y", [None, "abc", np.array([40.0, 50.0])],
+                             ids=["None", "str", "2-vector"])
+    def test_predict_names_the_subject_with_a_score_that_is_not_a_number(self, y, kind):
+        # float(y) and math.isfinite used to raise TypeError or ValueError
+        hyper = HyperParams(n_rois=6)
+        rec = random_subject(np.random.default_rng(0), 6)
+        rec.id = "s007"
+        rec.y = y
+        with pytest.raises(InputError, match="subject 's007': score must be a finite number"):
             predict(rec, init_params(kind, hyper, 0), hyper, kind)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
