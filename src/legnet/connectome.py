@@ -60,7 +60,8 @@ class ToyAtlas:
     Labels are dense integer grids: 0 means background, ROIs are 1..N,
     territories 1..T. Every ROI lies in exactly one hemisphere and one
     territory, and every ROI and territory is a non-empty face-connected
-    region. It is frozen, so its cached ROI sizes always match its labels.
+    region. It is frozen, so its cached ROI sizes and per-territory
+    constants always match its labels.
     """
 
     grid_dims: tuple[int, int, int]
@@ -81,6 +82,28 @@ class ToyAtlas:
 
     def territory_size(self, territory: int) -> int:
         return int(np.count_nonzero(self.territory_of_voxel == territory))
+
+    def territory_rois(self, territory: int) -> np.ndarray:
+        """Read-only sorted 0-based indices of the ROIs inside a territory."""
+        key = ("rois", territory)
+        if key not in self._roi_cache:
+            rois = np.unique(self.roi_of_voxel[self.territory_of_voxel == territory])
+            rois = rois[rois > 0] - 1
+            rois.flags.writeable = False
+            self._roi_cache[key] = rois
+        return self._roi_cache[key]
+
+    def padded_territory(self, territory: int) -> tuple[np.ndarray, bytes]:
+        """A territory in the grid padded by one empty voxel on every side:
+        its voxels as read-only sorted flat indices into the padded grid, and
+        the padded grid as one byte per voxel, 1 inside the territory."""
+        key = ("padded", territory)
+        if key not in self._roi_cache:
+            padded = np.pad(self.territory_of_voxel == territory, 1)
+            flat = np.flatnonzero(padded)
+            flat.flags.writeable = False
+            self._roi_cache[key] = (flat, padded.tobytes())
+        return self._roi_cache[key]
 
     def left_territories(self) -> list[int]:
         """Territories whose voxels all lie in the left hemisphere."""
@@ -231,6 +254,23 @@ def _region_is_face_connected(cells: np.ndarray) -> bool:
     return ndimage.label(cells, structure=FACE_STRUCTURE)[1] == 1
 
 
+def fill_cavities(box: np.ndarray) -> np.ndarray | None:
+    """`box` with its cavities set, or None when it has no cavity.
+
+    A cavity is a face-connected set of unset voxels with no face-adjacent
+    path to the box's outer shell. The shell must be unset. A box shell is
+    a single face-connected set, so the outside is then the one component
+    of the unset voxels that holds the corner [0, 0, 0], and every other
+    component is a cavity. One `ndimage.label` pass finds them all; scipy's
+    hole filling gives the same voxels but repeats a dilation until nothing
+    changes.
+    """
+    labels, count = ndimage.label(~box, FACE_STRUCTURE)
+    if count < 2:
+        return None
+    return labels != labels[0, 0, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class LesionMask:
     """Damaged voxels of a `grid_dims` grid as `flat`, a read-only intp copy
@@ -287,8 +327,9 @@ class LesionMask:
         dense = self.to_dense()
         if not _region_is_face_connected(dense):
             raise InputError("lesion is not face-connected")
-        # a cavity: non-mask voxels with no face-adjacent path to the grid boundary
-        if not np.array_equal(ndimage.binary_fill_holes(dense, structure=FACE_STRUCTURE), dense):
+        # a cavity: non-mask voxels with no face-adjacent path to the grid
+        # boundary; the empty padding joins every such path into one outside
+        if fill_cavities(np.pad(dense, 1)) is not None:
             raise InputError("lesion encloses a cavity")
 
 

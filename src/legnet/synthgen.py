@@ -16,7 +16,11 @@ draws that sum and keeps the rest; both draws match the voxel model in
 distribution.
 
 Lesions are grown by seeded region growing inside a single left-hemisphere
-arterial territory, then hole-filled so the mask is simply connected.
+arterial territory, and every cavity the growth encloses is filled, so the
+mask has no holes. Cavities are found with one labelling pass over the
+unset voxels of a box whose outer shell is never grown: that shell is one
+face-connected set, so the outside is a single component and every other
+component is a cavity.
 Lesioning a subject also diminishes and noises connectivity entries touching
 damaged ROIs as X'_ij = clip(X_ij^(min(p_i,p_j)^gamma) + eta_ij, min X, max X)
 (diminution shrinks the correlation log X toward 0), and rescales the
@@ -28,10 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .connectome import (
-    FACE_STRUCTURE,
     InputError,
     LesionMask,
     SubjectRecord,
@@ -39,6 +41,7 @@ from .connectome import (
     check_number,
     correlation_matrix,
     exponentiate,
+    fill_cavities,
     lesioned_counts,
     spared_fractions,
 )
@@ -56,6 +59,10 @@ class LesionSpec:
     seed: int
 
     def __post_init__(self):
+        # SeedSequence(None) draws OS entropy, so a seed is required
+        check_number("territory", self.territory, 1, integral=True)
+        check_number("seed", self.seed, 0, integral=True)
+        check_number("target_fraction", self.target_fraction)
         if not (FRACTION_MIN <= self.target_fraction <= FRACTION_MAX):
             raise InputError(
                 f"target_fraction {self.target_fraction} outside "
@@ -142,11 +149,10 @@ class HealthySubject:
 
 
 def _language_rois(atlas: ToyAtlas, params: CohortParams) -> np.ndarray:
-    rois = np.unique(atlas.roi_of_voxel[atlas.territory_of_voxel == params.language_territory])
-    rois = rois[rois > 0]
+    rois = atlas.territory_rois(params.language_territory)
     if rois.size < 2:
         raise InputError("language territory must contain at least two ROIs")
-    return rois - 1  # 0-based matrix indices
+    return rois
 
 
 def mean_language_connectivity(x: np.ndarray, atlas: ToyAtlas, params: CohortParams) -> float:
@@ -231,21 +237,26 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
     """Seeded region growing inside one left-hemisphere territory.
 
     Face-adjacent in-territory voxels are added in random frontier order;
-    enclosed cavities are absorbed by hole filling. Growth tracks the
-    hole-filled size so the final mask lands on
+    enclosed cavities are absorbed after every growth step. Growth tracks
+    the filled size so the final mask lands on
     round(target_fraction * |territory|) up to a 2% slack; attempts whose
     last filling step overshoots the slack are regrown from the same random
     stream, keeping the result a pure function of the spec.
 
     Growth runs on flat indices into the territory padded by one empty voxel,
     so neighbours need no bounds check. Any cavity is enclosed by grown
-    voxels, so hole filling runs on the grown voxels' bounding box plus that
-    one-voxel margin, which the padding keeps inside the grid.
+    voxels, so cavities are sought in the grown voxels' bounding box plus
+    that one-voxel margin, which the padding keeps inside the grid. The
+    margin is never grown, and a box shell is one face-connected set, so the
+    ungrown voxels hold one outside component and `fill_cavities` sets every
+    other component, all from one labelling pass. The result equals scipy's
+    hole filling on the box, which repeats a dilation until nothing changes.
     """
     if spec.territory not in atlas.left_territories():
         raise InputError(f"territory {spec.territory} is not a left-hemisphere territory")
-    padded = np.pad(atlas.territory_of_voxel == spec.territory, 1)
-    territory_voxels = np.flatnonzero(padded)  # C order, as np.argwhere gives
+    # C order, as np.argwhere gives; one byte per padded voxel, 1 where in territory
+    territory_voxels, open_voxels = atlas.padded_territory(spec.territory)
+    shape = tuple(d + 2 for d in atlas.grid_dims)
     territory_size = territory_voxels.size
     target = int(round(spec.target_fraction * territory_size))
     if target < 1 or target > territory_size:
@@ -256,20 +267,19 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
 
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     slack = int(np.ceil(HOLE_FILL_SLACK * target))
-    sy, sx = padded.shape[2], padded.shape[1] * padded.shape[2]
+    sy, sx = shape[2], shape[1] * shape[2]
     steps = (sx, -sx, sy, -sy, 1, -1)  # +x, -x, +y, -y, +z, -z
-    open_voxels = padded.tobytes()  # 1 where in territory
 
     for _ in range(_MAX_GROW_ATTEMPTS):
         free = bytearray(open_voxels)  # in territory, neither grown nor queued
-        grown = np.zeros(padded.shape, dtype=bool)  # with its cavities filled
+        grown = np.zeros(shape, dtype=bool)  # with its cavities filled
         start = int(territory_voxels[rng.integers(territory_size)])
         free[start] = 0
         grown.flat[start] = True
         frontier = [start + step for step in steps if free[start + step]]
         for vox in frontier:
             free[vox] = 0
-        lo = hi = np.unravel_index(start, padded.shape)
+        lo = hi = np.unravel_index(start, shape)
         filled_count = 1
         while filled_count < target and frontier:
             # approach the target geometrically, one voxel at a time near the
@@ -289,13 +299,15 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
                         free[vox + step] = 0
                         frontier.append(vox + step)
             grown.flat[chunk] = True
-            chunk_xyz = np.unravel_index(chunk, padded.shape)
+            chunk_xyz = np.unravel_index(chunk, shape)
             lo = np.minimum(lo, [a.min() for a in chunk_xyz])
             hi = np.maximum(hi, [a.max() for a in chunk_xyz])
             # filling a mask whose cavities are already filled gives the
             # same as filling the grown voxels alone
             box = tuple(slice(a - 1, b + 2) for a, b in zip(lo, hi))
-            grown[box] = ndimage.binary_fill_holes(grown[box], structure=FACE_STRUCTURE)
+            filled = fill_cavities(grown[box])
+            if filled is not None:
+                grown[box] = filled
             filled_count = int(np.count_nonzero(grown[box]))
 
         if 0 <= filled_count - target <= slack:
@@ -326,6 +338,7 @@ def corrupt_connectivity(x: np.ndarray, p: np.ndarray, params: CohortParams, see
     n = x.shape[0]
     if x.shape != (n, n) or p.shape != (n,):
         raise InputError(f"shape mismatch: X {x.shape}, p {p.shape}")
+    check_number("seed", seed, 0, integral=True)
     pmin = np.minimum.outer(p, p)
     modified = pmin < 1.0
     np.fill_diagonal(modified, False)

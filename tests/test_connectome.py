@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from legnet.connectome import (
+    FACE_STRUCTURE,
     HEMI_LEFT,
     HEMI_RIGHT,
     InputError,
@@ -21,6 +23,7 @@ from legnet.connectome import (
     build_toy_atlas,
     correlation_matrix,
     exponentiate,
+    fill_cavities,
     lesioned_counts,
     load_cohort,
     save_cohort,
@@ -170,6 +173,27 @@ class TestToyAtlas:
             clone.roi_of_voxel = relabelled
         assert atlas.roi_sizes()[:3].tolist() == [48, 48, 32]
 
+        # the per-territory constants: territory 1 holds ROIs 1-2, and
+        # territory 2 (ROIs 3-4) joins it in a copy
+        rois = atlas.territory_rois(1)
+        flat, mask_bytes = atlas.padded_territory(1)
+        assert rois.tolist() == [0, 1]
+        assert flat.size == 96
+        for arr in (rois, flat):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        terr = atlas.territory_of_voxel
+        assert np.array_equal(flat, np.flatnonzero(np.pad(terr == 1, 1)))
+        assert np.array_equal(np.flatnonzero(np.frombuffer(mask_bytes, dtype=np.uint8)), flat)
+        merged = dataclasses.replace(atlas, territory_of_voxel=np.where(terr == 2, 1, terr))
+        assert merged.territory_rois(1).tolist() == [0, 1, 2, 3]
+        merged_flat, merged_bytes = merged.padded_territory(1)
+        assert merged_flat.size == 160
+        assert np.array_equal(np.flatnonzero(np.frombuffer(merged_bytes, dtype=np.uint8)),
+                              merged_flat)
+        assert atlas.territory_rois(1).tolist() == [0, 1]
+        assert atlas.padded_territory(1)[0].size == 96
+
     @pytest.mark.parametrize("kwargs", [{"n_territories": 5},
                                         {"n_rois": 18, "grid_dims": (6, 6, 3)}])
     def test_impossible_layout_is_an_input_error(self, kwargs):
@@ -258,6 +282,92 @@ class TestLesionMask:
     def test_validate_rejects(self, small_atlas, voxels, message):
         with pytest.raises(InputError, match=message):
             mask_of(voxels).validate(small_atlas)
+
+    def test_cavity_verdict_matches_hole_filling(self):
+        # the left half of an 8x6x6 grid is one territory; each mask is the
+        # largest face-connected part of a random fill of that half, so it
+        # reaches the cavity check, and most touch the grid boundary, where
+        # pockets open to the outside are not cavities
+        atlas = build_toy_atlas(n_rois=2, grid_dims=(8, 6, 6), n_territories=2)
+        rng = np.random.default_rng(41)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            half = rng.random((4, 6, 6)) < rng.uniform(0.3, 0.7)
+            labels, _ = ndimage.label(half, FACE_STRUCTURE)
+            dense = np.zeros(atlas.grid_dims, dtype=bool)
+            dense[:4] = labels == 1 + np.argmax(np.bincount(labels.reshape(-1))[1:])
+            want = not np.array_equal(ndimage.binary_fill_holes(dense, FACE_STRUCTURE), dense)
+            try:
+                LesionMask(np.flatnonzero(dense), atlas.grid_dims).validate(atlas)
+                got = False
+            except InputError as exc:
+                assert "cavity" in str(exc)
+                got = True
+            assert got == want
+            verdicts[got] += 1
+        assert min(verdicts.values()) >= 100, verdicts
+
+
+class TestFillCavities:
+    """`fill_cavities` against scipy's iterated hole filling, on boxes whose
+    outer shell is unset."""
+
+    @staticmethod
+    def check(box) -> bool:
+        """Assert the helper agrees with binary_fill_holes; True if a cavity."""
+        got = fill_cavities(box)
+        want = ndimage.binary_fill_holes(box, structure=FACE_STRUCTURE)
+        if got is None:
+            assert np.array_equal(want, box)
+            return False
+        assert np.array_equal(got, want)
+        assert not np.array_equal(want, box)
+        return True
+
+    @staticmethod
+    def solid(shape, lo, hi) -> np.ndarray:
+        box = np.zeros(shape, dtype=bool)
+        box[lo:hi, lo:hi, lo:hi] = True
+        return box
+
+    def test_random_boxes(self):
+        rng = np.random.default_rng(43)
+        cavities = 0
+        for _ in range(300):
+            shape = tuple(int(d) for d in rng.integers(5, 12, size=3))
+            box = np.zeros(shape, dtype=bool)
+            box[1:-1, 1:-1, 1:-1] = rng.random(tuple(d - 2 for d in shape)) < rng.uniform(0.3, 0.7)
+            cavities += self.check(box)
+        assert 30 <= cavities <= 270, cavities
+
+    def test_island_with_a_cavity_inside_a_cavity_is_filled_whole(self):
+        box = self.solid((9, 9, 9), 1, 8)
+        box[2:7, 2:7, 2:7] = False
+        box[3:6, 3:6, 3:6] = True
+        box[4, 4, 4] = False
+        assert self.check(box)
+        assert np.array_equal(fill_cavities(box), self.solid((9, 9, 9), 1, 8))
+
+    def test_cavity_meeting_the_outside_only_along_an_edge(self):
+        box = self.solid((5, 5, 5), 1, 4)
+        box[2, 2, 2] = False
+        box[1, 1, 2] = False  # shares an edge, not a face, with (2, 2, 2)
+        assert self.check(box)
+        filled = fill_cavities(box)
+        assert filled[2, 2, 2] and not filled[1, 1, 2]
+
+    @pytest.mark.parametrize("centre", [True, False])
+    def test_smallest_box_has_no_cavity(self, centre):
+        box = np.zeros((3, 3, 3), dtype=bool)
+        box[1, 1, 1] = centre
+        assert fill_cavities(box) is None
+        assert not self.check(box)
+
+    def test_pocket_open_to_the_shell_is_no_cavity(self):
+        box = self.solid((5, 5, 5), 1, 4)
+        box[1, 2, 2] = box[2, 2, 2] = False
+        assert fill_cavities(box) is None
+        assert not self.check(box)
 
 
 class TestRoiTimeseries:

@@ -71,6 +71,24 @@ class TestLesionSpec:
         with pytest.raises(InputError):
             grow_lesion(tiny, LesionSpec(territory=1, target_fraction=0.05, seed=0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", None),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", "7"),
+        ("seed", True),
+        ("territory", True),
+        ("territory", 1.0),
+        ("territory", 0),
+        ("target_fraction", "0.1"),
+    ])
+    def test_fields_checked(self, field, value):
+        # a None seed grew a different mask on every call (SeedSequence(None)
+        # draws OS entropy), -1 raised numpy's ValueError, 1.5 and "7" a
+        # TypeError, and True was read as seed or territory 1
+        with pytest.raises(InputError, match=field):
+            LesionSpec(**{"territory": 1, "target_fraction": 0.1, "seed": 0, field: value})
+
 
 class TestGrowLesion:
     def test_determinism(self, atlas):
@@ -273,6 +291,13 @@ class TestCorruptConnectivity:
         assert np.array_equal(out[untouched], x[untouched])
         # every damaged pair is actually rewritten (noise makes ties unlikely)
         assert np.all(out[~untouched] != x[~untouched])
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "7", True])
+    def test_seed_checked(self, seed):
+        x = self.x_fixture()
+        for spared in (np.ones(5), np.array([0.5, 1.0, 1.0, 1.0, 1.0])):
+            with pytest.raises(InputError, match="seed"):
+                corrupt_connectivity(x, spared, CohortParams(), seed)
 
     def test_same_seed_same_noise(self):
         x = self.x_fixture()
