@@ -1,9 +1,10 @@
 """Data model for parcellated brains, lesions, connectivity and subject files.
 
-A :class:`ToyAtlas` labels a voxel grid with ROIs, arterial territories, and
-hemispheres. A :class:`LesionMask` holds the damaged voxels as sorted flat
-indices into that grid; per ROI it removes :func:`lesioned_counts` voxels and
-leaves the spared fractions p_i, held in :class:`LesionEncoding`. Model
+A :class:`ToyAtlas` labels each voxel of a grid with an ROI, and each ROI
+with an arterial territory and a hemisphere; it is checked when it is built.
+A :class:`LesionMask` holds the damaged voxels as sorted flat indices into
+that grid; per ROI it removes :func:`lesioned_counts` voxels and leaves the
+spared fractions p_i, held in :class:`LesionEncoding`. Model
 inputs come from (N, Tlen) ROI mean time series:
 
     ROI mean series -> Pearson correlation -> exponentiation -> X
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -48,6 +49,18 @@ def check_number(name: str, value, low: float = -math.inf, integral: bool = Fals
                          f"{floor}, got {value!r}")
 
 
+def check_seed(name: str, seed, sequence: bool = False) -> None:
+    """InputError unless `seed` is an integer >= 0, or a SeedSequence if
+    `sequence`. None is rejected: numpy would seed it from OS entropy."""
+    if not (sequence and isinstance(seed, np.random.SeedSequence)):
+        check_number(name, seed, 0, integral=True)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 # ----------------------------------------------------------------------
 # atlas
 # ----------------------------------------------------------------------
@@ -55,105 +68,98 @@ def check_number(name: str, value, low: float = -math.inf, integral: bool = Fals
 
 @dataclass(frozen=True, eq=False)
 class ToyAtlas:
-    """Voxel-grid parcellation with hemisphere, ROI, and territory labels.
+    """Voxel-grid parcellation: an ROI per voxel, a territory and a
+    hemisphere per ROI.
 
-    Labels are dense integer grids: 0 means background, ROIs are 1..N,
-    territories 1..T. Every ROI lies in exactly one hemisphere and one
-    territory, and every ROI and territory is a non-empty face-connected
-    region. It is frozen, so its cached ROI sizes and per-territory
-    constants always match its labels.
+    `roi_of_voxel` is a 3-D grid, 0 for background and 1..N for the ROIs;
+    entry i of `territory_of_roi` (1..T) and of `hemisphere_of_roi`
+    (HEMI_LEFT or HEMI_RIGHT) belongs to ROI i + 1. Construction keeps
+    read-only copies of the three integer arrays and runs `validate`, so
+    every atlas has non-empty, face-connected ROIs and territories. It then
+    computes its ROI sizes and padded territories once.
     """
 
-    grid_dims: tuple[int, int, int]
-    roi_of_voxel: np.ndarray        # int32, shape grid_dims
-    territory_of_voxel: np.ndarray  # int32, shape grid_dims
-    hemisphere_of_voxel: np.ndarray  # uint8, shape grid_dims
-    n_rois: int
+    roi_of_voxel: np.ndarray
+    territory_of_roi: np.ndarray
+    hemisphere_of_roi: np.ndarray
     n_territories: int
-    _roi_cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("roi_of_voxel", "territory_of_roi", "hemisphere_of_roi"):
+            labels = np.array(getattr(self, name), order="C")
+            if not np.issubdtype(labels.dtype, np.integer):
+                raise InputError(f"{name} must have an integer dtype, got {labels.dtype}")
+            object.__setattr__(self, name, _read_only(labels))
+        self.validate()
+        sizes = np.bincount(self.roi_of_voxel.reshape(-1), minlength=self.n_rois + 1)[1:]
+        object.__setattr__(self, "_roi_sizes", _read_only(sizes))
+        grids = {t: np.pad(self.territory_mask(t), 1) for t in range(1, self.n_territories + 1)}
+        object.__setattr__(self, "_padded", {t: (_read_only(np.flatnonzero(g)), g.tobytes())
+                                             for t, g in grids.items()})
+
+    @property
+    def grid_dims(self) -> tuple[int, int, int]:
+        return self.roi_of_voxel.shape
+
+    @property
+    def n_rois(self) -> int:
+        return self.territory_of_roi.size
 
     def roi_sizes(self) -> np.ndarray:
         """Read-only voxel count per ROI, index i holds the size of ROI i+1."""
-        if "sizes" not in self._roi_cache:
-            sizes = np.bincount(self.roi_of_voxel.reshape(-1), minlength=self.n_rois + 1)[1:]
-            sizes.flags.writeable = False
-            self._roi_cache["sizes"] = sizes
-        return self._roi_cache["sizes"]
-
-    def territory_size(self, territory: int) -> int:
-        return int(np.count_nonzero(self.territory_of_voxel == territory))
+        return self._roi_sizes
 
     def territory_rois(self, territory: int) -> np.ndarray:
-        """Read-only sorted 0-based indices of the ROIs inside a territory."""
-        key = ("rois", territory)
-        if key not in self._roi_cache:
-            rois = np.unique(self.roi_of_voxel[self.territory_of_voxel == territory])
-            rois = rois[rois > 0] - 1
-            rois.flags.writeable = False
-            self._roi_cache[key] = rois
-        return self._roi_cache[key]
+        """Sorted 0-based indices of the ROIs inside a territory."""
+        return np.flatnonzero(self.territory_of_roi == territory)
+
+    def territory_size(self, territory: int) -> int:
+        return int(self._roi_sizes[self.territory_of_roi == territory].sum())
+
+    def territory_mask(self, territory: int) -> np.ndarray:
+        """Boolean grid, True on the voxels of the territory's ROIs."""
+        return np.take(np.append(False, self.territory_of_roi == territory), self.roi_of_voxel)
 
     def padded_territory(self, territory: int) -> tuple[np.ndarray, bytes]:
         """A territory in the grid padded by one empty voxel on every side:
         its voxels as read-only sorted flat indices into the padded grid, and
         the padded grid as one byte per voxel, 1 inside the territory."""
-        key = ("padded", territory)
-        if key not in self._roi_cache:
-            padded = np.pad(self.territory_of_voxel == territory, 1)
-            flat = np.flatnonzero(padded)
-            flat.flags.writeable = False
-            self._roi_cache[key] = (flat, padded.tobytes())
-        return self._roi_cache[key]
+        return self._padded[territory]
 
     def left_territories(self) -> list[int]:
-        """Territories whose voxels all lie in the left hemisphere."""
-        if "left" not in self._roi_cache:
-            out = []
-            for t in range(1, self.n_territories + 1):
-                hemi = self.hemisphere_of_voxel[self.territory_of_voxel == t]
-                if hemi.size and np.all(hemi == HEMI_LEFT):
-                    out.append(t)
-            self._roi_cache["left"] = out
-        return list(self._roi_cache["left"])
+        """Territories whose ROIs all lie in the left hemisphere."""
+        right = set(self.territory_of_roi[self.hemisphere_of_roi != HEMI_LEFT].tolist())
+        return [t for t in range(1, self.n_territories + 1) if t not in right]
 
     def validate(self) -> None:
         """Raise InputError on any violated atlas invariant."""
-        dims = self.grid_dims
-        for name, arr in (
-            ("roi_of_voxel", self.roi_of_voxel),
-            ("territory_of_voxel", self.territory_of_voxel),
-            ("hemisphere_of_voxel", self.hemisphere_of_voxel),
-        ):
-            if arr.shape != dims:
-                raise InputError(f"{name} shape {arr.shape} does not match grid {dims}")
-
+        check_number("n_territories", self.n_territories, 1, integral=True)
+        n, terr, hemi = self.n_rois, self.territory_of_roi, self.hemisphere_of_roi
+        if self.roi_of_voxel.ndim != 3 or terr.ndim != 1 or hemi.shape != terr.shape:
+            raise InputError(f"need a 3-D roi_of_voxel and one territory and hemisphere per "
+                             f"ROI, got shapes {self.roi_of_voxel.shape}, {terr.shape}, {hemi.shape}")
         # find_objects skips labels past max_label, so range errors go first
-        for name, arr, top in (
-            ("roi_of_voxel", self.roi_of_voxel, self.n_rois),
-            ("territory_of_voxel", self.territory_of_voxel, self.n_territories),
-            ("hemisphere_of_voxel", self.hemisphere_of_voxel, HEMI_RIGHT),
-        ):
-            if np.any((arr < 0) | (arr > top)):
-                raise InputError(f"{name} has labels outside [0, {top}]")
-        if np.any((self.roi_of_voxel > 0) != (self.territory_of_voxel > 0)):
-            raise InputError("ROI and territory backgrounds disagree")
+        for name, labels, low, top in (("roi_of_voxel", self.roi_of_voxel, 0, n),
+                                       ("territory_of_roi", terr, 1, self.n_territories),
+                                       ("hemisphere_of_roi", hemi, HEMI_LEFT, HEMI_RIGHT)):
+            if np.any((labels < low) | (labels > top)):
+                raise InputError(f"{name} has labels outside [{low}, {top}]")
 
-        boxes = ndimage.find_objects(self.roi_of_voxel, max_label=self.n_rois)
+        boxes = ndimage.find_objects(self.roi_of_voxel, max_label=n)
         for roi, bbox in enumerate(boxes, start=1):
             if bbox is None:
                 raise InputError(f"ROI {roi} is empty")
-            cells = self.roi_of_voxel[bbox] == roi
-            if not _region_is_face_connected(cells):
+            if not _region_is_face_connected(self.roi_of_voxel[bbox] == roi):
                 raise InputError(f"ROI {roi} is not face-connected")
-            if len(np.unique(self.hemisphere_of_voxel[bbox][cells])) != 1:
-                raise InputError(f"ROI {roi} spans hemispheres")
-            if len(np.unique(self.territory_of_voxel[bbox][cells])) != 1:
-                raise InputError(f"ROI {roi} spans territories")
-        boxes = ndimage.find_objects(self.territory_of_voxel, max_label=self.n_territories)
-        for t, bbox in enumerate(boxes, start=1):
-            if bbox is None:
+        # a territory lies inside the box around its ROIs' boxes
+        lo = np.array([[s.start for s in bbox] for bbox in boxes]).reshape(n, 3)
+        hi = np.array([[s.stop for s in bbox] for bbox in boxes]).reshape(n, 3)
+        for t in range(1, self.n_territories + 1):
+            members = terr == t
+            if not members.any():
                 raise InputError(f"territory {t} is empty")
-            if not _region_is_face_connected(self.territory_of_voxel[bbox] == t):
+            bbox = tuple(map(slice, lo[members].min(axis=0), hi[members].max(axis=0)))
+            if not _region_is_face_connected(self.territory_mask(t)[bbox]):
                 raise InputError(f"territory {t} is not face-connected")
 
 
@@ -188,50 +194,33 @@ def build_toy_atlas(
         raise InputError(f"grid {grid_dims} too small for {n_territories} territories")
 
     roi = np.zeros(grid_dims, dtype=np.int32)
-    territory = np.zeros(grid_dims, dtype=np.int32)
-    hemisphere = np.zeros(grid_dims, dtype=np.uint8)
     mid = gx // 2
-    hemisphere[mid:, :, :] = HEMI_RIGHT
-
-    territory_boxes: list[tuple[tuple[int, int], tuple[int, int]]] = []  # (x range, z range)
-    for x0, x1 in ((0, mid), (mid, gx)):
-        for z0, z1 in _range_chunks(gz, per_hemi):
-            territory[x0:x1, :, z0:z1] = len(territory_boxes) + 1
-            territory_boxes.append(((x0, x1), (z0, z1)))
-
+    territory_boxes = [((x0, x1), (z0, z1)) for x0, x1 in ((0, mid), (mid, gx))
+                       for z0, z1 in _range_chunks(gz, per_hemi)]  # (x range, z range)
     sizes = [(x1 - x0) * gy * (z1 - z0) for (x0, x1), (z0, z1) in territory_boxes]
     quotas = _largest_remainder_quotas(n_rois, sizes)
 
-    next_roi = 1
-    for ((x0, x1), (z0, z1)), quota in zip(territory_boxes, quotas):
+    territory_of_roi, hemisphere_of_roi = [], []
+    for territory, (((x0, x1), (z0, z1)), quota) in enumerate(zip(territory_boxes, quotas), 1):
         if quota == 0:
             raise InputError("every territory needs at least one ROI")
         sz = z1 - z0
         stripes = min(gy, max(1, math.isqrt(quota - 1) + 1))
         stripe_counts = _split_counts(quota, stripes)
         if max(stripe_counts) > sz:
-            raise InputError(
-                f"cannot fit {quota} ROIs into a {x1 - x0}x{gy}x{sz} territory"
-            )
-        y_chunks = _range_chunks(gy, stripes)
-        for (y0, y1), count in zip(y_chunks, stripe_counts):
+            raise InputError(f"cannot fit {quota} ROIs into a {x1 - x0}x{gy}x{sz} territory")
+        for (y0, y1), count in zip(_range_chunks(gy, stripes), stripe_counts):
             if y1 <= y0:
                 raise InputError("empty y stripe; raise grid resolution")
             for zz0, zz1 in _range_chunks(sz, count):
                 if zz1 <= zz0:
                     raise InputError("empty z chunk; raise grid resolution")
-                roi[x0:x1, y0:y1, z0 + zz0:z0 + zz1] = next_roi
-                next_roi += 1
+                roi[x0:x1, y0:y1, z0 + zz0:z0 + zz1] = len(territory_of_roi) + 1
+                territory_of_roi.append(territory)
+                hemisphere_of_roi.append(HEMI_LEFT if x0 == 0 else HEMI_RIGHT)
 
-    atlas = ToyAtlas(
-        grid_dims=grid_dims,
-        roi_of_voxel=roi,
-        territory_of_voxel=territory,
-        hemisphere_of_voxel=hemisphere,
-        n_rois=n_rois,
-        n_territories=n_territories,
-    )
-    return atlas
+    return ToyAtlas(roi, np.array(territory_of_roi, np.int32),
+                    np.array(hemisphere_of_roi, np.uint8), n_territories)
 
 
 def _largest_remainder_quotas(total: int, sizes: list[int]) -> list[int]:
@@ -251,7 +240,8 @@ def _largest_remainder_quotas(total: int, sizes: list[int]) -> list[int]:
 
 def _region_is_face_connected(cells: np.ndarray) -> bool:
     """True if the set bits of a boolean grid form one 6-connected component."""
-    return ndimage.label(cells, structure=FACE_STRUCTURE)[1] == 1
+    # a grid with every bit set is one component; labelling it is the slow part
+    return (cells.size > 0 and bool(cells.all())) or ndimage.label(cells, FACE_STRUCTURE)[1] == 1
 
 
 def fill_cavities(box: np.ndarray) -> np.ndarray | None:
@@ -275,8 +265,8 @@ def fill_cavities(box: np.ndarray) -> np.ndarray | None:
 class LesionMask:
     """Damaged voxels of a `grid_dims` grid as `flat`, a read-only intp copy
     of their sorted, distinct C-order flat indices, given as integers. Valid
-    masks are non-empty, face-connected, hole-free, entirely left-hemisphere,
-    and confined to one arterial territory."""
+    masks are non-empty, face-connected, hole-free, inside the atlas's ROIs,
+    entirely left-hemisphere, and confined to one arterial territory."""
 
     flat: np.ndarray
     grid_dims: tuple[int, int, int]
@@ -293,18 +283,22 @@ class LesionMask:
             raise InputError("lesion indices must be sorted and distinct")
         if flat.size and (flat[0] < 0 or flat[-1] >= math.prod(self.grid_dims)):
             raise InputError(f"lesion indices {flat[0]}..{flat[-1]} outside grid {self.grid_dims}")
-        flat.flags.writeable = False
-        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "flat", _read_only(flat))
 
     @property
     def size(self) -> int:
         return self.flat.size
 
-    def labels(self, grid: np.ndarray) -> np.ndarray:
-        """The entries of an atlas label grid at the lesion's voxels."""
-        if grid.shape != self.grid_dims:
-            raise InputError(f"lesion on grid {self.grid_dims} read against grid {grid.shape}")
-        return grid.reshape(-1)[self.flat]
+    def rois(self, atlas: ToyAtlas) -> np.ndarray:
+        """The 0-based ROI of each of the lesion's voxels. A lesion on another
+        grid, or with a voxel in the background, is an InputError."""
+        if atlas.grid_dims != self.grid_dims:
+            raise InputError(f"lesion on grid {self.grid_dims} read against grid {atlas.grid_dims}")
+        labels = atlas.roi_of_voxel.reshape(-1)[self.flat]
+        if not labels.all():
+            voxel = np.unravel_index(self.flat[np.argmin(labels)], self.grid_dims)
+            raise InputError(f"lesion voxel {tuple(map(int, voxel))} is background, in no ROI")
+        return labels - 1
 
     def to_dense(self) -> np.ndarray:
         mask = np.zeros(self.grid_dims, dtype=bool)
@@ -313,15 +307,15 @@ class LesionMask:
 
     def territory(self, atlas: ToyAtlas) -> int:
         """The single territory containing the mask (raises if mixed)."""
-        territories = np.unique(self.labels(atlas.territory_of_voxel))
-        if len(territories) != 1:
-            raise InputError(f"lesion spans territories {territories.tolist()}")
+        territories = atlas.territory_of_roi[self.rois(atlas)]
+        if not territories.size or territories.min() != territories.max():
+            raise InputError(f"lesion spans territories {np.unique(territories).tolist()}")
         return int(territories[0])
 
     def validate(self, atlas: ToyAtlas) -> None:
         if not self.size:
             raise InputError("lesion mask is empty")
-        if np.any(self.labels(atlas.hemisphere_of_voxel) != HEMI_LEFT):
+        if np.any(atlas.hemisphere_of_roi[self.rois(atlas)] != HEMI_LEFT):
             raise InputError("lesion leaves the left hemisphere")
         self.territory(atlas)
         dense = self.to_dense()
@@ -398,7 +392,7 @@ class LesionEncoding:
 
 def lesioned_counts(atlas: ToyAtlas, lesion: LesionMask) -> np.ndarray:
     """Number of each ROI's voxels that the lesion covers, shape (N,)."""
-    return np.bincount(lesion.labels(atlas.roi_of_voxel), minlength=atlas.n_rois + 1)[1:]
+    return np.bincount(lesion.rois(atlas), minlength=atlas.n_rois)
 
 
 def spared_fractions(atlas: ToyAtlas, lesion: LesionMask) -> LesionEncoding:

@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .connectome import InputError, SubjectRecord, _ExactReader, check_number
+from .connectome import InputError, SubjectRecord, _ExactReader, check_number, check_seed
 from .diffmath import MMAP_THRESHOLD, Tape, Tensor, backward
 
 MODEL_LEGNET = "legnet"
@@ -108,6 +108,7 @@ def param_spec(kind: str, hyper: HyperParams) -> list[tuple[str, tuple[int, ...]
 
 def init_params(kind: str, hyper: HyperParams, seed: int) -> dict[str, np.ndarray]:
     """Seeded uniform [-a, a] init with a = sqrt(6 / (fan_in + fan_out))."""
+    check_seed("seed", seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     params: dict[str, np.ndarray] = {}
     for name, shape, fan_in, fan_out in param_spec(kind, hyper):
@@ -528,6 +529,7 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
     """
     from .diffmath import gradient_check
 
+    check_seed("seed", seed)
     if hyper is None:
         hyper = HyperParams(n_rois=6, k=3)
     rng = np.random.default_rng(np.random.SeedSequence(seed))

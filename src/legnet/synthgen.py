@@ -39,6 +39,7 @@ from .connectome import (
     SubjectRecord,
     ToyAtlas,
     check_number,
+    check_seed,
     correlation_matrix,
     exponentiate,
     fill_cavities,
@@ -59,9 +60,8 @@ class LesionSpec:
     seed: int
 
     def __post_init__(self):
-        # SeedSequence(None) draws OS entropy, so a seed is required
         check_number("territory", self.territory, 1, integral=True)
-        check_number("seed", self.seed, 0, integral=True)
+        check_seed("seed", self.seed)
         check_number("target_fraction", self.target_fraction)
         if not (FRACTION_MIN <= self.target_fraction <= FRACTION_MAX):
             raise InputError(
@@ -191,6 +191,7 @@ def generate_healthy_subject(
     within-language-network connectivity measured through the same ROI-mean
     pipeline the model inputs use.
     """
+    check_seed("seed", seed, sequence=True)
     cp = cohort_params
     rng = np.random.default_rng(seed)
     roi_ts = _latent_roi_series(rng, atlas, cp)
@@ -213,6 +214,7 @@ def lesioned_roi_series(healthy: HealthySubject, atlas: ToyAtlas, lesion: Lesion
     `seed` stream and subtracted. ROIs the lesion misses keep their healthy
     mean exactly; ROIs it covers whole get an all-zero row.
     """
+    check_seed("seed", seed, sequence=True)
     sums = healthy.roi_sums
     if sums.shape[0] != atlas.n_rois:
         raise InputError(f"healthy subject has {sums.shape[0]} ROIs, atlas {atlas.n_rois}")
@@ -338,7 +340,7 @@ def corrupt_connectivity(x: np.ndarray, p: np.ndarray, params: CohortParams, see
     n = x.shape[0]
     if x.shape != (n, n) or p.shape != (n,):
         raise InputError(f"shape mismatch: X {x.shape}, p {p.shape}")
-    check_number("seed", seed, 0, integral=True)
+    check_seed("seed", seed)
     pmin = np.minimum.outer(p, p)
     modified = pmin < 1.0
     np.fill_diagonal(modified, False)
@@ -358,9 +360,7 @@ def corrupt_connectivity(x: np.ndarray, p: np.ndarray, params: CohortParams, see
 
 def territory_spared_fraction(atlas: ToyAtlas, lesion: LesionMask) -> float:
     """Fraction of the lesioned territory's voxels outside the lesion."""
-    territory = lesion.territory(atlas)
-    size = atlas.territory_size(territory)
-    return 1.0 - lesion.size / size
+    return 1.0 - lesion.size / atlas.territory_size(lesion.territory(atlas))
 
 
 def rescale_score(y0: float, atlas: ToyAtlas, lesion: LesionMask) -> float:
@@ -410,6 +410,7 @@ def generate_cohort(
     and reproducible byte-for-byte.
     """
     check_number("cohort size", n, 1, integral=True)
+    check_seed("master_seed", master_seed)
     policy = policy or POLICIES["hcp-sl"]
     params = cohort_params or CohortParams()
     if policy.score_mu is not None:
@@ -446,7 +447,7 @@ def generate_cohort(
         })
 
     manifest = {
-        "master_seed": master_seed,
+        "master_seed": int(master_seed),
         "n": n,
         "policy": {
             "name": policy.name,

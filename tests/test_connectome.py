@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import itertools
 import math
@@ -14,7 +13,6 @@ from scipy import ndimage
 from legnet.connectome import (
     FACE_STRUCTURE,
     HEMI_LEFT,
-    HEMI_RIGHT,
     InputError,
     LesionEncoding,
     LesionMask,
@@ -74,10 +72,10 @@ def mask_of(voxels, grid_dims=(16, 16, 16)) -> LesionMask:
     return LesionMask(np.sort(np.ravel_multi_index(tuple(coords.T), grid_dims)), grid_dims)
 
 
-# Corruptions of the 24-ROI small atlas. Its ROIs are boxes: ROI 1 is
-# x 0-7, y 0-7, z 0-1 and ROI 2 sits above it at z 2-4 (territory 1, left);
-# territory 2 starts at z 5 and territory 3 spans z 11-15, both left; ROI 4
-# is x 0-7, y 8-15, z 2-4 and ROI 24 the far corner x 8-15, y 8-15, z 13-15.
+# Corruptions of the 24-ROI small atlas, given its ROI grid and its per-ROI
+# territories and hemispheres. Its ROIs are boxes: ROI 1 is x 0-7, y 0-7,
+# z 0-1 (territory 1, left); territory 3 spans z 11-15, also left; ROI 4 is
+# x 0-7, y 8-15, z 2-4 and ROI 24 the far corner x 8-15, y 8-15, z 13-15.
 def _merge_roi_24_into_23(roi, terr, hemi):
     roi[roi == 24] = 23
 
@@ -86,24 +84,8 @@ def _move_corner_of_roi_4_to_roi_1(roi, terr, hemi):
     roi[7, 15, 4] = 1
 
 
-def _flip_hemisphere_of_one_roi_1_voxel(roi, terr, hemi):
-    hemi[0, 0, 0] = HEMI_RIGHT
-
-
-def _move_one_roi_2_voxel_to_territory_2(roi, terr, hemi):
-    terr[7, 7, 4] = 2
-
-
 def _move_roi_1_to_territory_3(roi, terr, hemi):
-    terr[roi == 1] = 3
-
-
-def _clear_roi_of_one_voxel(roi, terr, hemi):
-    roi[0, 0, 0] = 0
-
-
-def _clear_territory_of_one_voxel(roi, terr, hemi):
-    terr[0, 0, 0] = 0
+    terr[0] = 3
 
 
 def _roi_label_past_n_rois(roi, terr, hemi):
@@ -111,20 +93,18 @@ def _roi_label_past_n_rois(roi, terr, hemi):
 
 
 def _territory_label_past_n_territories(roi, terr, hemi):
-    terr[roi == 1] = 7
+    terr[0] = 7
 
 
 def _hemisphere_value_2(roi, terr, hemi):
-    hemi[roi == 1] = 2
+    hemi[0] = 2
 
 
 def corrupted(atlas: ToyAtlas, corrupt) -> ToyAtlas:
-    roi = atlas.roi_of_voxel.copy()
-    terr = atlas.territory_of_voxel.copy()
-    hemi = atlas.hemisphere_of_voxel.copy()
+    roi, terr, hemi = (a.copy() for a in (atlas.roi_of_voxel, atlas.territory_of_roi,
+                                          atlas.hemisphere_of_roi))
     corrupt(roi, terr, hemi)
-    return ToyAtlas(atlas.grid_dims, roi, terr, hemi,
-                    n_rois=atlas.n_rois, n_territories=atlas.n_territories)
+    return ToyAtlas(roi, terr, hemi, atlas.n_territories)
 
 
 class TestToyAtlas:
@@ -145,8 +125,8 @@ class TestToyAtlas:
         left = small_atlas.left_territories()
         assert left == [1, 2, 3]
         for t in left:
-            vox = np.argwhere(small_atlas.territory_of_voxel == t)
-            assert np.all(small_atlas.hemisphere_of_voxel[tuple(vox.T)] == HEMI_LEFT)
+            assert np.all(small_atlas.hemisphere_of_roi[small_atlas.territory_rois(t)] == HEMI_LEFT)
+            assert np.argwhere(small_atlas.territory_mask(t))[:, 0].max() < 8
 
     def test_left_territories_list_is_a_fresh_copy(self, small_atlas):
         small_atlas.left_territories().append(99)
@@ -155,44 +135,77 @@ class TestToyAtlas:
     def test_roi_sizes_cover_grid(self, small_atlas):
         assert small_atlas.roi_sizes().sum() == np.prod(small_atlas.grid_dims)
 
-    def test_roi_sizes_read_only_and_fresh_in_copies(self):
+    def test_labels_are_read_only_copies(self):
         atlas = build_toy_atlas(n_rois=12, grid_dims=(8, 8, 8))
-        sizes = atlas.roi_sizes()  # fills the cache
-        assert sizes[:3].tolist() == [48, 48, 32]
-        with pytest.raises(ValueError):
-            sizes[0] = 0
-        # ROI 2 joins ROI 1 and ROI 3 becomes ROI 2
-        roi = atlas.roi_of_voxel
-        relabelled = np.where(roi == 2, 1, np.where(roi == 3, 2, roi))
-        assert dataclasses.replace(atlas, roi_of_voxel=relabelled).roi_sizes()[:3].tolist() == [
-            96, 32, 0]
-        # a shallow copy keeps the labels, and they cannot be reassigned
-        clone = copy.copy(atlas)
-        assert np.array_equal(clone.roi_sizes(), sizes)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            clone.roi_of_voxel = relabelled
-        assert atlas.roi_sizes()[:3].tolist() == [48, 48, 32]
-
-        # the per-territory constants: territory 1 holds ROIs 1-2, and
-        # territory 2 (ROIs 3-4) joins it in a copy
-        rois = atlas.territory_rois(1)
-        flat, mask_bytes = atlas.padded_territory(1)
-        assert rois.tolist() == [0, 1]
-        assert flat.size == 96
-        for arr in (rois, flat):
+        for labels in (atlas.roi_of_voxel, atlas.territory_of_roi, atlas.hemisphere_of_roi):
             with pytest.raises(ValueError):
-                arr[0] = 0
-        terr = atlas.territory_of_voxel
-        assert np.array_equal(flat, np.flatnonzero(np.pad(terr == 1, 1)))
+                labels[0] = 1
+        # merging ROI 2 into ROI 1 in place left the sizes at [48 48 32]; now
+        # the atlas holds its own copies, so the caller's later edits miss it
+        roi, terr = atlas.roi_of_voxel.copy(), atlas.territory_of_roi.copy()
+        own = ToyAtlas(roi, terr, atlas.hemisphere_of_roi, atlas.n_territories)
+        roi[roi == 2] = 1
+        terr[0] = 2
+        assert own.roi_of_voxel.tobytes() == atlas.roi_of_voxel.tobytes()
+        assert own.territory_of_roi.tolist() == atlas.territory_of_roi.tolist()
+        assert own.roi_sizes()[:3].tolist() == [48, 48, 32]
+        with pytest.raises(ValueError):
+            own.roi_sizes()[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            own.roi_of_voxel = roi
+
+    @pytest.mark.parametrize("name", ["roi_of_voxel", "territory_of_roi", "hemisphere_of_roi"])
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    def test_labels_must_have_an_integer_dtype(self, small_atlas, name, dtype):
+        # a float roi_of_voxel passed validate() and then raised TypeError in roi_sizes()
+        labels = getattr(small_atlas, name).astype(dtype)
+        with pytest.raises(InputError, match=f"{name} must have an integer dtype"):
+            dataclasses.replace(small_atlas, **{name: labels})
+
+    @pytest.mark.parametrize("changes, message", [
+        (lambda a: {"roi_of_voxel": a.roi_of_voxel[0]}, r"3-D roi_of_voxel .* \(16, 16\), "),
+        (lambda a: {"territory_of_roi": a.territory_of_roi[:-1]}, r"per ROI.* \(23,\), \(24,\)"),
+        (lambda a: {"hemisphere_of_roi": a.hemisphere_of_roi[None]}, r"per ROI.* \(1, 24\)$"),
+        (lambda a: {"n_territories": 6.0}, "n_territories must be an integer"),
+    ], ids=["2-D grid", "short territories", "2-D hemispheres", "float n_territories"])
+    def test_malformed_layout_is_rejected(self, small_atlas, changes, message):
+        with pytest.raises(InputError, match=message):
+            dataclasses.replace(small_atlas, **changes(small_atlas))
+
+    def test_replace_recomputes_the_derived_constants(self):
+        atlas = build_toy_atlas(n_rois=12, grid_dims=(8, 8, 8))
+        assert atlas.roi_sizes()[:3].tolist() == [48, 48, 32]
+        # ROI 2 joins ROI 1, and the ROIs after it move down one label
+        roi = atlas.roi_of_voxel
+        merged_roi = dataclasses.replace(
+            atlas, roi_of_voxel=np.where(roi >= 2, np.maximum(roi - 1, 1), roi),
+            territory_of_roi=np.delete(atlas.territory_of_roi, 1),
+            hemisphere_of_roi=np.delete(atlas.hemisphere_of_roi, 1))
+        assert merged_roi.n_rois == 11
+        assert merged_roi.roi_sizes()[:3].tolist() == [96, 32, 32]
+        assert merged_roi.territory_rois(1).tolist() == [0]
+
+        # territory 1 holds ROIs 1-2, and territory 2 (ROIs 3-4) joins it in a copy
+        flat, mask_bytes = atlas.padded_territory(1)
+        assert atlas.territory_rois(1).tolist() == [0, 1]
+        assert flat.size == 96
+        with pytest.raises(ValueError):
+            flat[0] = 0
+        assert np.array_equal(flat, np.flatnonzero(np.pad(atlas.territory_mask(1), 1)))
         assert np.array_equal(np.flatnonzero(np.frombuffer(mask_bytes, dtype=np.uint8)), flat)
-        merged = dataclasses.replace(atlas, territory_of_voxel=np.where(terr == 2, 1, terr))
+        terr = atlas.territory_of_roi
+        merged = dataclasses.replace(atlas, territory_of_roi=np.where(terr >= 2, terr - 1, terr),
+                                     n_territories=5)
         assert merged.territory_rois(1).tolist() == [0, 1, 2, 3]
+        assert merged.territory_size(1) == 160
+        assert merged.left_territories() == [1, 2]
         merged_flat, merged_bytes = merged.padded_territory(1)
         assert merged_flat.size == 160
         assert np.array_equal(np.flatnonzero(np.frombuffer(merged_bytes, dtype=np.uint8)),
                               merged_flat)
         assert atlas.territory_rois(1).tolist() == [0, 1]
         assert atlas.padded_territory(1)[0].size == 96
+        assert atlas.left_territories() == [1, 2, 3]
 
     @pytest.mark.parametrize("kwargs", [{"n_territories": 5},
                                         {"n_rois": 18, "grid_dims": (6, 6, 3)}])
@@ -203,15 +216,12 @@ class TestToyAtlas:
     @pytest.mark.parametrize("corrupt, message", [
         (_merge_roi_24_into_23, "ROI 24 is empty"),
         (_move_corner_of_roi_4_to_roi_1, "ROI 1 is not face-connected"),
-        (_flip_hemisphere_of_one_roi_1_voxel, "ROI 1 spans hemispheres"),
-        (_move_one_roi_2_voxel_to_territory_2, "ROI 2 spans territories"),
         (_move_roi_1_to_territory_3, "territory 3 is not face-connected"),
-        (_clear_roi_of_one_voxel, "background"),
-        (_clear_territory_of_one_voxel, "background"),
     ])
     def test_validate_rejects_corruption(self, small_atlas, corrupt, message):
+        # construction runs validate, so a corrupt atlas is never built
         with pytest.raises(InputError, match=message):
-            corrupted(small_atlas, corrupt).validate()
+            corrupted(small_atlas, corrupt)
 
     @pytest.mark.parametrize("corrupt", [
         _roi_label_past_n_rois,
@@ -222,7 +232,7 @@ class TestToyAtlas:
         # an ROI label past n_rois used to pass and then raise IndexError in
         # compute_roi_timeseries
         with pytest.raises(InputError, match="outside"):
-            corrupted(small_atlas, corrupt).validate()
+            corrupted(small_atlas, corrupt)
 
 
 class TestLesionMask:
@@ -378,9 +388,8 @@ class TestRoiTimeseries:
 
     def grid_atlas(self):
         roi = np.array([1, 1, 2], dtype=np.int32).reshape(3, 1, 1)
-        terr = np.ones((3, 1, 1), dtype=np.int32)
-        hemi = np.zeros((3, 1, 1), dtype=np.uint8)
-        return ToyAtlas((3, 1, 1), roi, terr, hemi, n_rois=2, n_territories=1)
+        return ToyAtlas(roi, np.ones(2, dtype=np.int32), np.zeros(2, dtype=np.uint8),
+                        n_territories=1)
 
     def series(self, voxels, sums=SUMS, sigma_voxel=1.0):
         healthy = HealthySubject(id="h", roi_sums=sums, sigma_voxel=sigma_voxel, y0=50.0)
@@ -463,7 +472,7 @@ class TestExponentiate:
 class TestSparedFractions:
     def test_fractions(self, small_atlas):
         # lesion 4 voxels of one ROI in a left territory
-        roi_id = int(small_atlas.roi_of_voxel[small_atlas.territory_of_voxel == 1][0])
+        roi_id = int(small_atlas.roi_of_voxel[small_atlas.territory_mask(1)][0])
         coords = np.argwhere(small_atlas.roi_of_voxel == roi_id)
         lesion = mask_of(coords[:4])
         enc = spared_fractions(small_atlas, lesion)
@@ -481,7 +490,7 @@ class TestSparedFractions:
 
     def test_conservation(self, small_atlas):
         rng = np.random.default_rng(9)
-        coords = np.argwhere(small_atlas.territory_of_voxel == 2)
+        coords = np.argwhere(small_atlas.territory_mask(2))
         chosen = coords[rng.choice(len(coords), size=30, replace=False)]
         lesion = mask_of(chosen)
         enc = spared_fractions(small_atlas, lesion)

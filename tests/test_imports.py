@@ -1,5 +1,6 @@
-"""Every name a `legnet` module imports is used somewhere in that module, and
-every module-level private name is read somewhere in the package."""
+"""Every name a `legnet` module imports is used somewhere in that module,
+every module-level private name is read somewhere in the package, and every
+package attribute the benchmark's workloads read exists."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import legnet
+from legnet import connectome, diffmath, model, synthgen
 
 MODULES = sorted(Path(legnet.__file__).parent.glob("*.py"))
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PACKAGE = {m.__name__.rsplit(".", 1)[1]: m for m in (connectome, diffmath, model, synthgen)}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,6 +50,15 @@ def unused_private_names(sources: list[str]) -> list[str]:
     return sorted(private - read)
 
 
+def missing_attributes(source: str, modules: dict) -> list[str]:
+    """`module.name` reads in the source, for the given module names, that
+    the module does not define."""
+    return sorted({f"{node.value.id}.{node.attr}" for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules
+                   and not hasattr(modules[node.value.id], node.attr)})
+
+
 def test_checker_finds_an_unused_import():
     source = "import os.path\nimport numpy as np\nfrom math import pi, tau\nnp.sqrt(pi)\n"
     assert unused_imports(source) == ["os", "tau"]
@@ -57,6 +70,12 @@ def test_checker_finds_an_unused_private_name():
     assert unused_private_names([defines, reads]) == ["_B", "_G"]
 
 
+def test_checker_finds_a_missing_attribute():
+    source = ("atlas = connectome.build_toy_atlas()\nconnectome.no_such_function(atlas)\n"
+              "model.MODEL_KINDS\nmodel.FORWARDS.gone\nother.anything\n")
+    assert missing_attributes(source, PACKAGE) == ["connectome.no_such_function"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -64,3 +83,9 @@ def test_module_uses_every_import(path):
 
 def test_package_reads_every_private_name():
     assert unused_private_names([path.read_text() for path in MODULES]) == []
+
+
+def test_benchmark_workloads_read_only_defined_names():
+    # a renamed or deleted function otherwise surfaces only in the slower
+    # `python -m pytest perfbench` run
+    assert missing_attributes(WORKLOADS.read_text(), PACKAGE) == []

@@ -689,6 +689,24 @@ class TestInputsCheckedWhereTheyEnter:
     """Bad values raise an InputError, naming the problem, where they enter
     the model; the tensor engine does not check entries."""
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True, np.random.SeedSequence(4)],
+                             ids=["None", "-1", "1.5", "True", "SeedSequence"])
+    @pytest.mark.parametrize("entry", [
+        lambda seed: init_params(MODEL_LEGNET, HyperParams(n_rois=6, k=3), seed),
+        lambda seed: run_gradient_checks("e2e", seed),
+    ], ids=["init_params", "run_gradient_checks"])
+    def test_seed_must_be_an_integer_at_least_zero(self, entry, seed):
+        # None seeded from OS entropy, so two inits differed; -1 raised
+        # numpy's ValueError, 1.5 a TypeError, and True was read as 1; a
+        # checkpoint's record holds an integer seed
+        with pytest.raises(InputError, match="seed must be an integer >= 0"):
+            entry(seed)
+
+    def test_numpy_integer_seed_gives_the_same_init(self):
+        hyper = HyperParams(n_rois=6, k=3)
+        for name, arr in init_params(MODEL_LEGNET, hyper, np.uint32(4)).items():
+            assert arr.tobytes() == init_params(MODEL_LEGNET, hyper, 4)[name].tobytes()
+
     @pytest.mark.parametrize("bad", [{"lam": float("nan")}, {"lam": -1.0}, {"k": 0}])
     def test_hyperparams_checked_at_construction(self, bad):
         with pytest.raises(InputError):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from legnet.connectome import (
     build_toy_atlas,
     lesioned_counts,
     save_cohort,
+    spared_fractions,
 )
 from legnet.synthgen import (
     FRACTION_MAX,
@@ -120,7 +122,7 @@ class TestGrowLesion:
         tiny = build_toy_atlas(n_rois=6, grid_dims=(6, 4, 3), n_territories=6)
         for territory in tiny.left_territories():
             assert round(0.05 * tiny.territory_size(territory)) == 1
-            voxels = np.flatnonzero(tiny.territory_of_voxel == territory)
+            voxels = np.flatnonzero(tiny.territory_mask(territory))
             for seed in range(8):
                 rng = np.random.default_rng(np.random.SeedSequence(seed))
                 start = int(voxels[rng.integers(len(voxels))])
@@ -138,7 +140,7 @@ def _reference_grow_lesion(atlas, spec):
     """Region growing on voxel tuples with bounds checks, hole filling on the
     territory's box at every step. Returns (the mask's sorted flat indices,
     attempts), or the exception type when no attempt lands within the slack."""
-    in_territory = atlas.territory_of_voxel == spec.territory
+    in_territory = atlas.territory_mask(spec.territory)
     territory_voxels = np.argwhere(in_territory)
     territory_size = territory_voxels.shape[0]
     target = int(round(spec.target_fraction * territory_size))
@@ -192,13 +194,8 @@ def _reference_grow_lesion(atlas, spec):
 
 def _padded_atlas(atlas, pad):
     """The atlas inside a background margin, so no territory meets the grid edge."""
-    roi, terr, hemi = (np.pad(a, pad) for a in (atlas.roi_of_voxel, atlas.territory_of_voxel,
-                                                  atlas.hemisphere_of_voxel))
-    padded = ToyAtlas(grid_dims=roi.shape, roi_of_voxel=roi, territory_of_voxel=terr,
-                      hemisphere_of_voxel=hemi, n_rois=atlas.n_rois,
-                      n_territories=atlas.n_territories)
-    padded.validate()
-    return padded
+    return ToyAtlas(np.pad(atlas.roi_of_voxel, pad), atlas.territory_of_roi,
+                    atlas.hemisphere_of_roi, atlas.n_territories)
 
 
 class TestGrowLesionOracle:
@@ -322,7 +319,7 @@ class TestRescaleScore:
 
     def test_monotone_in_lesion_size(self, atlas):
         # nested boxes inside territory 1: a larger lesion never scores higher
-        vox = np.argwhere(atlas.territory_of_voxel == 1)
+        vox = np.argwhere(atlas.territory_mask(1))
         x0, y0, z0 = vox.min(axis=0)
         dense = np.zeros(atlas.grid_dims, dtype=bool)
         dense[x0:x0 + 2, y0:y0 + 3, z0:z0 + 2] = True
@@ -358,6 +355,80 @@ class TestHealthySubjects:
             ms.append(mean_language_connectivity(x, atlas, cohort_params))
             y0s.append(hs.y0)
         assert np.corrcoef(ms, y0s)[0, 1] > 0.5
+
+
+class TestSeedsChecked:
+    """A seed is an integer >= 0, or a SeedSequence where `generate_cohort`
+    passes one. None seeded from OS entropy, so two calls differed; -1
+    raised numpy's ValueError, 1.5 a TypeError, and True was read as 1."""
+
+    @pytest.fixture(scope="class")
+    def subject(self, atlas, cohort_params):
+        healthy = generate_healthy_subject(atlas, 0, cohort_params)
+        return healthy, grow_lesion(atlas, LesionSpec(territory=1, target_fraction=0.1, seed=0))
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True], ids=repr)
+    @pytest.mark.parametrize("entry, name", [
+        (lambda atlas, cp, subject, seed: generate_healthy_subject(atlas, seed, cp), "seed"),
+        (lambda atlas, cp, subject, seed: lesioned_roi_series(subject[0], atlas, subject[1],
+                                                              seed), "seed"),
+        (lambda atlas, cp, subject, seed: generate_cohort(1, atlas, seed, cp), "master_seed"),
+    ], ids=["generate_healthy_subject", "lesioned_roi_series", "generate_cohort"])
+    def test_rejected(self, atlas, cohort_params, subject, entry, name, seed):
+        with pytest.raises(InputError, match=f"{name} must be an integer >= 0"):
+            entry(atlas, cohort_params, subject, seed)
+
+    @pytest.mark.parametrize("entry", [
+        lambda atlas, cp, seed: LesionSpec(territory=1, target_fraction=0.1, seed=seed),
+        lambda atlas, cp, seed: corrupt_connectivity(np.ones((2, 2)), np.zeros(2), cp, seed),
+        lambda atlas, cp, seed: generate_cohort(1, atlas, seed, cp),
+    ], ids=["LesionSpec", "corrupt_connectivity", "generate_cohort"])
+    def test_seed_sequence_rejected_where_the_manifest_records_an_integer(
+            self, atlas, cohort_params, entry):
+        with pytest.raises(InputError, match="seed must be an integer >= 0"):
+            entry(atlas, cohort_params, np.random.SeedSequence(5))
+
+    def test_numpy_integers_and_seed_sequences_accepted(self, atlas, cohort_params, subject):
+        healthy, lesion = subject
+        want = generate_healthy_subject(atlas, 5, cohort_params).roi_sums.tobytes()
+        for seed in (np.int64(5), np.uint8(5), np.random.SeedSequence(5)):
+            assert generate_healthy_subject(atlas, seed, cohort_params).roi_sums.tobytes() == want
+            assert (lesioned_roi_series(healthy, atlas, lesion, seed).tobytes()
+                    == lesioned_roi_series(healthy, atlas, lesion, 5).tobytes())
+        records, manifest = generate_cohort(2, atlas, np.uint16(5), cohort_params)
+        assert cohort_bytes(records) == cohort_bytes(generate_cohort(2, atlas, 5, cohort_params)[0])
+        # the manifest records the seed as a JSON number
+        assert json.loads(json.dumps(manifest))["master_seed"] == 5
+
+
+class TestBackgroundVoxels:
+    """In an atlas inside a background margin, a lesion voxel outside every
+    ROI is an InputError that names it."""
+
+    @pytest.fixture(scope="class")
+    def padded(self):
+        return _padded_atlas(build_toy_atlas(n_rois=12, grid_dims=(8, 8, 8)),
+                             ((1, 2), (2, 1), (1, 3)))
+
+    def test_padded_atlas_is_valid(self, padded):
+        assert padded.grid_dims == (11, 11, 12)
+        assert padded.roi_sizes().sum() == 8 ** 3
+        assert padded.territory_size(1) == 96
+        mask = grow_lesion(padded, LesionSpec(territory=1, target_fraction=0.2, seed=3))
+        mask.validate(padded)
+
+    @pytest.mark.parametrize("use", [
+        lambda atlas, lesion: lesion.validate(atlas),
+        lambda atlas, lesion: lesion.territory(atlas),
+        spared_fractions,
+    ], ids=["validate", "territory", "spared_fractions"])
+    def test_lesion_on_background_is_an_input_error(self, padded, use):
+        # (1, 2, 1) is territory 1's corner voxel and (0, 2, 1) the margin beside it
+        corner = np.ravel_multi_index(([0, 1], [2, 2], [1, 1]), padded.grid_dims)
+        lesion = LesionMask(corner, padded.grid_dims)
+        assert padded.roi_of_voxel[1, 2, 1] == 1 and padded.roi_of_voxel[0, 2, 1] == 0
+        with pytest.raises(InputError, match=r"lesion voxel \(0, 2, 1\) is background"):
+            use(padded, lesion)
 
 
 class TestGenerateCohort:
