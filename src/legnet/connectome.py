@@ -335,9 +335,12 @@ class LesionMask:
 def correlation_matrix(data: np.ndarray) -> np.ndarray:
     """Pearson correlation between the rows of an (N, Tlen) ROI series; 0
     wherever a row has zero variance (the no-information convention for
-    fully lesioned ROIs)."""
+    fully lesioned ROIs). A row holding NaN or inf is an InputError."""
     if data.ndim != 2 or data.shape[1] < 2:
         raise InputError(f"correlations need an (N, Tlen >= 2) series, got {data.shape}")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():  # NaN > 0 is False, so the norm test below would call the row dead
+        raise InputError(f"ROI series rows {np.flatnonzero(~finite).tolist()} hold NaN or inf")
     centered = data - data.mean(axis=1, keepdims=True)
     norms = np.sqrt((centered * centered).sum(axis=1))
     alive = norms > 0.0
@@ -353,19 +356,22 @@ def correlation_matrix(data: np.ndarray) -> np.ndarray:
 
 def exponentiate(corr: np.ndarray) -> np.ndarray:
     """Entrywise exp of a correlation matrix, mapping [-1, 1] to [1/e, e]."""
-    if np.any(np.abs(corr) > 1.0 + 1e-9):
-        raise InputError("correlation entries must lie in [-1, 1]")
+    outside = ~(np.abs(corr) <= 1.0 + 1e-9)  # NaN is outside too
+    if outside.any():
+        raise InputError(f"correlation entries must lie in [-1, 1], got {corr[outside][0]}")
     return np.exp(np.clip(corr, -1.0, 1.0))
 
 
 def validate_connectivity(x: np.ndarray, atol: float = 1e-12) -> None:
-    """Assert the connectivity-matrix invariants: symmetric, range [1/e, e]."""
+    """Assert the connectivity-matrix invariants: symmetric to within `atol`
+    entrywise, range [1/e, e]."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InputError(f"connectivity must be square, got {x.shape}")
     if not np.isfinite(x).all():
         raise InputError("connectivity has non-finite entries")
-    if not np.allclose(x, x.T, atol=atol):
-        raise InputError("connectivity matrix is not symmetric")
+    asymmetry = float(np.abs(x - x.T).max())
+    if asymmetry > atol:
+        raise InputError(f"connectivity matrix is not symmetric: max |X - X^T| = {asymmetry:.3g}")
     lo, hi = math.exp(-1.0), math.exp(1.0)
     if x.min() < lo - atol or x.max() > hi + atol:
         raise InputError("connectivity entries outside [1/e, e]")

@@ -17,10 +17,15 @@ distribution.
 
 Lesions are grown by seeded region growing inside a single left-hemisphere
 arterial territory, and every cavity the growth encloses is filled, so the
-mask has no holes. Cavities are found with one labelling pass over the
-unset voxels of a box whose outer shell is never grown: that shell is one
-face-connected set, so the outside is a single component and every other
-component is a cavity.
+mask has no holes. The start voxel and every frontier pick are the
+integers `rng.integers(k)` gives, computed in Python from the bit
+generator's raw output with numpy's own method, so a pick makes no numpy
+call. Cavities are found with one labelling pass over the unset voxels of
+a box whose outer shell is never grown: that shell is one face-connected
+set, so the outside is a single component and every other component is a
+cavity. A step that sets one voxel skips the pass when the voxel's unset
+face neighbours are joined through its unset edge neighbours: every unset
+path through the voxel then has a detour beside it, so no cavity forms.
 Lesioning a subject also diminishes and noises connectivity entries touching
 damaged ROIs as X'_ij = clip(X_ij^(min(p_i,p_j)^gamma) + eta_ij, min X, max X)
 (diminution shrinks the correlation log X toward 0), and rescales the
@@ -30,6 +35,7 @@ language score by the territory's spared fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -51,6 +57,9 @@ FRACTION_MIN = 0.05
 FRACTION_MAX = 0.20
 HOLE_FILL_SLACK = 0.02  # relative overshoot allowed from cavity filling
 _MAX_GROW_ATTEMPTS = 64
+_RAW_BLOCK = 512  # 64-bit outputs per block of bounded draws
+_TWO_32 = 1 << 32
+_LOW_32 = _TWO_32 - 1
 
 
 @dataclass(frozen=True)
@@ -235,6 +244,66 @@ def lesioned_roi_series(healthy: HealthySubject, atlas: ToyAtlas, lesion: Lesion
 # ----------------------------------------------------------------------
 
 
+def _bounded_draws(rng: np.random.Generator):
+    """A `draw(n)` that returns what `rng.integers(n)` would, for 1 <= n < 2**32.
+
+    numpy draws such an integer with Lemire's method on the next 32-bit
+    output of the bit generator, and PCG64 (the `default_rng` generator)
+    serves those as the low, then the high half of each 64-bit output. Here
+    the halves come from blocks of `random_raw(512)` as Python ints, so a
+    draw makes no numpy call. The blocks run ahead of the draws, so the
+    generator must serve nothing else afterwards. n == 1 consumes nothing,
+    as in numpy; any other n outside the range is an InputError.
+    """
+    bits = rng.bit_generator
+    # little-endian words, so each output's low half comes first
+    next_half = chain.from_iterable(
+        iter(lambda: bits.random_raw(_RAW_BLOCK).astype("<u8").view("<u4").tolist(), None)
+    ).__next__
+
+    def draw(n: int) -> int:
+        if n == 1:
+            return 0
+        if not 1 < n < _TWO_32:
+            raise InputError(f"bounded draws need a bound in [1, 2**32), got {n!r}")
+        m = next_half() * n
+        if m & _LOW_32 < n:
+            threshold = _TWO_32 % n  # the rest of 2**32 is a multiple of n
+            while m & _LOW_32 < threshold:
+                m = next_half() * n
+        return m >> 32
+
+    return draw
+
+
+def _stays_joined(grown: np.ndarray, vox: int) -> bool:
+    """True when setting flat index `vox` of the C-order grid `grown` cannot
+    split its unset voxels.
+
+    Call it with `vox` set and away from the grid's faces. Two unset face
+    neighbours vox + a and vox + b with a, b perpendicular are joined when
+    the edge neighbour vox + a + b is unset too; True means every unset face
+    neighbour is joined to every other that way, directly or through
+    others. Then any unset path through `vox` has a detour around it, so no
+    cavity appears. False decides nothing: the path may still close
+    elsewhere.
+    """
+    sy = grown.shape[2]
+    sx = grown.shape[1] * sy
+    flat = grown.reshape(-1)
+    open_faces = [step for step in (sx, -sx, sy, -sy, 1, -1) if not flat[vox + step]]
+    joined = set(open_faces[:1])
+    todo = list(joined)
+    while todo:
+        a = todo.pop()
+        # for b == -a, vox + a + b is vox itself, which is set
+        for b in open_faces:
+            if b not in joined and not flat[vox + a + b]:
+                joined.add(b)
+                todo.append(b)
+    return len(joined) == len(open_faces)
+
+
 def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
     """Seeded region growing inside one left-hemisphere territory.
 
@@ -245,6 +314,10 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
     last filling step overshoots the slack are regrown from the same random
     stream, keeping the result a pure function of the spec.
 
+    The start voxel and every frontier pick are `rng.integers(k)` on the
+    stream SeedSequence(spec.seed), drawn by `_bounded_draws` from the raw
+    bits without a numpy call each.
+
     Growth runs on flat indices into the territory padded by one empty voxel,
     so neighbours need no bounds check. Any cavity is enclosed by grown
     voxels, so cavities are sought in the grown voxels' bounding box plus
@@ -253,6 +326,11 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
     ungrown voxels hold one outside component and `fill_cavities` sets every
     other component, all from one labelling pass. The result equals scipy's
     hole filling on the box, which repeats a dilation until nothing changes.
+
+    A step that adds one voxel to a mask without cavities skips that pass
+    when `_stays_joined` holds: the ungrown voxels stay one component, so
+    the filled size rises by exactly one. Near the target every step adds
+    one voxel, so most of those steps skip labelling.
     """
     if spec.territory not in atlas.left_territories():
         raise InputError(f"territory {spec.territory} is not a left-hemisphere territory")
@@ -267,7 +345,7 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
             f"a lesion of {target} voxels"
         )
 
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    draw = _bounded_draws(np.random.default_rng(np.random.SeedSequence(spec.seed)))
     slack = int(np.ceil(HOLE_FILL_SLACK * target))
     sy, sx = shape[2], shape[1] * shape[2]
     steps = (sx, -sx, sy, -sy, 1, -1)  # +x, -x, +y, -y, +z, -z
@@ -275,7 +353,7 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
     for _ in range(_MAX_GROW_ATTEMPTS):
         free = bytearray(open_voxels)  # in territory, neither grown nor queued
         grown = np.zeros(shape, dtype=bool)  # with its cavities filled
-        start = int(territory_voxels[rng.integers(territory_size)])
+        start = int(territory_voxels[draw(territory_size)])
         free[start] = 0
         grown.flat[start] = True
         frontier = [start + step for step in steps if free[start + step]]
@@ -291,7 +369,7 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
             for _ in range(max(1, deficit // 2) if deficit > slack else 1):
                 if not frontier:
                     break
-                pick = int(rng.integers(len(frontier)))
+                pick = draw(len(frontier))
                 vox = frontier[pick]
                 frontier[pick] = frontier[-1]
                 frontier.pop()
@@ -300,10 +378,15 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
                     if free[vox + step]:
                         free[vox + step] = 0
                         frontier.append(vox + step)
+            if len(chunk) == 1 and grown.flat[chunk[0]]:
+                continue  # a voxel of a filled cavity: the mask is unchanged
             grown.flat[chunk] = True
             chunk_xyz = np.unravel_index(chunk, shape)
             lo = np.minimum(lo, [a.min() for a in chunk_xyz])
             hi = np.maximum(hi, [a.max() for a in chunk_xyz])
+            if len(chunk) == 1 and _stays_joined(grown, chunk[0]):
+                filled_count += 1
+                continue
             # filling a mask whose cavities are already filled gives the
             # same as filling the grown voxels alone
             box = tuple(slice(a - 1, b + 2) for a, b in zip(lo, hi))

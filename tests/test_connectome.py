@@ -451,6 +451,15 @@ class TestCorrelation:
         assert corr.min() >= -1.0 and corr.max() <= 1.0
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_an_input_error(self, bad):
+        # a NaN norm fails `norm > 0`, so the row used to come out all-zero, as if dead
+        ts = np.random.default_rng(5).normal(size=(4, 10))
+        ts[2, 3] = bad
+        with pytest.raises(InputError, match=r"rows \[2\] hold NaN or inf"):
+            correlation_matrix(ts)
+
+
 class TestExponentiate:
     def test_anchor_values(self):
         out = exponentiate(np.array([[1.0, 0.0], [0.0, -1.0]]))
@@ -461,6 +470,11 @@ class TestExponentiate:
     def test_out_of_range_rejected(self):
         with pytest.raises(InputError):
             exponentiate(np.array([[1.5]]))
+
+    def test_nan_rejected(self):
+        # abs(NaN) > 1 is False, so a NaN used to pass through as exp(NaN)
+        with pytest.raises(InputError, match="must lie in \\[-1, 1\\], got nan"):
+            exponentiate(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     def test_preserves_symmetry_and_validates(self):
         rng = np.random.default_rng(4)
@@ -617,6 +631,30 @@ class TestSubjectIO:
         struct.pack_into("<d", data, record_1 + 2 + 4 + offset, value)
         path.write_bytes(bytes(data))
         with pytest.raises(InputError, match=f"subject 's001'.*({message})"):
+            load_cohort(path)
+
+    def test_symmetry_is_checked_against_atol_alone(self, tmp_path):
+        # np.allclose added rtol=1e-5 of |X^T|, so an asymmetry of 5e-6 passed
+        records = self.make_records(n=2)
+        x = records[1].x
+        validate_connectivity(x)
+        x[0, 1] = x[1, 0] + 1e-13
+        validate_connectivity(x)
+        x[0, 1] = x[1, 0] + 5e-6
+        with pytest.raises(InputError, match="not symmetric"):
+            validate_connectivity(x)
+        path = tmp_path / "cohort.bin"
+        with pytest.raises(InputError, match="subject 's001': connectivity matrix is not symm"):
+            save_cohort(path, records)
+        # written past save_cohort's check: X[0, 1] of record 's001'
+        x[0, 1] = x[1, 0]
+        save_cohort(path, records)
+        n = x.shape[0]
+        record_1 = 16 + 2 + 4 + 8 * (1 + n + n * n)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, record_1 + 2 + 4 + 8 + 8 * n + 8, x[1, 0] + 5e-6)
+        path.write_bytes(bytes(data))
+        with pytest.raises(InputError, match="subject 's001': connectivity matrix is not symm"):
             load_cohort(path)
 
     @settings(max_examples=200, deadline=None, derandomize=True)

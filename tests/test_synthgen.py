@@ -1,9 +1,12 @@
+import hashlib
 import json
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from legnet import synthgen
@@ -13,6 +16,7 @@ from legnet.connectome import (
     LesionMask,
     ToyAtlas,
     build_toy_atlas,
+    fill_cavities,
     lesioned_counts,
     save_cohort,
     spared_fractions,
@@ -246,6 +250,114 @@ class TestGrowLesionOracle:
             retried += attempts > 1
             assert self.outcome(atlas, spec) == want, spec
         assert retried >= 3
+
+
+class TestGrowLesionPinned:
+    """The masks of 200 seeded specs on each of two atlases hash to the
+    digest of the plain growth, with a `rng.integers` call per pick and a
+    labelling pass per step. Masks are integers only, so the digest does
+    not depend on the BLAS."""
+
+    DIGEST = "6517080cfbfd5b8117b87df5d086e6a52d601166b015e3545bb96d94103746e0"
+
+    def test_masks_hash_as_pinned(self):
+        digest = hashlib.sha256()
+        for dims in ((32, 32, 32), (16, 16, 16)):
+            atlas = build_toy_atlas(n_rois=90, grid_dims=dims)
+            for spec in TestGrowLesionOracle.specs(atlas, 200, seed=2024):
+                digest.update(grow_lesion(atlas, spec).flat.astype("<i8").tobytes())
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestBoundedDraws:
+    """`_bounded_draws(rng)(n)` is `rng.integers(n)`, draw for draw."""
+
+    @staticmethod
+    def bounds(rng, count):
+        # 1 consumes nothing; near 2**32 Lemire's method rejects up to half the draws
+        pools = (lambda: 1, lambda: int(rng.integers(2, 50)),
+                 lambda: int(rng.integers(50, 1 << 20)),
+                 lambda: int(rng.integers(1 << 31, (1 << 32) - 1)))
+        return [pools[int(i)]() for i in rng.integers(len(pools), size=count)]
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_same_as_generator_integers(self, seed):
+        bounds = self.bounds(np.random.default_rng(seed + 1000), 1500)
+        draw = synthgen._bounded_draws(np.random.default_rng(np.random.SeedSequence(seed)))
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        assert [draw(n) for n in bounds] == [int(rng.integers(n)) for n in bounds]
+
+    @pytest.mark.parametrize("n", [0, -3, 1 << 32, 1 << 40])
+    def test_bound_outside_one_to_two_to_the_32_rejected(self, n):
+        draw = synthgen._bounded_draws(np.random.default_rng(0))
+        with pytest.raises(InputError, match="bounded draws"):
+            draw(n)
+
+
+def _set_and_test(box, voxel):
+    """Set `voxel` of a box whose cavities are filled; return the local
+    test's verdict and what labelling finds."""
+    box = box.copy()
+    box[voxel] = True
+    flat = int(np.ravel_multi_index(voxel, box.shape))
+    return synthgen._stays_joined(box, flat), fill_cavities(box)
+
+
+class TestStaysJoined:
+    """`_stays_joined` never skips a labelling that would find a cavity."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(inner=st.tuples(*[st.integers(4, 7)] * 3), density=st.floats(0.6, 0.9),
+           seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 2**16))
+    def test_joined_means_no_cavity(self, inner, density, seed, pick):
+        # hypothesis's own boolean arrays are nearly empty, where setting a
+        # voxel never closes a cavity; a seeded grid of a drawn density is not
+        box = np.pad(np.random.default_rng(seed).random(inner) < density, 1)
+        filled = fill_cavities(box)
+        if filled is not None:
+            box = filled
+        unset = np.argwhere(~box[1:-1, 1:-1, 1:-1]) + 1
+        assume(len(unset))
+        joined, cavities = _set_and_test(box, tuple(unset[pick % len(unset)]))
+        assert not joined or cavities is None
+
+    def test_both_verdicts_occur_on_random_boxes(self):
+        rng = np.random.default_rng(8)
+        verdicts = {True: 0, False: 0}
+        for _ in range(200):
+            box = np.pad(rng.random((5, 5, 5)) < 0.4, 1)
+            filled = fill_cavities(box)
+            box = box if filled is None else filled
+            unset = np.argwhere(~box[1:-1, 1:-1, 1:-1]) + 1
+            joined, cavities = _set_and_test(box, tuple(unset[rng.integers(len(unset))]))
+            assert not joined or cavities is None
+            verdicts[joined] += 1
+        assert min(verdicts.values()) >= 20, verdicts
+
+    def test_closing_a_one_voxel_pocket_is_caught_and_filled(self):
+        box = np.zeros((5, 5, 5), dtype=bool)
+        box[1:4, 1:4, 1:4] = True
+        box[2, 2, 2] = box[1, 2, 2] = False  # a pocket open through (1, 2, 2)
+        assert fill_cavities(box) is None
+        joined, cavities = _set_and_test(box, (1, 2, 2))
+        assert not joined
+        assert cavities[2, 2, 2] and cavities.sum() == 27
+
+    def test_closing_a_ring_falls_back_to_labelling(self):
+        # walls of height 3 around a hole open along z; closing the gap in
+        # one wall leaves the ungrown voxels joined, but only far from it
+        box = np.zeros((7, 7, 7), dtype=bool)
+        box[1:6, 1:6, 2:5] = True
+        box[2:5, 2:5, :] = False
+        box[1, 3, 3] = False
+        assert fill_cavities(box) is None
+        joined, cavities = _set_and_test(box, (1, 3, 3))
+        assert not joined and cavities is None
+
+    def test_a_voxel_on_a_flat_face_stays_joined(self):
+        box = np.zeros((5, 5, 5), dtype=bool)
+        box[1:4, 1:4, 1:3] = True
+        assert _set_and_test(box, (2, 2, 3)) == (True, None)
 
 
 class TestCorruptConnectivity:
