@@ -341,7 +341,13 @@ def correlation_matrix(data: np.ndarray) -> np.ndarray:
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():  # NaN > 0 is False, so the norm test below would call the row dead
         raise InputError(f"ROI series rows {np.flatnonzero(~finite).tolist()} hold NaN or inf")
-    centered = data - data.mean(axis=1, keepdims=True)
+    # correlation is scale-free: scaling each row by a power of two that
+    # brings its largest magnitude into [0.5, 1) is exact, so it changes no
+    # ordinary row's bytes, and the squares of rows near float64's limits
+    # neither overflow nor underflow
+    _, exponent = np.frexp(np.abs(data).max(axis=1, keepdims=True))
+    scaled = np.ldexp(data, -exponent)
+    centered = scaled - scaled.mean(axis=1, keepdims=True)
     norms = np.sqrt((centered * centered).sum(axis=1))
     alive = norms > 0.0
     safe = np.where(alive, norms, 1.0)

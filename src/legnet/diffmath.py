@@ -4,7 +4,11 @@ Tensors are 64-bit float arrays with at most four axes. Operations are
 recorded on a :class:`Tape`; calling :func:`backward` on a scalar output
 propagates gradients to every leaf in reverse recording order. The primitive
 set is intentionally small: exactly what a dense edge-based graph network
-needs, plus a central-difference gradient checker.
+needs, plus a central-difference gradient checker. Besides the elementwise,
+product and shape primitives, two fused ones save passes over the largest
+arrays: `add_relu`, relu(a + b), and `outer_add_relu`, which writes every
+relu(row_i + col_j) of two (..., N, d) operands, the edge tensor of such a
+network, with one matrix product.
 
 Every primitive accepts leading batch axes: elementwise operations broadcast
 by numpy's rules and `matmul` by `np.matmul`'s, so a minibatch stacked on a
@@ -16,6 +20,7 @@ not checked for finiteness: callers check their inputs where they enter.
 from __future__ import annotations
 
 import ctypes
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -222,6 +227,39 @@ class Tape:
 
         return self._emit(out, (a, b), backward)
 
+    def outer_add_relu(self, row: Tensor, col: Tensor) -> Tensor:
+        """relu(row_i + col_j) for every pair (i, j) of two (..., N, d)
+        operands, shape (..., N, N d): entry (i, j d + k) is
+        relu(row_ik + col_jk).
+
+        One product [row | 1] @ [T ; vec(col)], with T = [I I ... I] (d, N d),
+        writes it and the relu runs in place. Every other term of a sum is an
+        exact 0, so each entry is row + col rounded once, as `add` rounds it.
+        Keeps only its output, whose positive entries are where the gradient
+        passes.
+        """
+        if row.shape != col.shape or len(row.shape) < 2:
+            raise ShapeError(f"outer_add_relu needs two (..., N, d) operands of one shape, "
+                             f"got {row.shape} and {col.shape}")
+        lead, (n, d) = row.shape[:-2], row.shape[-2:]
+        tile = _eye_tile(n, d)
+        left = np.empty(lead + (n, d + 1))
+        left[..., :d] = row.data
+        left[..., d] = 1.0
+        right = np.empty(lead + (d + 1, n * d))
+        right[..., :d, :] = tile
+        right[..., d, :] = col.data.reshape(lead + (n * d,))
+        out = np.matmul(left, right)
+        np.maximum(out, 0.0, out=out)
+
+        def backward(g):
+            # a float mask: a product with a bool array casts it in a slow loop
+            gm = (out > 0.0).astype(np.float64)
+            gm *= g
+            return gm @ tile.T, gm.sum(axis=-2).reshape(col.data.shape)
+
+        return self._emit(out, (row, col), backward)
+
     def softmax_lastaxis(self, a: Tensor) -> Tensor:
         """Softmax over the last axis, with max-subtraction for stability."""
         shifted = a.data - a.data.max(axis=-1, keepdims=True)
@@ -283,6 +321,15 @@ class Tape:
             return (g.transpose(inverse),)
 
         return self._emit(a.data.transpose(axes), (a,), backward)
+
+
+@functools.lru_cache(maxsize=8)
+def _eye_tile(n: int, d: int) -> np.ndarray:
+    """The read-only (d, N d) matrix [I I ... I] that `outer_add_relu`
+    repeats row terms with, built once per shape."""
+    tile = np.tile(np.eye(d), n)
+    tile.flags.writeable = False
+    return tile
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:

@@ -5,7 +5,10 @@ and per-ROI spared fractions p to a scalar score. Each kind stacks shared
 modules and ends in one dense head (predict_head):
 
   edge module      edge_to_edge, H_ij = relu(sum_n r_n X_in + sum_n c_n X_nj),
-                   then edge_to_node, h1_i = relu(sum_n g_n H_in + b1).
+                   then edge_to_node, h1_i = relu(sum_n g_n H_in + b1). H is
+                   written by one tape op, `outer_add_relu` of the row and
+                   column terms, as rows of N d0 entries that edge_to_node's
+                   product reads without a copy.
   subgraph module  assignment_scores, row j = softmax(p_j theta1[:, j]) (the
                    lesion encoding); subgraph_filters, vec(W_j) = theta2 S_j
                    + b2; subgraph_conv, h2_i = relu(sum_j W_j h1_j).
@@ -35,7 +38,6 @@ the objective.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -137,25 +139,10 @@ def edge_to_edge(tape: Tape, x: Tensor, r: Tensor, c: Tensor) -> Tensor:
 
 
 def _edge_relu(tape: Tape, row: Tensor, col: Tensor) -> Tensor:
-    """H_ij = relu(row_i + col_j) from per-node row/column terms (..., N, d0).
-
-    row_i is repeated over j as a product with the 0/1 matrix [I I ... I]
-    (d0, N d0), which is exact. Every pass over H then runs along rows of
-    N d0 contiguous entries instead of d0.
-    """
+    """H_ij = relu(row_i + col_j) from per-node row/column terms (..., N, d0),
+    shape (..., N, N, d0)."""
     lead, (n, d0) = row.shape[:-2], row.shape[-2:]
-    tile = Tensor(_edge_tile(n, d0), requires_grad=False)
-    h = tape.add_relu(tape.matmul(row, tile), tape.reshape(col, lead + (1, n * d0)))
-    return tape.reshape(h, lead + (n, n, d0))
-
-
-@functools.lru_cache(maxsize=8)
-def _edge_tile(n: int, d0: int) -> np.ndarray:
-    """The read-only (d0, N d0) matrix [I I ... I] that `_edge_relu` repeats
-    row terms with, built once per shape."""
-    tile = np.tile(np.eye(d0), n)
-    tile.flags.writeable = False
-    return tile
+    return tape.reshape(tape.outer_add_relu(row, col), lead + (n, n, d0))
 
 
 def edge_to_node(tape: Tape, h: Tensor, g: Tensor, b1: Tensor) -> Tensor:
@@ -500,85 +487,6 @@ def single_tape_batch_loss(tape: Tape, prepared: list[PreparedSubject],
     if lam != 0.0:
         out = tape.add(out, _ridge(tape, params_t, lam))
     return out
-
-
-# ----------------------------------------------------------------------
-# gradient checks
-# ----------------------------------------------------------------------
-
-
-def _random_subject(rng, n: int) -> SubjectRecord:
-    from .connectome import LesionEncoding, correlation_matrix, exponentiate
-
-    x = exponentiate(correlation_matrix(rng.normal(size=(n, 3 * n))))
-    p = np.clip(rng.uniform(-0.2, 1.4, size=n), 0.0, 1.0)
-    return SubjectRecord(id="gradcheck", x=x, lesion=LesionEncoding(p=p),
-                         y=float(rng.uniform(20, 90)))
-
-
-def run_gradient_checks(module: str = "all", seed: int = 0,
-                        hyper: HyperParams | None = None,
-                        step: float = 1e-5) -> dict[str, float]:
-    """Max relative error of tape gradients vs central differences, per stage.
-
-    Instances are seeded random, sized by `hyper` (default: 6 ROIs with a
-    scaled-down k=3). `module` picks one of e2e, e2n, subgraph, head, loss
-    (LEGNet's full objective), loss-braingnn-dagger, loss-bnc-mask,
-    loss-bnc-2channel, or all. The full objectives run a 2-subject batch as
-    one tape through the chunk objective that batch_loss_and_grads uses.
-    """
-    from .diffmath import gradient_check
-
-    check_seed("seed", seed)
-    if hyper is None:
-        hyper = HyperParams(n_rois=6, k=3)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n, k = hyper.n_rois, hyper.k
-    d0, d1, d2, d3 = hyper.d0, hyper.d1, hyper.d2, hyper.d3
-    record = _random_subject(rng, n)
-    x_const = Tensor(record.x, requires_grad=False)
-    pcol_const = Tensor(record.lesion.p[:, None], requires_grad=False)
-
-    checks: dict[str, float] = {}
-
-    def check(name, build, inputs):
-        if module in ("all", name):
-            checks[name] = gradient_check(build, inputs, step=step)
-
-    check("e2e", lambda tape, ts: tape.l2_norm_sq(edge_to_edge(tape, x_const, ts[0], ts[1])),
-          [rng.uniform(-1, 1, size=(n, d0)), rng.uniform(-1, 1, size=(n, d0))])
-    h_fixed = Tensor(rng.uniform(0.1, 2.0, size=(n, n, d0)), requires_grad=False)
-    check("e2n", lambda tape, ts: tape.l2_norm_sq(edge_to_node(tape, h_fixed, ts[0], ts[1])),
-          [rng.uniform(-1, 1, size=(n, d1, d0)), rng.uniform(-1, 1, size=(d1,))])
-    h1_fixed = Tensor(rng.uniform(0.1, 2.0, size=(n, d1)), requires_grad=False)
-
-    def build_subgraph(tape, ts):
-        s = assignment_scores(tape, pcol_const, ts[0])
-        w = subgraph_filters(tape, s, ts[1], ts[2], d2)
-        return tape.l2_norm_sq(subgraph_conv(tape, h1_fixed, w))
-
-    check("subgraph", build_subgraph,
-          [rng.uniform(-1, 1, size=(k, n)), rng.uniform(-1, 1, size=(d2 * d1, k)),
-           rng.uniform(-1, 1, size=(d2 * d1,))])
-    h2_fixed = Tensor(rng.uniform(0.1, 2.0, size=(n, d2)), requires_grad=False)
-    check("head", lambda tape, ts: tape.l2_norm_sq(predict_head(tape, h2_fixed, *ts)),
-          [rng.uniform(-1, 1, size=(d3, n * d2)), rng.uniform(-1, 1, size=(d3,)),
-           rng.uniform(-1, 1, size=(1, d3)), rng.uniform(-1, 1, size=(1,))])
-    records = [record, _random_subject(rng, n)]
-    for kind in MODEL_KINDS:
-        names = [row[0] for row in param_spec(kind, hyper)]
-        init = init_params(kind, hyper, seed=seed + 1)
-        batch = stack_subjects(prepare_dataset(records, kind), hyper)
-
-        def build_loss(tape, ts, kind=kind, names=names, batch=batch):
-            params_t = dict(zip(names, ts))
-            return _chunk_objective(tape, batch, params_t, hyper, kind, 1.0, hyper.lam)[0]
-
-        check("loss" if kind == MODEL_LEGNET else f"loss-{kind}", build_loss,
-              [init[name] for name in names])
-    if not checks:
-        raise InputError(f"unknown gradcheck module {module!r}")
-    return checks
 
 
 # ----------------------------------------------------------------------

@@ -450,6 +450,27 @@ class TestCorrelation:
         assert np.all(np.diag(corr) == 1.0)
         assert corr.min() >= -1.0 and corr.max() <= 1.0
 
+    @pytest.mark.parametrize("factor", [1e160, 1e-170])
+    def test_extreme_row_scale_gives_the_unscaled_matrix(self, factor):
+        # x 1e160 overflowed the row's squares: zero correlations and a
+        # warning; x 1e-170 underflowed them and the row came out dead
+        ts = np.random.default_rng(6).normal(size=(3, 6))
+        expected = correlation_matrix(ts)
+        ts[1] *= factor
+        with np.errstate(all="raise"):
+            corr = correlation_matrix(ts)
+        assert np.abs(corr - expected).max() <= 1e-15
+
+    def test_ordinary_rows_keep_the_bytes_of_the_unscaled_formula(self):
+        # the power-of-two row scale is exact, so away from float64's limits
+        # the result is the plain formula's, byte for byte
+        scales = np.array([[1.0], [1e3], [1e-3], [7.0], [0.1]])
+        ts = np.random.default_rng(7).normal(size=(5, 20)) * scales + 3.0
+        centered = ts - ts.mean(axis=1, keepdims=True)
+        unit = centered / np.sqrt((centered * centered).sum(axis=1))[:, None]
+        expected = np.clip(unit @ unit.T, -1.0, 1.0)
+        np.fill_diagonal(expected, 1.0)
+        assert correlation_matrix(ts).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_is_an_input_error(self, bad):

@@ -64,6 +64,43 @@ class TestPrimitives:
         assert abs(out.data.sum() - 1.0) <= 1e-12
 
 
+class TestOuterAddRelu:
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3)], ids=["unbatched", "batched"])
+    def test_equals_relu_of_the_broadcast_sum_as_bytes(self, shape):
+        rng = np.random.default_rng(8)
+        row, col = rng.normal(size=shape), rng.normal(size=shape)
+        # sums that are exactly 0: x + (-x), 0 + 0 and -0 + -0
+        col[..., 1, :] = -row[..., 2, :]
+        row[..., 0, 0] = col[..., 3, 0] = 0.0
+        row[..., 4, 1] = col[..., 4, 1] = -0.0
+        out = Tape().outer_add_relu(Tensor(row), Tensor(col))
+        expected = np.maximum(row[..., :, None, :] + col[..., None, :, :], 0.0)
+        n, d = shape[-2:]
+        assert out.shape == shape[:-2] + (n, n * d)
+        assert out.data.tobytes() == expected.reshape(out.shape).tobytes()
+
+    def test_gradient_counts_the_positive_pairs(self):
+        # with every output's gradient 1, d/d row_ik counts the j with
+        # row_ik + col_jk > 0 and d/d col_jk the i; an exact 0 counts for neither
+        row = np.array([[1.0, -2.0], [0.5, 0.0], [-1.0, 3.0]])
+        col = np.array([[-1.0, 2.0], [0.25, 0.0], [-0.5, -3.0]])
+        tape = Tape()
+        trow, tcol = Tensor(row), Tensor(col)
+        out = tape.outer_add_relu(trow, tcol)
+        ones = Tensor(np.ones(out.shape[-1]), requires_grad=False)
+        total = tape.matmul(Tensor(np.ones(3), requires_grad=False), tape.matmul(out, ones))
+        backward(tape, total)
+        positive = row[:, None, :] + col[None, :, :] > 0.0
+        assert np.array_equal(trow.grad, positive.sum(axis=1))
+        assert np.array_equal(tcol.grad, positive.sum(axis=0))
+
+    @pytest.mark.parametrize("row, col", [((5, 3), (5, 2)), ((2, 5, 3), (5, 3)),
+                                          ((5, 3), (4, 3)), ((3,), (3,))])
+    def test_rejects_operands_of_different_or_too_few_axes(self, row, col):
+        with pytest.raises(ShapeError):
+            Tape().outer_add_relu(Tensor(np.ones(row)), Tensor(np.ones(col)))
+
+
 class TestTranspose:
     # none is its own inverse, so a backward that applied `axes` again, or
     # any other wrong inverse, shows
@@ -242,11 +279,14 @@ def test_every_primitive_matches_central_differences(seed):
         wide = tape.transpose(tbatch, (0, 2, 1))                          # (2, 4, 3)
         for x, y in ((tbatch, tb), (wide, ta), (tbatch, tu), (ta, wide), (tu, wide)):
             total = tape.add(total, tape.l2_norm_sq(tape.matmul(x, y)))
-        # 4-D reshape and transpose, then the fused add + relu
+        # 4-D reshape and transpose, then the fused add + relu and outer sum
         four = tape.transpose(tape.reshape(tbatch, (2, 3, 2, 2)), (0, 2, 1, 3))
         total = tape.add(total, tape.l2_norm_sq(tape.mul(four, four)))
         # mse against ones: its gradient is nonzero where relu outputs 0
         fused = tape.add_relu(trow, tcol)
-        return tape.add(total, tape.mse(fused, Tensor(np.ones(fused.shape), requires_grad=False)))
+        total = tape.add(total, tape.mse(fused, Tensor(np.ones(fused.shape), requires_grad=False)))
+        # the outer sum of every pair of rows; no pair sum lies within 0.1 of 0
+        outer = tape.outer_add_relu(tape.reshape(trow, (2, 3, 2)), tape.reshape(tcol, (2, 3, 2)))
+        return tape.add(total, tape.mse(outer, Tensor(np.ones(outer.shape), requires_grad=False)))
 
     assert gradient_check(build, [a, b, v, batched, u, row, col], step=1e-5) <= 1e-4

@@ -10,11 +10,19 @@ from legnet.connectome import (
     InputError,
     LesionEncoding,
     SubjectRecord,
+    check_seed,
     correlation_matrix,
     exponentiate,
 )
-from legnet import model
-from legnet.diffmath import MMAP_THRESHOLD, TRIM_THRESHOLD, Tape, Tensor, backward
+from legnet import diffmath, model
+from legnet.diffmath import (
+    MMAP_THRESHOLD,
+    TRIM_THRESHOLD,
+    Tape,
+    Tensor,
+    backward,
+    gradient_check,
+)
 from legnet.model import (
     FORWARDS,
     MODEL_BNC_2CHANNEL,
@@ -32,11 +40,11 @@ from legnet.model import (
     init_params,
     load_checkpoint,
     loss,
+    param_spec,
     predict,
     predict_head,
     prepare_dataset,
     prepare_subject,
-    run_gradient_checks,
     save_checkpoint,
     single_tape_batch_loss,
     stack_subjects,
@@ -154,18 +162,20 @@ class TestEdgeToEdge:
 
 
 class TestEdgeTile:
+    """The [I I ... I] constant that `outer_add_relu` builds H with."""
+
     def test_is_a_read_only_constant(self):
-        tile = model._edge_tile(5, 3)
+        tile = diffmath._eye_tile(5, 3)
         assert np.array_equal(tile, np.tile(np.eye(3), 5))
         with pytest.raises(ValueError):
             tile[0, 0] = 2.0
 
     def test_one_constant_per_shape(self):
-        assert model._edge_tile(5, 3) is model._edge_tile(5, 3)
-        assert model._edge_tile(5, 3) is not model._edge_tile(6, 3)
-        assert model._edge_tile(5, 3).shape == (3, 15)
-        assert model._edge_tile(6, 3).shape == (3, 18)
-        assert model._edge_tile(5, 2).shape == (2, 10)
+        assert diffmath._eye_tile(5, 3) is diffmath._eye_tile(5, 3)
+        assert diffmath._eye_tile(5, 3) is not diffmath._eye_tile(6, 3)
+        assert diffmath._eye_tile(5, 3).shape == (3, 15)
+        assert diffmath._eye_tile(6, 3).shape == (3, 18)
+        assert diffmath._eye_tile(5, 2).shape == (2, 10)
 
     def test_predictions_unchanged_across_roi_counts(self):
         rng = np.random.default_rng(4)
@@ -546,6 +556,105 @@ class TestBaselines:
                                params["head_w2"], params["head_b2"])
         assert predict(rec, params, hyper, MODEL_BNC_2CHANNEL) == pytest.approx(
             expected, rel=1e-12, abs=0)
+
+
+def three_op_edge_relu(tape, row, col):
+    """H as the model built it before `outer_add_relu`: row terms repeated by
+    a product with [I I ... I], column terms reshaped, then add + relu."""
+    lead, (n, d0) = row.shape[:-2], row.shape[-2:]
+    tile = Tensor(np.tile(np.eye(d0), n), requires_grad=False)
+    h = tape.add_relu(tape.matmul(row, tile), tape.reshape(col, lead + (1, n * d0)))
+    return tape.reshape(h, lead + (n, n, d0))
+
+
+class TestEdgeTensorPinned:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_outputs_equal_the_three_op_chain_as_bytes(self, kind, monkeypatch):
+        rng = np.random.default_rng(90)
+        hyper = HyperParams(n_rois=90)
+        records = [random_subject(rng, 90) for _ in range(9)]
+        params = init_params(kind, hyper, 5)
+        runs = []
+        for edge_relu in (model._edge_relu, three_op_edge_relu):
+            hs = []
+
+            def recording(tape, row, col, edge_relu=edge_relu, hs=hs):
+                h = edge_relu(tape, row, col)
+                hs.append(h.data.tobytes())
+                return h
+
+            monkeypatch.setattr(model, "_edge_relu", recording)
+            value, grads, preds = batch_loss_and_grads(
+                prepare_dataset(records[:8], kind), as_tensors(params), hyper, kind, hyper.lam)
+            single = predict(records[8], params, hyper, kind)
+            runs.append((hs, np.float64(value).tobytes(), preds.tobytes(),
+                         np.float64(single).tobytes(),
+                         {name: g.tobytes() for name, g in grads.items()}))
+        assert len(runs[0][0]) == (0 if kind == MODEL_BRAINGNN_DAGGER else 2)
+        assert runs[0] == runs[1]
+
+
+def run_gradient_checks(module: str = "all", seed: int = 0,
+                        hyper: HyperParams | None = None,
+                        step: float = 1e-5) -> dict[str, float]:
+    """Max relative error of tape gradients vs central differences, per stage.
+
+    Instances are seeded random, sized by `hyper` (default: 6 ROIs with a
+    scaled-down k=3). `module` picks one of e2e, e2n, subgraph, head, loss
+    (LEGNet's full objective), loss-braingnn-dagger, loss-bnc-mask,
+    loss-bnc-2channel, or all. The full objectives run a 2-subject batch as
+    one tape through the chunk objective that batch_loss_and_grads uses.
+    """
+    check_seed("seed", seed)
+    if hyper is None:
+        hyper = HyperParams(n_rois=6, k=3)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n, k = hyper.n_rois, hyper.k
+    d0, d1, d2, d3 = hyper.d0, hyper.d1, hyper.d2, hyper.d3
+    record = random_subject(rng, n)
+    x_const = Tensor(record.x, requires_grad=False)
+    pcol_const = Tensor(record.lesion.p[:, None], requires_grad=False)
+
+    checks: dict[str, float] = {}
+
+    def check(name, build, inputs):
+        if module in ("all", name):
+            checks[name] = gradient_check(build, inputs, step=step)
+
+    check("e2e", lambda tape, ts: tape.l2_norm_sq(edge_to_edge(tape, x_const, ts[0], ts[1])),
+          [rng.uniform(-1, 1, size=(n, d0)), rng.uniform(-1, 1, size=(n, d0))])
+    h_fixed = Tensor(rng.uniform(0.1, 2.0, size=(n, n, d0)), requires_grad=False)
+    check("e2n", lambda tape, ts: tape.l2_norm_sq(edge_to_node(tape, h_fixed, ts[0], ts[1])),
+          [rng.uniform(-1, 1, size=(n, d1, d0)), rng.uniform(-1, 1, size=(d1,))])
+    h1_fixed = Tensor(rng.uniform(0.1, 2.0, size=(n, d1)), requires_grad=False)
+
+    def build_subgraph(tape, ts):
+        s = assignment_scores(tape, pcol_const, ts[0])
+        w = subgraph_filters(tape, s, ts[1], ts[2], d2)
+        return tape.l2_norm_sq(subgraph_conv(tape, h1_fixed, w))
+
+    check("subgraph", build_subgraph,
+          [rng.uniform(-1, 1, size=(k, n)), rng.uniform(-1, 1, size=(d2 * d1, k)),
+           rng.uniform(-1, 1, size=(d2 * d1,))])
+    h2_fixed = Tensor(rng.uniform(0.1, 2.0, size=(n, d2)), requires_grad=False)
+    check("head", lambda tape, ts: tape.l2_norm_sq(predict_head(tape, h2_fixed, *ts)),
+          [rng.uniform(-1, 1, size=(d3, n * d2)), rng.uniform(-1, 1, size=(d3,)),
+           rng.uniform(-1, 1, size=(1, d3)), rng.uniform(-1, 1, size=(1,))])
+    records = [record, random_subject(rng, n)]
+    for kind in MODEL_KINDS:
+        names = [row[0] for row in param_spec(kind, hyper)]
+        init = init_params(kind, hyper, seed=seed + 1)
+        batch = stack_subjects(prepare_dataset(records, kind), hyper)
+
+        def build_loss(tape, ts, kind=kind, names=names, batch=batch):
+            params_t = dict(zip(names, ts))
+            return model._chunk_objective(tape, batch, params_t, hyper, kind, 1.0, hyper.lam)[0]
+
+        check("loss" if kind == MODEL_LEGNET else f"loss-{kind}", build_loss,
+              [init[name] for name in names])
+    if not checks:
+        raise InputError(f"unknown gradcheck module {module!r}")
+    return checks
 
 
 class TestGradientChecks:
