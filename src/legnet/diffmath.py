@@ -40,14 +40,16 @@ def _keep_freed_tape_memory() -> None:
     """Let glibc reuse one tape's freed arrays for the next tape.
 
     A minibatch tape at N = 90 allocates and frees its (B, N, N, d0) arrays:
-    its loss and gradients peak at ~1.5 MB for one subject, ~10 MB for 8
-    and ~20 MB for the 16 that `model` puts in one chunk (tracemalloc). Under glibc's adaptive defaults, unless
-    the process has already freed a multi-megabyte block, each freed heap
-    top goes back to the OS and the next tape faults it in again (~2,500
-    minor faults and ~30% more time per four-kind training step at one
-    subject per tape). This serves blocks up to MMAP_THRESHOLD (4 MiB) from
-    the heap and keeps up to TRIM_THRESHOLD (32 MiB, above a full chunk's
-    peak) of free heap. A C library without mallopt is left as it is.
+    a legnet loss and its gradients peak at ~1.1 MB for one subject, ~7.9 MB
+    for 8 and ~15.7 MB for the 16 that `model` puts in one chunk
+    (tracemalloc). Under glibc's adaptive defaults, unless the process has
+    already freed a multi-megabyte block, each freed heap top goes back to
+    the OS and the next tape faults it in again: a four-kind training step
+    at B = 8 then takes ~2,400 minor faults and about twice the time (27
+    against 14 ms on a 2-core VM). This serves blocks up to MMAP_THRESHOLD
+    (4 MiB) from the heap and keeps up to TRIM_THRESHOLD (32 MiB, above a
+    full chunk's peak) of free heap. A C library without mallopt is left as
+    it is.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -229,11 +231,11 @@ class Tape:
 
     def outer_add_relu(self, row: Tensor, col: Tensor) -> Tensor:
         """relu(row_i + col_j) for every pair (i, j) of two (..., N, d)
-        operands, shape (..., N, N d): entry (i, j d + k) is
-        relu(row_ik + col_jk).
+        operands, shape (..., N, N, d): entry (i, j, k) is relu(row_ik + col_jk).
 
         One product [row | 1] @ [T ; vec(col)], with T = [I I ... I] (d, N d),
-        writes it and the relu runs in place. Every other term of a sum is an
+        writes it as rows of N d entries and the relu runs in place; the
+        output is a view of that product. Every other term of a sum is an
         exact 0, so each entry is row + col rounded once, as `add` rounds it.
         Keeps only its output, whose positive entries are where the gradient
         passes.
@@ -255,10 +257,10 @@ class Tape:
         def backward(g):
             # a float mask: a product with a bool array casts it in a slow loop
             gm = (out > 0.0).astype(np.float64)
-            gm *= g
+            gm *= g.reshape(out.shape)
             return gm @ tile.T, gm.sum(axis=-2).reshape(col.data.shape)
 
-        return self._emit(out, (row, col), backward)
+        return self._emit(out.reshape(lead + (n, n, d)), (row, col), backward)
 
     def softmax_lastaxis(self, a: Tensor) -> Tensor:
         """Softmax over the last axis, with max-subtraction for stability."""

@@ -7,11 +7,11 @@ modules and ends in one dense head (predict_head):
   edge module      edge_to_edge, H_ij = relu(sum_n r_n X_in + sum_n c_n X_nj),
                    then edge_to_node, h1_i = relu(sum_n g_n H_in + b1). H is
                    written by one tape op, `outer_add_relu` of the row and
-                   column terms, as rows of N d0 entries that edge_to_node's
-                   product reads without a copy.
+                   column terms; edge_to_node's product reads it without a
+                   copy.
   subgraph module  assignment_scores, row j = softmax(p_j theta1[:, j]) (the
-                   lesion encoding); subgraph_filters, vec(W_j) = theta2 S_j
-                   + b2; subgraph_conv, h2_i = relu(sum_j W_j h1_j).
+                   lesion encoding); subgraph_filters, row j of V is vec(W_j)
+                   = theta2 S_j + b2; subgraph_conv, h2_i = relu(sum_j W_j h1_j).
 
   legnet           edge module, then the subgraph module driven by p.
   braingnn-dagger  node embedding relu(X node_w^T + node_b), then the subgraph
@@ -29,7 +29,7 @@ loss is differentiable end to end.
 
 Every stage takes optional leading batch axes, written "...": X (..., N, N)
 and p as pcol (..., N, 1) give H (..., N, N, d0), h1 (..., N, d1), S
-(..., N, k), W (..., N, d2, d1), h2 (..., N, d2) and a score (..., 1). One
+(..., N, k), V (..., N, d1 d2), h2 (..., N, d2) and a score (..., 1). One
 subject has no leading axis (`predict`); `batch_loss_and_grads` stacks a
 minibatch into chunks of `chunk_subjects(hyper)` subjects and runs each
 chunk through the same forward as one tape that holds the chunk's share of
@@ -135,14 +135,7 @@ def edge_to_edge(tape: Tape, x: Tensor, r: Tensor, c: Tensor) -> Tensor:
     n, d0 = r.shape
     if x.shape[-2:] != (n, n) or c.shape != (n, d0):
         raise InputError(f"edge_to_edge shapes disagree: X {x.shape}, r {r.shape}, c {c.shape}")
-    return _edge_relu(tape, tape.matmul(x, r), tape.matmul(_swap_last(tape, x), c))
-
-
-def _edge_relu(tape: Tape, row: Tensor, col: Tensor) -> Tensor:
-    """H_ij = relu(row_i + col_j) from per-node row/column terms (..., N, d0),
-    shape (..., N, N, d0)."""
-    lead, (n, d0) = row.shape[:-2], row.shape[-2:]
-    return tape.reshape(tape.outer_add_relu(row, col), lead + (n, n, d0))
+    return tape.outer_add_relu(tape.matmul(x, r), tape.matmul(_swap_last(tape, x), c))
 
 
 def edge_to_node(tape: Tape, h: Tensor, g: Tensor, b1: Tensor) -> Tensor:
@@ -166,33 +159,29 @@ def assignment_scores(tape: Tape, pcol: Tensor, theta1: Tensor) -> Tensor:
     return tape.softmax_lastaxis(logits)
 
 
-def subgraph_filters(tape: Tape, s: Tensor, theta2: Tensor, b2: Tensor, d2: int) -> Tensor:
-    """W_j with vec(W_j) = theta2 S_j + b2 (column-major vec), shape (..., N, d2, d1)."""
-    lead, (n, k) = s.shape[:-2], s.shape[-2:]
-    dd, k2 = theta2.shape
-    if k != k2 or b2.shape != (dd,) or dd % d2:
+def subgraph_filters(tape: Tape, s: Tensor, theta2: Tensor, b2: Tensor) -> Tensor:
+    """V with row j = vec(W_j) = theta2 S_j + b2, shape (..., N, d1 d2): the
+    column-major vec of the (d2, d1) filter W_j."""
+    k, (dd, k2) = s.shape[-1], theta2.shape
+    if k != k2 or b2.shape != (dd,):
         raise InputError(f"subgraph_filters shapes disagree: S {s.shape}, theta2 {theta2.shape}")
-    d1 = dd // d2
-    flat = tape.add(tape.matmul(s, tape.transpose(theta2, (1, 0))), b2)
-    return _swap_last(tape, tape.reshape(flat, lead + (n, d1, d2)))
+    return tape.add(tape.matmul(s, tape.transpose(theta2, (1, 0))), b2)
 
 
-def subgraph_conv(tape: Tape, h1: Tensor, w: Tensor) -> Tensor:
-    """h2_i = relu(sum_j W_j h1_j), shape (..., N, d2).
+def subgraph_conv(tape: Tape, h1: Tensor, v: Tensor) -> Tensor:
+    """h2_i = relu(sum_j W_j h1_j) from V's rows vec(W_j), shape (..., N, d2).
 
-    With the complete-graph neighborhood the inner sum is the same for every
-    i; the per-node output layout is kept anyway.
+    The sum is one product, vec(h1)^T times V read as (N d1, d2). With the
+    complete-graph neighborhood it is the same for every i; the per-node
+    output layout is kept anyway.
     """
     lead, (n, d1) = h1.shape[:-2], h1.shape[-2:]
-    if w.shape[:-3] != lead or w.shape[-3] != n or w.shape[-1] != d1:
-        raise InputError(f"subgraph_conv shapes disagree: h1 {h1.shape}, W {w.shape}")
-    d2 = w.shape[-2]
-    axes = tuple(range(len(lead)))
-    node, row, col = len(lead), len(lead) + 1, len(lead) + 2
-    wc = tape.reshape(tape.transpose(w, axes + (row, node, col)), lead + (d2, n * d1))
-    pooled = tape.matmul(wc, tape.reshape(h1, lead + (n * d1, 1)))
+    if v.shape[:-1] != lead + (n,) or not d1 or v.shape[-1] % d1:
+        raise InputError(f"subgraph_conv shapes disagree: h1 {h1.shape}, V {v.shape}")
+    pooled = tape.matmul(tape.reshape(h1, lead + (1, n * d1)),
+                         tape.reshape(v, lead + (n * d1, v.shape[-1] // d1)))
     ones = Tensor(np.ones((n, 1)), requires_grad=False)
-    return tape.relu(tape.matmul(ones, tape.reshape(pooled, lead + (1, d2))))
+    return tape.relu(tape.matmul(ones, pooled))
 
 
 def predict_head(tape: Tape, features: Tensor, w1: Tensor, b1: Tensor,
@@ -237,15 +226,20 @@ class PreparedBatch:
 Prepared = PreparedSubject | PreparedBatch
 
 
+def _check_fits(subj: PreparedSubject, hyper: HyperParams) -> None:
+    """Raise InputError, naming the subject, unless its x and pcol fit hyper.n_rois."""
+    n = hyper.n_rois
+    if subj.x.shape != (n, n) or subj.pcol.shape != (n, 1):
+        raise InputError(f"subject {subj.id!r} has X {subj.x.shape} and lesion column "
+                         f"{subj.pcol.shape}; the model expects {n} ROIs")
+
+
 def stack_subjects(prepared: list[PreparedSubject], hyper: HyperParams) -> PreparedBatch:
     """Stack subjects for one tape. An InputError names the first subject
-    whose x or pcol does not fit `hyper.n_rois`. Entries are not checked
-    again: `prepare_subject` checked them."""
-    n = hyper.n_rois
+    that does not fit `hyper.n_rois`. Entries are not checked again:
+    `prepare_subject` checked them."""
     for subj in prepared:
-        if subj.x.shape != (n, n) or subj.pcol.shape != (n, 1):
-            raise InputError(f"subject {subj.id!r} has X {subj.x.shape} and lesion column "
-                             f"{subj.pcol.shape}; the model expects {n} ROIs")
+        _check_fits(subj, hyper)
 
     def stack(name):
         data = np.stack([getattr(subj, name).data for subj in prepared])
@@ -254,41 +248,35 @@ def stack_subjects(prepared: list[PreparedSubject], hyper: HyperParams) -> Prepa
     return PreparedBatch(stack("x"), stack("pcol"), stack("target"))
 
 
-def _edge_module(tape: Tape, subj: Prepared, params: dict[str, Tensor],
-                 hyper: HyperParams) -> Tensor:
+def _edge_module(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
     h = edge_to_edge(tape, subj.x, params["r"], params["c"])
     return edge_to_node(tape, h, params["g"], params["b1"])
 
 
-def _two_channel_edge_module(tape: Tape, subj: Prepared, params: dict[str, Tensor],
-                             hyper: HyperParams) -> Tensor:
+def _two_channel_edge_module(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
     """The edge module on X and B = p p^T, with B r2 = p (p^T r2)."""
     xt, pt = _swap_last(tape, subj.x), _swap_last(tape, subj.pcol)
     row = tape.add(tape.matmul(subj.x, params["r"]),
                    tape.matmul(subj.pcol, tape.matmul(pt, params["r2"])))
     col = tape.add(tape.matmul(xt, params["c"]),
                    tape.matmul(subj.pcol, tape.matmul(pt, params["c2"])))
-    return edge_to_node(tape, _edge_relu(tape, row, col), params["g"], params["b1"])
+    return edge_to_node(tape, tape.outer_add_relu(row, col), params["g"], params["b1"])
 
 
-def _subgraph_module(tape: Tape, h1: Tensor, subj: Prepared,
-                     params: dict[str, Tensor], hyper: HyperParams) -> Tensor:
+def _subgraph_module(tape: Tape, h1: Tensor, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
     s = assignment_scores(tape, subj.pcol, params["theta1"])
-    w = subgraph_filters(tape, s, params["theta2"], params["b2"], hyper.d2)
-    return subgraph_conv(tape, h1, w)
+    return subgraph_conv(tape, h1, subgraph_filters(tape, s, params["theta2"], params["b2"]))
 
 
-def _legnet_features(tape: Tape, subj: Prepared, params: dict[str, Tensor],
-                     hyper: HyperParams) -> Tensor:
-    return _subgraph_module(tape, _edge_module(tape, subj, params, hyper), subj, params, hyper)
+def _legnet_features(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
+    return _subgraph_module(tape, _edge_module(tape, subj, params), subj, params)
 
 
-def _braingnn_dagger_features(tape: Tape, subj: Prepared, params: dict[str, Tensor],
-                              hyper: HyperParams) -> Tensor:
+def _braingnn_dagger_features(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
     """Linear per-row node embedding of X, then the subgraph module."""
     h1 = tape.add_relu(tape.matmul(subj.x, tape.transpose(params["node_w"], (1, 0))),
                        params["node_b"])
-    return _subgraph_module(tape, h1, subj, params, hyper)
+    return _subgraph_module(tape, h1, subj, params)
 
 
 def _mask_damaged(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,7 +291,7 @@ class ModelKind:
     record's (X, p) to the kind's inputs."""
 
     modules: tuple[str, ...]
-    features: Callable[[Tape, Prepared, dict[str, Tensor], HyperParams], Tensor]
+    features: Callable[[Tape, Prepared, dict[str, Tensor]], Tensor]
     inputs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] = (
         lambda x, p: (x, p))
 
@@ -355,7 +343,7 @@ def prepare_dataset(records: list[SubjectRecord], kind: str) -> list[PreparedSub
 def _with_head(features):
     def forward(tape: Tape, subj: Prepared, params: dict[str, Tensor],
                 hyper: HyperParams) -> Tensor:
-        return predict_head(tape, features(tape, subj, params, hyper), params["head_w1"],
+        return predict_head(tape, features(tape, subj, params), params["head_w1"],
                             params["head_b1"], params["head_w2"], params["head_b2"])
     return forward
 
@@ -393,6 +381,7 @@ def predict(record: SubjectRecord, params: dict[str, np.ndarray], hyper: HyperPa
             kind: str = MODEL_LEGNET) -> float:
     check_params(kind, hyper, {name: arr.shape for name, arr in params.items()})
     subj = prepare_subject(record, kind)
+    _check_fits(subj, hyper)
     out = FORWARDS[kind](Tape(), subj, as_tensors(params, requires_grad=False), hyper)
     return float(out.data[0])
 

@@ -584,6 +584,18 @@ class TestSubjectIO:
             save_cohort(path, records)
         assert not path.exists()
 
+    @pytest.mark.parametrize("shape, message", [
+        ("empty", "empty cohort"),
+        ("mixed-n", "must share N"),
+    ], ids=["empty", "mixed-n"])
+    def test_save_rejects_a_cohort_it_cannot_write(self, tmp_path, shape, message):
+        records = [] if shape == "empty" else self.make_records(n=1) + self.make_records(
+            n=1, n_rois=6)
+        path = tmp_path / "cohort.bin"
+        with pytest.raises(InputError, match=message):
+            save_cohort(path, records)
+        assert not path.exists()
+
     def test_save_rejects_id_longer_than_its_length_field(self, tmp_path):
         # a 70,000-byte id used to raise struct.error mid-file
         records = self.make_records(n=1)
@@ -622,6 +634,19 @@ class TestSubjectIO:
                 "one long": len(data) + 1}.get(length, length)
         path.write_bytes((data + b"\0")[:size])
         with pytest.raises(InputError, match="truncated|trailing"):
+            load_cohort(path)
+
+    @pytest.mark.parametrize("offset, patch, message", [
+        (4, struct.pack("<I", 2), "unsupported cohort format version 2"),
+        (18, b"\xff", "subject id is not utf-8"),  # first byte of record 's000's id
+    ], ids=["version-2", "id-not-utf8"])
+    def test_load_rejects_a_bad_version_or_id(self, tmp_path, offset, patch, message):
+        path = tmp_path / "cohort.bin"
+        save_cohort(path, self.make_records(n=1))
+        data = bytearray(path.read_bytes())
+        data[offset:offset + len(patch)] = patch
+        path.write_bytes(bytes(data))
+        with pytest.raises(InputError, match=message):
             load_cohort(path)
 
     def test_load_rejects_header_without_rois(self, tmp_path):

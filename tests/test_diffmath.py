@@ -75,9 +75,8 @@ class TestOuterAddRelu:
         row[..., 4, 1] = col[..., 4, 1] = -0.0
         out = Tape().outer_add_relu(Tensor(row), Tensor(col))
         expected = np.maximum(row[..., :, None, :] + col[..., None, :, :], 0.0)
-        n, d = shape[-2:]
-        assert out.shape == shape[:-2] + (n, n * d)
-        assert out.data.tobytes() == expected.reshape(out.shape).tobytes()
+        assert out.shape == expected.shape == shape[:-1] + shape[-2:]
+        assert out.data.tobytes() == expected.tobytes()
 
     def test_gradient_counts_the_positive_pairs(self):
         # with every output's gradient 1, d/d row_ik counts the j with
@@ -86,7 +85,7 @@ class TestOuterAddRelu:
         col = np.array([[-1.0, 2.0], [0.25, 0.0], [-0.5, -3.0]])
         tape = Tape()
         trow, tcol = Tensor(row), Tensor(col)
-        out = tape.outer_add_relu(trow, tcol)
+        out = tape.reshape(tape.outer_add_relu(trow, tcol), (3, 6))
         ones = Tensor(np.ones(out.shape[-1]), requires_grad=False)
         total = tape.matmul(Tensor(np.ones(3), requires_grad=False), tape.matmul(out, ones))
         backward(tape, total)

@@ -105,6 +105,11 @@ def oracle_filters(s, theta2, b2, d2):
     return w
 
 
+def vec_rows(w):
+    """Row j = vec(W_j), column-major: the layout subgraph_filters writes."""
+    return w.transpose(0, 2, 1).reshape(len(w), -1)
+
+
 def oracle_conv(h1, w):
     n = h1.shape[0]
     pooled = np.zeros(w.shape[1])
@@ -252,16 +257,16 @@ class TestSubgraphFilters:
         rng = np.random.default_rng(4)
         s = rng.uniform(size=(3, 2))
         b2 = rng.uniform(-1, 1, 6)
-        w = subgraph_filters(Tape(), t(s), t(np.zeros((6, 2))), t(b2), d2=2)
-        expected = oracle_filters(s, np.zeros((6, 2)), b2, 2)
+        w = subgraph_filters(Tape(), t(s), t(np.zeros((6, 2))), t(b2))
+        expected = vec_rows(oracle_filters(s, np.zeros((6, 2)), b2, 2))
         assert np.allclose(w.data, expected)
         assert np.allclose(w.data[0], w.data[1])
 
     def test_single_subgraph(self):
         theta2 = np.random.default_rng(5).uniform(-1, 1, (4, 1))
         b2 = np.array([0.1, 0.2, 0.3, 0.4])
-        w = subgraph_filters(Tape(), t(np.ones((2, 1))), t(theta2), t(b2), d2=2)
-        assert np.allclose(w.data, oracle_filters(np.ones((2, 1)), theta2, b2, 2))
+        w = subgraph_filters(Tape(), t(np.ones((2, 1))), t(theta2), t(b2))
+        assert np.allclose(w.data, vec_rows(oracle_filters(np.ones((2, 1)), theta2, b2, 2)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_loop_oracle(self, seed):
@@ -270,19 +275,19 @@ class TestSubgraphFilters:
         s /= s.sum(axis=1, keepdims=True)
         theta2 = rng.uniform(-1, 1, (8, 3))
         b2 = rng.uniform(-1, 1, 8)
-        w = subgraph_filters(Tape(), t(s), t(theta2), t(b2), d2=2)
-        assert np.allclose(w.data, oracle_filters(s, theta2, b2, 2), atol=1e-12)
+        w = subgraph_filters(Tape(), t(s), t(theta2), t(b2))
+        assert np.allclose(w.data, vec_rows(oracle_filters(s, theta2, b2, 2)), atol=1e-12)
 
 
 class TestSubgraphConv:
     def test_zero_filters(self):
-        out = subgraph_conv(Tape(), t(np.ones((3, 4))), t(np.zeros((3, 2, 4))))
+        out = subgraph_conv(Tape(), t(np.ones((3, 4))), t(vec_rows(np.zeros((3, 2, 4)))))
         assert np.all(out.data == 0.0)
 
     def test_single_node(self):
         h1 = np.array([[1.0, -1.0]])
         w = np.array([[[0.5, 0.25], [2.0, 1.0]]])
-        out = subgraph_conv(Tape(), t(h1), t(w))
+        out = subgraph_conv(Tape(), t(h1), t(vec_rows(w)))
         assert np.allclose(out.data[0], np.maximum(w[0] @ h1[0], 0.0))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -290,7 +295,7 @@ class TestSubgraphConv:
         rng = np.random.default_rng(30 + seed)
         h1 = rng.uniform(-1, 1, (4, 3))
         w = rng.uniform(-1, 1, (4, 2, 3))
-        out = subgraph_conv(Tape(), t(h1), t(w))
+        out = subgraph_conv(Tape(), t(h1), t(vec_rows(w)))
         assert np.allclose(out.data, oracle_conv(h1, w), atol=1e-12)
 
 
@@ -317,9 +322,40 @@ class TestPredictHead:
         assert out.data[0] == pytest.approx(oracle_head(h2, w1, b1, w2, b2), abs=1e-12)
 
 
+def ones(*shape):
+    return t(np.ones(shape))
+
+
+class TestStageShapeChecks:
+    @pytest.mark.parametrize("stage, call", [
+        ("edge_to_node", lambda: edge_to_node(Tape(), ones(3, 4, 2), ones(3, 5, 2), ones(5))),
+        ("lesion column", lambda: assignment_scores(Tape(), ones(4, 1), ones(2, 3))),
+        ("subgraph_filters", lambda: subgraph_filters(Tape(), ones(3, 2), ones(6, 3), ones(6))),
+        # one subject's V does not broadcast over h1's batch
+        ("subgraph_conv", lambda: subgraph_conv(Tape(), ones(2, 3, 4), ones(3, 8))),
+        ("subgraph_conv", lambda: subgraph_conv(Tape(), ones(3, 4), ones(3, 6))),
+        ("head expects", lambda: predict_head(Tape(), ones(3, 2), ones(4, 5), ones(4),
+                                              ones(1, 4), ones(1))),
+    ], ids=["edge_to_node", "assignment_scores", "subgraph_filters",
+            "subgraph_conv-batched-h1-unbatched-V", "subgraph_conv-width", "predict_head"])
+    def test_stage_rejects_shapes_that_disagree(self, stage, call):
+        with pytest.raises(InputError, match=stage):
+            call()
+
+
 class TestFullForward:
     def hyper(self, n):
         return HyperParams(n_rois=n, k=3, d0=2, d1=4, d2=2, d3=4)
+
+    @pytest.mark.parametrize("kind, nodes", [(MODEL_LEGNET, 26), (MODEL_BRAINGNN_DAGGER, 21),
+                                             (MODEL_BNC_MASK, 15), (MODEL_BNC_2CHANNEL, 21)])
+    def test_forward_tape_node_count_is_pinned(self, kind, nodes):
+        # a reshape or transpose round trip between stages shows here
+        hyper = self.hyper(5)
+        subj = prepare_subject(random_subject(np.random.default_rng(0), 5), kind)
+        tape = Tape()
+        FORWARDS[kind](tape, subj, as_tensors(init_params(kind, hyper, 0)), hyper)
+        assert len(tape.nodes) == nodes
 
     def test_zero_weights_bias_head_is_constant(self):
         rng = np.random.default_rng(7)
@@ -575,7 +611,7 @@ class TestEdgeTensorPinned:
         records = [random_subject(rng, 90) for _ in range(9)]
         params = init_params(kind, hyper, 5)
         runs = []
-        for edge_relu in (model._edge_relu, three_op_edge_relu):
+        for edge_relu in (Tape.outer_add_relu, three_op_edge_relu):
             hs = []
 
             def recording(tape, row, col, edge_relu=edge_relu, hs=hs):
@@ -583,7 +619,7 @@ class TestEdgeTensorPinned:
                 hs.append(h.data.tobytes())
                 return h
 
-            monkeypatch.setattr(model, "_edge_relu", recording)
+            monkeypatch.setattr(Tape, "outer_add_relu", recording)
             value, grads, preds = batch_loss_and_grads(
                 prepare_dataset(records[:8], kind), as_tensors(params), hyper, kind, hyper.lam)
             single = predict(records[8], params, hyper, kind)
@@ -630,8 +666,8 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
 
     def build_subgraph(tape, ts):
         s = assignment_scores(tape, pcol_const, ts[0])
-        w = subgraph_filters(tape, s, ts[1], ts[2], d2)
-        return tape.l2_norm_sq(subgraph_conv(tape, h1_fixed, w))
+        v = subgraph_filters(tape, s, ts[1], ts[2])
+        return tape.l2_norm_sq(subgraph_conv(tape, h1_fixed, v))
 
     check("subgraph", build_subgraph,
           [rng.uniform(-1, 1, size=(k, n)), rng.uniform(-1, 1, size=(d2 * d1, k)),
@@ -702,6 +738,12 @@ class TestParamsAndCheckpoints:
         with pytest.raises(InputError):
             load_checkpoint(path)
 
+    def test_checkpoint_rejects_an_unsupported_version(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(b"LEGP" + struct.pack("<II", 2, 0))
+        with pytest.raises(InputError, match="unsupported checkpoint version 2"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_every_kind_round_trips(self, tmp_path, kind):
         hyper = HyperParams(n_rois=5, k=3)
@@ -726,6 +768,13 @@ class TestParamsAndCheckpoints:
         params = init_params(MODEL_LEGNET, hyper, 0)
         with pytest.raises(InputError, match="bnc-mask tensor table: 'head_w1' has shape"):
             predict(random_subject(np.random.default_rng(0), 6), params, hyper, MODEL_BNC_MASK)
+
+    def test_predict_names_a_tensor_not_in_the_table(self):
+        hyper = HyperParams(n_rois=6)
+        params = init_params(MODEL_LEGNET, hyper, 0)
+        params["extra"] = np.zeros(2)
+        with pytest.raises(InputError, match="'extra' is not in it"):
+            predict(random_subject(np.random.default_rng(0), 6), params, hyper)
 
     def test_batch_loss_rejects_unknown_kind(self):
         # a KeyError: 'nope' before
@@ -767,8 +816,12 @@ class TestParamsAndCheckpoints:
         (lambda h: h["hyper"].update(lam=-1.0), "lam must be"),
         (lambda h: h["tensors"].remove(["g", [8, 8, 4]]), "do not match the legnet"),
         (lambda h: h.pop("hyper"), "exactly model, hyper and tensors"),
+        (lambda h: h.update(tensors={"g": [8, 8, 4]}), "must be a list of"),
+        (lambda h: h["tensors"].append(["g", [8, 8, 4]]), "names a tensor twice"),
+        (lambda h: h["tensors"].reverse(), "not in name order"),
     ], ids=["extra-hyper-key", "unknown-kind", "other-kinds-tensors", "k-zero", "string-dim",
-            "bool-dim", "bool-lam", "negative-lam", "missing-tensor", "no-hyper"])
+            "bool-dim", "bool-lam", "negative-lam", "missing-tensor", "no-hyper",
+            "table-not-a-list", "repeated-name", "out-of-order"])
     def test_checkpoint_load_checks_header_against_param_spec(self, tmp_path, edit, message):
         path = self.saved_legnet(tmp_path)
         data = path.read_bytes()
@@ -862,6 +915,16 @@ class TestInputsCheckedWhereTheyEnter:
         rec.id = "s007"
         rec.lesion.p = p
         with pytest.raises(InputError, match=f"subject 's007': .*{message}"):
+            predict(rec, init_params(kind, hyper, 0), hyper, kind)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_predict_names_the_subject_whose_roi_count_does_not_fit(self, kind):
+        # braingnn-dagger and bnc-2channel raised diffmath's ShapeError from
+        # inside the forward; legnet and bnc-mask did not name the subject
+        hyper = HyperParams(n_rois=6)
+        rec = random_subject(np.random.default_rng(0), 5)
+        rec.id = "s007"
+        with pytest.raises(InputError, match=r"subject 's007' has X \(5, 5\).* expects 6 ROIs"):
             predict(rec, init_params(kind, hyper, 0), hyper, kind)
 
     def test_predict_names_a_non_finite_parameter(self):
