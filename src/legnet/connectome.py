@@ -10,7 +10,10 @@ inputs come from (N, Tlen) ROI mean time series:
     ROI mean series -> Pearson correlation -> exponentiation -> X
 
 Connectivity matrices are plain (N, N) float64 arrays; their invariants can
-be asserted with :func:`validate_connectivity`.
+be asserted with :func:`validate_connectivity`. A :class:`SubjectRecord`
+holds one subject's X, p and score y. Records and lesion encodings are
+frozen and checked once, when they are built, so code that takes one (the
+cohort file writer, the model) does not check it again.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ _FORMAT_VERSION = 1
 
 # 6-connectivity: voxels are neighbours when they share a face
 FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
+
+# entrywise slack of the connectivity checks: symmetry and the [1/e, e] range
+CONNECTIVITY_ATOL = 1e-12
 
 
 class InputError(ValueError):
@@ -170,6 +176,8 @@ def _split_counts(total: int, parts: int) -> list[int]:
 
 
 def _range_chunks(extent: int, parts: int) -> list[tuple[int, int]]:
+    """`parts` near-equal ranges tiling [0, extent); none is empty when
+    parts <= extent."""
     bounds = np.linspace(0, extent, parts + 1).round().astype(int)
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(parts)]
 
@@ -209,12 +217,9 @@ def build_toy_atlas(
         stripe_counts = _split_counts(quota, stripes)
         if max(stripe_counts) > sz:
             raise InputError(f"cannot fit {quota} ROIs into a {x1 - x0}x{gy}x{sz} territory")
+        # stripes <= gy and count <= sz, so no stripe or chunk is empty
         for (y0, y1), count in zip(_range_chunks(gy, stripes), stripe_counts):
-            if y1 <= y0:
-                raise InputError("empty y stripe; raise grid resolution")
             for zz0, zz1 in _range_chunks(sz, count):
-                if zz1 <= zz0:
-                    raise InputError("empty z chunk; raise grid resolution")
                 roi[x0:x1, y0:y1, z0 + zz0:z0 + zz1] = len(territory_of_roi) + 1
                 territory_of_roi.append(territory)
                 hemisphere_of_roi.append(HEMI_LEFT if x0 == 0 else HEMI_RIGHT)
@@ -368,18 +373,18 @@ def exponentiate(corr: np.ndarray) -> np.ndarray:
     return np.exp(np.clip(corr, -1.0, 1.0))
 
 
-def validate_connectivity(x: np.ndarray, atol: float = 1e-12) -> None:
-    """Assert the connectivity-matrix invariants: symmetric to within `atol`
-    entrywise, range [1/e, e]."""
+def validate_connectivity(x: np.ndarray) -> None:
+    """Assert the connectivity-matrix invariants: square, finite, symmetric
+    and in [1/e, e], each to within CONNECTIVITY_ATOL entrywise."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InputError(f"connectivity must be square, got {x.shape}")
     if not np.isfinite(x).all():
         raise InputError("connectivity has non-finite entries")
     asymmetry = float(np.abs(x - x.T).max())
-    if asymmetry > atol:
+    if asymmetry > CONNECTIVITY_ATOL:
         raise InputError(f"connectivity matrix is not symmetric: max |X - X^T| = {asymmetry:.3g}")
     lo, hi = math.exp(-1.0), math.exp(1.0)
-    if x.min() < lo - atol or x.max() > hi + atol:
+    if x.min() < lo - CONNECTIVITY_ATOL or x.max() > hi + CONNECTIVITY_ATOL:
         raise InputError("connectivity entries outside [1/e, e]")
 
 
@@ -388,12 +393,17 @@ def validate_connectivity(x: np.ndarray, atol: float = 1e-12) -> None:
 # ----------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LesionEncoding:
     """Per-ROI spared gray matter fractions p_i in [0, 1]. An intact ROI has
-    p_i = 1, a fully lesioned one p_i = 0."""
+    p_i = 1, a fully lesioned one p_i = 0. Construction keeps a read-only
+    float64 copy of p and runs `validate`."""
 
     p: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", _read_only(np.array(self.p, dtype=np.float64)))
+        self.validate()
 
     def validate(self) -> None:
         if self.p.ndim != 1:
@@ -413,25 +423,37 @@ def spared_fractions(atlas: ToyAtlas, lesion: LesionMask) -> LesionEncoding:
     return LesionEncoding(p=(total - lesioned_counts(atlas, lesion)) / total)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SubjectRecord:
-    """One subject: connectivity matrix X, lesion encoding, and score y."""
+    """One subject: connectivity matrix X, lesion encoding, and score y.
+    Construction keeps a read-only float64 copy of X and runs `validate`."""
 
     id: str
     x: np.ndarray
     lesion: LesionEncoding
     y: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "x", _read_only(np.array(self.x, dtype=np.float64)))
+        self.validate()
+
     def validate(self) -> None:
-        """InputError unless X is square, p is a valid N-vector and 0 <= y <= 100."""
-        if self.x.ndim != 2 or self.x.shape[0] != self.x.shape[1]:
-            raise InputError(f"X must be square, got {self.x.shape}")
-        if self.lesion.p.shape != (self.x.shape[0],):
-            raise InputError("lesion encoding length does not match X")
-        check_number("score", self.y)
-        if not 0.0 <= self.y <= 100.0:
-            raise InputError(f"score {self.y} outside [0, 100]")
-        self.lesion.validate()
+        """InputError, naming the subject, unless the id is a str, X passes
+        `validate_connectivity`, p has one entry per row of X and y is a real
+        number in [0, 100]."""
+        if not isinstance(self.id, str):
+            raise InputError(f"subject id must be a str, got {self.id!r}")
+        try:
+            validate_connectivity(self.x)
+            if not isinstance(self.lesion, LesionEncoding):
+                raise InputError(f"lesion must be a LesionEncoding, got {type(self.lesion)}")
+            if self.lesion.p.shape != (self.x.shape[0],):
+                raise InputError("lesion encoding length does not match X")
+            check_number("score", self.y)
+            if not 0.0 <= self.y <= 100.0:
+                raise InputError(f"score {self.y} outside [0, 100]")
+        except InputError as exc:
+            raise InputError(f"subject {self.id!r}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -474,21 +496,13 @@ class _ExactReader:
             raise InputError(f"trailing bytes in {self._kind} file")
 
 
-def _check_record(record: SubjectRecord) -> None:
-    """The checks every record passes on save and on load."""
-    try:
-        record.validate()
-        validate_connectivity(record.x)
-    except InputError as exc:
-        raise InputError(f"subject {record.id!r}: {exc}") from None
-
-
 def save_cohort(path, records: list[SubjectRecord]) -> None:
     """Write the binary cohort format: LEGC header + one record per subject.
 
     Per subject: uint16 id length, utf-8 id, float64 y, float64 p[N],
-    float64 X[N*N] row-major. Round trips are lossless. Every record is
-    checked as `load_cohort` checks it before anything is written.
+    float64 X[N*N] row-major. Round trips are lossless. Records are checked
+    when built, so this checks, before writing, only what the format needs:
+    some records, one N, and ids of at most 65535 UTF-8 bytes.
     """
     if not records:
         raise InputError("refusing to write an empty cohort")
@@ -497,7 +511,6 @@ def save_cohort(path, records: list[SubjectRecord]) -> None:
     for rec in records:
         if rec.x.shape != (n, n):
             raise InputError("all subjects in a cohort must share N")
-        _check_record(rec)
         idents.append(rec.id.encode("utf-8"))
         if len(idents[-1]) > 0xFFFF:
             raise InputError(f"subject id of {len(idents[-1])} UTF-8 bytes exceeds 65535")
@@ -513,8 +526,8 @@ def save_cohort(path, records: list[SubjectRecord]) -> None:
 
 
 def load_cohort(path) -> list[SubjectRecord]:
-    """Read a cohort file; every record must pass `SubjectRecord.validate`
-    and `validate_connectivity`."""
+    """Read a cohort file. Each record is checked as it is built; an
+    InputError names the subject."""
     reader = _ExactReader(path, "cohort")
     magic = bytes(reader.take(4))
     if magic != _COHORT_MAGIC:
@@ -532,10 +545,12 @@ def load_cohort(path) -> list[SubjectRecord]:
         except UnicodeDecodeError as exc:
             raise InputError(f"subject id is not utf-8: {exc}") from None
         (y,) = reader.unpack("<d")
-        p = reader.array("<f8", n).astype(np.float64)
-        x = reader.array("<f8", n * n).astype(np.float64).reshape(n, n)
-        record = SubjectRecord(id=ident, x=x, lesion=LesionEncoding(p=p), y=y)
-        _check_record(record)
-        records.append(record)
+        p = reader.array("<f8", n)
+        x = reader.array("<f8", n * n).reshape(n, n)
+        try:
+            lesion = LesionEncoding(p=p)
+        except InputError as exc:
+            raise InputError(f"subject {ident!r}: {exc}") from None
+        records.append(SubjectRecord(id=ident, x=x, lesion=lesion, y=y))
     reader.finish()
     return records

@@ -311,18 +311,15 @@ class Tape:
 
         return self._emit(out, (a,), backward)
 
-    def transpose(self, a: Tensor, axes: tuple[int, ...]) -> Tensor:
-        """Permute axes."""
-        if sorted(axes) != list(range(a.data.ndim)):
-            raise ShapeError(f"invalid axes {axes} for shape {a.shape}")
-        # the inverse permutation in Python: np.argsort on a few axes costs
-        # mostly numpy's Python-side dispatch
-        inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    def transpose(self, a: Tensor) -> Tensor:
+        """Swap the last two axes."""
+        if a.data.ndim < 2:
+            raise ShapeError(f"transpose needs at least two axes, got shape {a.shape}")
 
         def backward(g):
-            return (g.transpose(inverse),)
+            return (g.swapaxes(-1, -2),)
 
-        return self._emit(a.data.transpose(axes), (a,), backward)
+        return self._emit(a.data.swapaxes(-1, -2), (a,), backward)
 
 
 @functools.lru_cache(maxsize=8)

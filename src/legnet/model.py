@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
@@ -124,18 +123,12 @@ def init_params(kind: str, hyper: HyperParams, seed: int) -> dict[str, np.ndarra
 # ----------------------------------------------------------------------
 
 
-def _swap_last(tape: Tape, a: Tensor) -> Tensor:
-    """Transpose the last two axes."""
-    lead = tuple(range(len(a.shape) - 2))
-    return tape.transpose(a, lead + (len(lead) + 1, len(lead)))
-
-
 def edge_to_edge(tape: Tape, x: Tensor, r: Tensor, c: Tensor) -> Tensor:
     """H_ij = relu(sum_n r_n X_in + sum_n c_n X_nj), shape (..., N, N, d0)."""
     n, d0 = r.shape
     if x.shape[-2:] != (n, n) or c.shape != (n, d0):
         raise InputError(f"edge_to_edge shapes disagree: X {x.shape}, r {r.shape}, c {c.shape}")
-    return tape.outer_add_relu(tape.matmul(x, r), tape.matmul(_swap_last(tape, x), c))
+    return tape.outer_add_relu(tape.matmul(x, r), tape.matmul(tape.transpose(x), c))
 
 
 def edge_to_node(tape: Tape, h: Tensor, g: Tensor, b1: Tensor) -> Tensor:
@@ -145,7 +138,7 @@ def edge_to_node(tape: Tape, h: Tensor, g: Tensor, b1: Tensor) -> Tensor:
         raise InputError(f"edge_to_node shapes disagree: H {h.shape}, g {g.shape}, b1 {b1.shape}")
     d1 = g.shape[1]
     hr = tape.reshape(h, lead + (n, n * d0))
-    gr = tape.reshape(tape.transpose(g, (0, 2, 1)), (n * d0, d1))
+    gr = tape.reshape(tape.transpose(g), (n * d0, d1))
     return tape.add_relu(tape.matmul(hr, gr), b1)
 
 
@@ -155,7 +148,7 @@ def assignment_scores(tape: Tape, pcol: Tensor, theta1: Tensor) -> Tensor:
     k, n = theta1.shape
     if pcol.shape[-2:] != (n, 1):
         raise InputError(f"lesion column {pcol.shape} does not match theta1 {theta1.shape}")
-    logits = tape.mul(tape.transpose(theta1, (1, 0)), pcol)
+    logits = tape.mul(tape.transpose(theta1), pcol)
     return tape.softmax_lastaxis(logits)
 
 
@@ -165,7 +158,7 @@ def subgraph_filters(tape: Tape, s: Tensor, theta2: Tensor, b2: Tensor) -> Tenso
     k, (dd, k2) = s.shape[-1], theta2.shape
     if k != k2 or b2.shape != (dd,):
         raise InputError(f"subgraph_filters shapes disagree: S {s.shape}, theta2 {theta2.shape}")
-    return tape.add(tape.matmul(s, tape.transpose(theta2, (1, 0))), b2)
+    return tape.add(tape.matmul(s, tape.transpose(theta2)), b2)
 
 
 def subgraph_conv(tape: Tape, h1: Tensor, v: Tensor) -> Tensor:
@@ -192,8 +185,8 @@ def predict_head(tape: Tape, features: Tensor, w1: Tensor, b1: Tensor,
     flat = tape.reshape(features, lead + (n * d,))
     if w1.shape[1] != n * d:
         raise InputError(f"head expects {w1.shape[1]} features, got {n * d}")
-    hidden = tape.add_relu(tape.matmul(flat, tape.transpose(w1, (1, 0))), b1)
-    return tape.add(tape.matmul(hidden, tape.transpose(w2, (1, 0))), b2)
+    hidden = tape.add_relu(tape.matmul(flat, tape.transpose(w1)), b1)
+    return tape.add(tape.matmul(hidden, tape.transpose(w2)), b2)
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +229,8 @@ def _check_fits(subj: PreparedSubject, hyper: HyperParams) -> None:
 
 def stack_subjects(prepared: list[PreparedSubject], hyper: HyperParams) -> PreparedBatch:
     """Stack subjects for one tape. An InputError names the first subject
-    that does not fit `hyper.n_rois`. Entries are not checked again:
-    `prepare_subject` checked them."""
+    that does not fit `hyper.n_rois`. Entries are not checked: the records
+    were checked when they were built."""
     for subj in prepared:
         _check_fits(subj, hyper)
 
@@ -255,7 +248,7 @@ def _edge_module(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tenso
 
 def _two_channel_edge_module(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
     """The edge module on X and B = p p^T, with B r2 = p (p^T r2)."""
-    xt, pt = _swap_last(tape, subj.x), _swap_last(tape, subj.pcol)
+    xt, pt = tape.transpose(subj.x), tape.transpose(subj.pcol)
     row = tape.add(tape.matmul(subj.x, params["r"]),
                    tape.matmul(subj.pcol, tape.matmul(pt, params["r2"])))
     col = tape.add(tape.matmul(xt, params["c"]),
@@ -274,7 +267,7 @@ def _legnet_features(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> T
 
 def _braingnn_dagger_features(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
     """Linear per-row node embedding of X, then the subgraph module."""
-    h1 = tape.add_relu(tape.matmul(subj.x, tape.transpose(params["node_w"], (1, 0))),
+    h1 = tape.add_relu(tape.matmul(subj.x, tape.transpose(params["node_w"])),
                        params["node_b"])
     return _subgraph_module(tape, h1, subj, params)
 
@@ -313,26 +306,14 @@ def _kind(kind: str) -> ModelKind:
 
 
 def prepare_subject(record: SubjectRecord, kind: str) -> PreparedSubject:
-    """The kind's input tensors for one record; an InputError names the
-    subject if X, p or y has a non-finite entry or the record fails
-    `SubjectRecord.validate`."""
-    try:
-        for name, arr in (("X", record.x), ("p", record.lesion.p)):
-            if not np.isfinite(arr).all():
-                raise InputError(f"{name} has non-finite entries")
-        # a y that is not a real number is left to validate's score check
-        if isinstance(record.y, numbers.Real) and not math.isfinite(record.y):
-            raise InputError("y has non-finite entries")
-        record.validate()
-        target = np.array([float(record.y)])
-    except InputError as exc:
-        raise InputError(f"subject {record.id!r}: {exc}") from None
+    """The kind's input tensors for one record. A record is checked when it
+    is built, so nothing is checked here."""
     x, p = _kind(kind).inputs(record.x, record.lesion.p)
     return PreparedSubject(
         id=record.id,
         x=Tensor(x, requires_grad=False),
         pcol=Tensor(p[:, None], requires_grad=False),
-        target=Tensor(target, requires_grad=False),
+        target=Tensor(np.array([float(record.y)]), requires_grad=False),
     )
 
 

@@ -18,6 +18,7 @@ from legnet.connectome import (
     LesionMask,
     SubjectRecord,
     ToyAtlas,
+    _range_chunks,
     build_toy_atlas,
     correlation_matrix,
     exponentiate,
@@ -167,7 +168,9 @@ class TestToyAtlas:
         (lambda a: {"territory_of_roi": a.territory_of_roi[:-1]}, r"per ROI.* \(23,\), \(24,\)"),
         (lambda a: {"hemisphere_of_roi": a.hemisphere_of_roi[None]}, r"per ROI.* \(1, 24\)$"),
         (lambda a: {"n_territories": 6.0}, "n_territories must be an integer"),
-    ], ids=["2-D grid", "short territories", "2-D hemispheres", "float n_territories"])
+        (lambda a: {"n_territories": 7}, "territory 7 is empty"),
+    ], ids=["2-D grid", "short territories", "2-D hemispheres", "float n_territories",
+            "territory without ROIs"])
     def test_malformed_layout_is_rejected(self, small_atlas, changes, message):
         with pytest.raises(InputError, match=message):
             dataclasses.replace(small_atlas, **changes(small_atlas))
@@ -212,6 +215,25 @@ class TestToyAtlas:
     def test_impossible_layout_is_an_input_error(self, kwargs):
         with pytest.raises(InputError):
             build_toy_atlas(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"grid_dims": (1, 16, 16)}, r"grid \(1, 16, 16\) too small for 6 territories"),
+        ({"grid_dims": (16, 16, 2)}, r"grid \(16, 16, 2\) too small for 6 territories"),
+        ({"n_rois": 4}, "every territory needs at least one ROI"),
+    ], ids=["one x slice", "fewer z slices than territories", "fewer ROIs than territories"])
+    def test_layout_that_cannot_be_built_names_the_reason(self, kwargs, message):
+        with pytest.raises(InputError, match=message):
+            build_toy_atlas(**kwargs)
+
+    def test_range_chunks_are_never_empty(self):
+        # build_toy_atlas splits an extent into at most that many parts and
+        # relies on every part holding a voxel: the parts tile [0, extent)
+        # with parts + 1 distinct bounds
+        for extent in range(1, 400):
+            for parts in range(1, extent + 1):
+                chunks = _range_chunks(extent, parts)
+                bounds = set(itertools.chain.from_iterable(chunks))
+                assert len(bounds) == parts + 1 and chunks[-1][1] == extent, (extent, parts)
 
     @pytest.mark.parametrize("corrupt, message", [
         (_merge_roi_24_into_23, "ROI 24 is empty"),
@@ -481,6 +503,12 @@ class TestCorrelation:
             correlation_matrix(ts)
 
 
+    @pytest.mark.parametrize("shape", [(5,), (3, 1), (2, 3, 4)], ids=["1-D", "Tlen-1", "3-D"])
+    def test_series_that_is_not_n_by_tlen_is_an_input_error(self, shape):
+        with pytest.raises(InputError, match=r"correlations need an \(N, Tlen >= 2\) series"):
+            correlation_matrix(np.ones(shape))
+
+
 class TestExponentiate:
     def test_anchor_values(self):
         out = exponentiate(np.array([[1.0, 0.0], [0.0, -1.0]]))
@@ -501,6 +529,27 @@ class TestExponentiate:
         rng = np.random.default_rng(4)
         ts = rng.normal(size=(8, 30))
         x = exponentiate(correlation_matrix(ts))
+        validate_connectivity(x)
+
+
+class TestValidateConnectivity:
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)], ids=["1-D", "2x3", "3-D"])
+    def test_matrix_that_is_not_square_is_rejected(self, shape):
+        with pytest.raises(InputError, match="connectivity must be square"):
+            validate_connectivity(np.ones(shape))
+
+    @pytest.mark.parametrize("value", [math.exp(1.0) + 1e-11, math.exp(-1.0) - 1e-11, 0.0],
+                             ids=["above e", "below 1/e", "zero"])
+    def test_entry_outside_the_exponentiated_range_is_rejected(self, value):
+        x = np.ones((3, 3))
+        validate_connectivity(x)
+        x[0, 2] = x[2, 0] = value
+        with pytest.raises(InputError, match=r"outside \[1/e, e\]"):
+            validate_connectivity(x)
+
+    def test_range_ends_are_inside(self):
+        x = np.full((2, 2), math.exp(1.0))
+        x[0, 1] = x[1, 0] = math.exp(-1.0)
         validate_connectivity(x)
 
 
@@ -569,20 +618,16 @@ class TestSubjectIO:
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("field", ["x", "y", "p"])
-    def test_save_checks_records_as_load_does(self, tmp_path, field):
-        # each of these used to save, then fail on load ("truncated" for p)
-        records = self.make_records(n=2, n_rois=4)
-        rec = records[1]
-        if field == "x":
-            rec.x[0, 1] = rec.x[1, 0] = np.nan
-        elif field == "y":
-            rec.y = 150.0
-        else:
-            rec.lesion.p = rec.lesion.p[:3]
-        path = tmp_path / "cohort.bin"
+    def test_record_that_load_would_refuse_cannot_be_built(self, field):
+        # each of these used to save, then fail on load ("truncated" for p);
+        # now no such record exists to be saved
+        rec = self.make_records(n=2, n_rois=4)[1]
+        x = rec.x.copy()
+        x[0, 1] = x[1, 0] = np.nan
+        change = {"x": {"x": x}, "y": {"y": 150.0},
+                  "p": {"lesion": LesionEncoding(p=rec.lesion.p[:3])}}[field]
         with pytest.raises(InputError, match="subject 's001'"):
-            save_cohort(path, records)
-        assert not path.exists()
+            dataclasses.replace(rec, **change)
 
     @pytest.mark.parametrize("shape, message", [
         ("empty", "empty cohort"),
@@ -598,30 +643,25 @@ class TestSubjectIO:
 
     def test_save_rejects_id_longer_than_its_length_field(self, tmp_path):
         # a 70,000-byte id used to raise struct.error mid-file
-        records = self.make_records(n=1)
-        records[0].id = "a" * 70_000
+        rec = self.make_records(n=1)[0]
         with pytest.raises(InputError, match="65535"):
-            save_cohort(tmp_path / "cohort.bin", records)
-        records[0].id = "\u00e9" * 32_767  # 65,534 UTF-8 bytes
+            save_cohort(tmp_path / "cohort.bin", [dataclasses.replace(rec, id="a" * 70_000)])
+        records = [dataclasses.replace(rec, id="\u00e9" * 32_767)]  # 65,534 UTF-8 bytes
         save_cohort(tmp_path / "cohort.bin", records)
         assert load_cohort(tmp_path / "cohort.bin")[0].id == records[0].id
 
     def test_subject_validation(self):
         rec = self.make_records(n=1)[0]
-        rec.y = 150.0
-        with pytest.raises(InputError):
-            rec.validate()
+        with pytest.raises(InputError, match=r"subject 's000': score 150.0 outside \[0, 100\]"):
+            dataclasses.replace(rec, y=150.0)
 
     @pytest.mark.parametrize("y", [None, "abc", np.array([40.0, 50.0]), True],
                              ids=["None", "str", "2-vector", "bool"])
-    def test_score_that_is_not_a_real_number_is_an_input_error(self, tmp_path, y):
+    def test_score_that_is_not_a_real_number_is_an_input_error(self, y):
         # math.isfinite used to raise TypeError
-        records = self.make_records(n=2)
-        records[1].y = y
-        with pytest.raises(InputError, match="score must be a finite number"):
-            records[1].validate()
-        with pytest.raises(InputError, match="subject 's001': score"):
-            save_cohort(tmp_path / "cohort.bin", records)
+        rec = self.make_records(n=2)[1]
+        with pytest.raises(InputError, match="subject 's001': score must be a finite number"):
+            dataclasses.replace(rec, y=y)
 
     @pytest.mark.parametrize("length", [14, "half", "one short", "one long"])
     def test_load_requires_exact_length(self, tmp_path, length):
@@ -682,18 +722,18 @@ class TestSubjectIO:
     def test_symmetry_is_checked_against_atol_alone(self, tmp_path):
         # np.allclose added rtol=1e-5 of |X^T|, so an asymmetry of 5e-6 passed
         records = self.make_records(n=2)
-        x = records[1].x
+        x = records[1].x.copy()
         validate_connectivity(x)
         x[0, 1] = x[1, 0] + 1e-13
         validate_connectivity(x)
+        dataclasses.replace(records[1], x=x)
         x[0, 1] = x[1, 0] + 5e-6
         with pytest.raises(InputError, match="not symmetric"):
             validate_connectivity(x)
-        path = tmp_path / "cohort.bin"
         with pytest.raises(InputError, match="subject 's001': connectivity matrix is not symm"):
-            save_cohort(path, records)
-        # written past save_cohort's check: X[0, 1] of record 's001'
-        x[0, 1] = x[1, 0]
+            dataclasses.replace(records[1], x=x)
+        # written into the file, as no such record can be built: X[0, 1] of 's001'
+        path = tmp_path / "cohort.bin"
         save_cohort(path, records)
         n = x.shape[0]
         record_1 = 16 + 2 + 4 + 8 * (1 + n + n * n)
@@ -718,6 +758,65 @@ class TestSubjectIO:
         assert whole
         if not flipped:
             assert all(a.x.tobytes() == b.x.tobytes() for a, b in zip(records, loaded))
+
+
+class TestRecordsCheckedAtConstruction:
+    def make_record(self, **changes):
+        rng = np.random.default_rng(3)
+        fields = dict(id="s007", x=exponentiate(correlation_matrix(rng.normal(size=(4, 12)))),
+                      lesion=LesionEncoding(p=np.array([1.0, 0.5, 0.0, 1.0])), y=42.0)
+        return SubjectRecord(**{**fields, **changes})
+
+    def test_fields_and_arrays_are_read_only(self):
+        rec = self.make_record()
+        for obj, name, value in ((rec, "y", 50.0), (rec, "id", "s008"), (rec, "x", rec.x),
+                                 (rec.lesion, "p", rec.lesion.p)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+        with pytest.raises(ValueError, match="read-only"):
+            rec.x[0, 1] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            rec.lesion.p[0] = 0.5
+
+    def test_record_keeps_float64_copies_of_the_callers_arrays(self):
+        x = self.make_record().x.copy()
+        p = np.array([1, 0, 1, 1])  # integers: stored as float64
+        rec = self.make_record(x=x, lesion=LesionEncoding(p=p))
+        x[0, 1] = x[1, 0] = np.nan
+        p[0] = 7
+        assert rec.x.dtype == rec.lesion.p.dtype == np.float64
+        assert np.isfinite(rec.x).all() and rec.lesion.p.tolist() == [1.0, 0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("ident", [7, None, b"s007"], ids=["int", "None", "bytes"])
+    def test_id_that_is_not_a_str_is_an_input_error(self, ident):
+        # an int id used to pass validate() and then raise AttributeError
+        # ('int' object has no attribute 'encode') inside save_cohort
+        with pytest.raises(InputError, match="subject id must be a str"):
+            self.make_record(id=ident)
+
+    @pytest.mark.parametrize("x, message", [
+        (np.ones((4, 5)), "connectivity must be square"),
+        (np.ones(4), "connectivity must be square"),
+        (np.full((4, 4), 3.0), r"connectivity entries outside \[1/e, e\]"),
+    ], ids=["4x5", "1-D", "out of range"])
+    def test_bad_x_names_the_subject(self, x, message):
+        with pytest.raises(InputError, match=f"subject 's007': {message}"):
+            self.make_record(x=x)
+
+    def test_lesion_that_is_not_an_encoding_names_the_subject(self):
+        with pytest.raises(InputError, match="subject 's007': lesion must be a LesionEncoding"):
+            self.make_record(lesion=np.ones(4))
+
+    @pytest.mark.parametrize("p", [np.ones((2, 2)), np.float64(0.5)], ids=["2-D", "0-D"])
+    def test_lesion_encoding_must_be_a_vector(self, p):
+        with pytest.raises(InputError, match="lesion encoding must be a vector"):
+            LesionEncoding(p=p)
+
+    @pytest.mark.parametrize("p", [[0.5, np.nan], [0.5, np.inf], [1.5], [-0.1]],
+                             ids=["NaN", "inf", "above 1", "below 0"])
+    def test_spared_fraction_outside_zero_one_is_rejected(self, p):
+        with pytest.raises(InputError, match=r"spared fractions must lie in \[0, 1\]"):
+            LesionEncoding(p=np.array(p))
 
 
 class TestCheckpointIO:

@@ -101,32 +101,43 @@ class TestOuterAddRelu:
 
 
 class TestTranspose:
-    # none is its own inverse, so a backward that applied `axes` again, or
-    # any other wrong inverse, shows
-    PERMUTATIONS = [(1, 2, 0), (2, 0, 1), (1, 2, 3, 0), (3, 0, 2, 1)]
+    # the last two axes differ in length, so a backward that did not swap
+    # them back would give a gradient of the wrong shape
+    SHAPES = [(3, 4), (2, 3, 4), (2, 3, 4, 5)]
 
-    @pytest.mark.parametrize("axes", PERMUTATIONS)
-    def test_forward_matches_numpy(self, axes):
-        a = finite((2, 3, 4, 5)[:len(axes)], seed=20)
-        out = Tape().transpose(Tensor(a), axes)
-        assert np.array_equal(out.data, np.transpose(a, axes))
+    @pytest.mark.parametrize("shape", SHAPES, ids=["2-D", "3-D", "4-D"])
+    def test_forward_swaps_the_last_two_axes(self, shape):
+        a = finite(shape, seed=20)
+        out = Tape().transpose(Tensor(a))
+        assert np.array_equal(out.data, np.swapaxes(a, -1, -2))
 
-    @pytest.mark.parametrize("axes", PERMUTATIONS)
-    def test_backward_matches_central_differences(self, axes):
-        shape = (2, 3, 4, 5)[:len(axes)]
+    @pytest.mark.parametrize("shape", SHAPES, ids=["2-D", "3-D", "4-D"])
+    def test_backward_matches_central_differences(self, shape):
         # a weight on the output makes the loss depend on the entry order
-        weight = Tensor(finite(tuple(shape[i] for i in axes), seed=21), requires_grad=False)
+        weight = Tensor(finite(shape[:-2] + shape[:-3:-1], seed=21), requires_grad=False)
 
         def build(tape, ts):
-            return tape.l2_norm_sq(tape.mul(tape.transpose(ts[0], axes), weight))
+            return tape.l2_norm_sq(tape.mul(tape.transpose(ts[0]), weight))
 
         assert gradient_check(build, [finite(shape, seed=22)], step=1e-5) <= 1e-6
 
-    @pytest.mark.parametrize("axes", [(0, 0, 1), (0, 1, 3), (-1, 0, 1), (0, 1)],
-                             ids=["repeated", "out-of-range", "negative", "too-short"])
-    def test_rejects_axes_that_are_not_a_permutation(self, axes):
-        with pytest.raises(ShapeError, match="invalid axes"):
-            Tape().transpose(Tensor(np.zeros((2, 3, 4))), axes)
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["0-D", "1-D"])
+    def test_rejects_fewer_than_two_axes(self, shape):
+        with pytest.raises(ShapeError, match="at least two axes"):
+            Tape().transpose(Tensor(np.zeros(shape)))
+
+
+class TestShapeErrors:
+    @pytest.mark.parametrize("op, message", [
+        (lambda tape: tape.add(Tensor(np.ones((2, 3))), Tensor(np.ones(4))), "add shape mismatch"),
+        (lambda tape: tape.mul(Tensor(np.ones((2, 3))), Tensor(np.ones(4))), "mul shape mismatch"),
+        (lambda tape: tape.mse(Tensor(np.ones(2)), Tensor(np.ones(3))), "mse shape mismatch"),
+        (lambda tape: tape.reshape(Tensor(np.ones(32)), (2, 2, 2, 2, 2)), "at most 4 axes"),
+        (lambda tape: tape.reshape(Tensor(np.ones(6)), (4,)), r"cannot reshape \(6,\) to \(4,\)"),
+    ], ids=["add", "mul", "mse", "reshape-too-many-axes", "reshape-bad-shape"])
+    def test_incompatible_shapes_raise_shape_error(self, op, message):
+        with pytest.raises(ShapeError, match=message):
+            op(Tape())
 
 
 class TestBackward:
@@ -269,17 +280,17 @@ def test_every_primitive_matches_central_differences(seed):
         m = tape.add(tape.matmul(ta, tb), shift)     # (3, 2)
         s = tape.softmax_lastaxis(tape.relu(m))
         mixed = tape.mul(ta, tv)                     # (3, 4)
-        t = tape.transpose(tape.reshape(mixed, (4, 3)), (1, 0))
+        t = tape.transpose(tape.reshape(mixed, (4, 3)))
         t = tape.mul(t, weight)                      # (3, 4)
         total = tape.add(tape.l2_norm_sq(s), tape.l2_norm_sq(t))
         total = tape.add(total, tape.scale(tape.l2_norm_sq(tv), 0.3))
         total = tape.add(total, tape.mse(tv, Tensor(np.zeros((3, 4)), requires_grad=False)))
         # leading batch axes: 3-D @ 2-D (also strided and @ 1-D), 2-D @ 3-D, 1-D @ 3-D
-        wide = tape.transpose(tbatch, (0, 2, 1))                          # (2, 4, 3)
+        wide = tape.transpose(tbatch)                                     # (2, 4, 3)
         for x, y in ((tbatch, tb), (wide, ta), (tbatch, tu), (ta, wide), (tu, wide)):
             total = tape.add(total, tape.l2_norm_sq(tape.matmul(x, y)))
         # 4-D reshape and transpose, then the fused add + relu and outer sum
-        four = tape.transpose(tape.reshape(tbatch, (2, 3, 2, 2)), (0, 2, 1, 3))
+        four = tape.transpose(tape.reshape(tbatch, (2, 3, 4, 1)))         # (2, 3, 1, 4)
         total = tape.add(total, tape.l2_norm_sq(tape.mul(four, four)))
         # mse against ones: its gradient is nonzero where relu outputs 0
         fused = tape.add_relu(trow, tcol)

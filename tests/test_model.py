@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -397,16 +398,14 @@ class TestLoss:
         hyper = HyperParams(n_rois=4, k=2, d0=2, d1=2, d2=2, d3=2, lam=0.0)
         params = {k: np.zeros_like(v) for k, v in init_params(MODEL_LEGNET, hyper, 0).items()}
         params["head_b2"] = np.array([60.0])
-        rec = random_subject(np.random.default_rng(9), 4)
-        rec.y = 60.0
+        rec = dataclasses.replace(random_subject(np.random.default_rng(9), 4), y=60.0)
         assert loss([rec], params, hyper) == 0.0
 
     def test_single_subject_residual(self):
         hyper = HyperParams(n_rois=4, k=2, d0=2, d1=2, d2=2, d3=2, lam=0.0)
         params = {k: np.zeros_like(v) for k, v in init_params(MODEL_LEGNET, hyper, 0).items()}
         params["head_b2"] = np.array([52.0])
-        rec = random_subject(np.random.default_rng(10), 4)
-        rec.y = 50.0
+        rec = dataclasses.replace(random_subject(np.random.default_rng(10), 4), y=50.0)
         assert loss([rec], params, hyper) == pytest.approx(4.0)
 
     def test_ridge_term_on_unit_theta1(self):
@@ -414,8 +413,7 @@ class TestLoss:
         hyper = HyperParams(n_rois=6, lam=0.005)
         params = {k: np.zeros_like(v) for k, v in init_params(MODEL_LEGNET, hyper, 0).items()}
         params["theta1"] = np.ones((8, 6))
-        rec = random_subject(np.random.default_rng(11), 6)
-        rec.y = 0.0
+        rec = dataclasses.replace(random_subject(np.random.default_rng(11), 6), y=0.0)
         assert loss([rec], params, hyper) == pytest.approx(0.24, abs=1e-12)
 
     def test_empty_batch_rejected(self):
@@ -551,7 +549,7 @@ class TestBaselines:
         hyper = self.hyper(4)
         params = init_params(MODEL_BNC_MASK, hyper, 4)
         rec = random_subject(rng, 4)
-        rec.lesion.p[:] = np.clip(rec.lesion.p, 0.3, 1.0)
+        rec = dataclasses.replace(rec, lesion=LesionEncoding(p=np.clip(rec.lesion.p, 0.3, 1.0)))
         h = oracle_edge_to_edge(rec.x, params["r"], params["c"])
         h1 = oracle_edge_to_node(h, params["g"], params["b1"])
         expected = oracle_head(h1, params["head_w1"], params["head_b1"],
@@ -564,11 +562,14 @@ class TestBaselines:
         hyper = self.hyper(5)
         params = init_params(MODEL_BNC_MASK, hyper, 5)
         rec = random_subject(rng, 5)
-        rec.lesion.p[2] = 0.2  # below threshold: row/col 2 must not matter
+        p = rec.lesion.p.copy()
+        p[2] = 0.2  # below threshold: row/col 2 must not matter
+        rec = dataclasses.replace(rec, lesion=LesionEncoding(p=p))
         before = predict(rec, params, hyper, MODEL_BNC_MASK)
-        rec.x[2, :] = np.exp(rng.uniform(-1, 1, 5))
-        rec.x[:, 2] = rec.x[2, :]
-        after = predict(rec, params, hyper, MODEL_BNC_MASK)
+        x = rec.x.copy()
+        x[2, :] = np.exp(rng.uniform(-1, 1, 5))
+        x[:, 2] = x[2, :]
+        after = predict(dataclasses.replace(rec, x=x), params, hyper, MODEL_BNC_MASK)
         assert before == after
 
     def test_bnc_2channel_matches_its_oracle(self):
@@ -874,56 +875,54 @@ class TestInputsCheckedWhereTheyEnter:
         with pytest.raises(InputError):
             HyperParams(n_rois=6, **bad)
 
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
-    @pytest.mark.parametrize("what", ["X", "p", "y"])
-    def test_predict_names_the_subject_with_a_non_finite_input(self, what, kind):
-        hyper = HyperParams(n_rois=6)
+    @pytest.mark.parametrize("what, message", [
+        ("X", "connectivity has non-finite entries"),
+        ("p", r"spared fractions must lie in \[0, 1\]"),
+        ("y", "score must be a finite number, got nan"),
+    ], ids=["X", "p", "y"])
+    def test_non_finite_input_is_rejected_when_the_record_is_built(self, what, message):
+        # predict checked X, p and y on every call; a record now checks them
+        # once, and names the subject. An encoding is built before its record,
+        # so its error cannot name one.
         rec = random_subject(np.random.default_rng(0), 6)
-        rec.id = "s007"
-        if what == "X":
-            rec.x[0, 1] = np.nan
-        elif what == "p":
-            rec.lesion.p[2] = np.inf
-        else:
-            rec.y = np.nan
-        with pytest.raises(InputError, match=f"subject 's007': {what} has non-finite"):
-            predict(rec, init_params(kind, hyper, 0), hyper, kind)
+        if what == "p":
+            p = rec.lesion.p.copy()
+            p[2] = np.inf
+            with pytest.raises(InputError, match=message):
+                LesionEncoding(p=p)
+            return
+        x = rec.x.copy()
+        x[0, 1] = np.nan
+        change = {"x": x} if what == "X" else {"y": np.nan}
+        with pytest.raises(InputError, match=f"subject 's007': {message}"):
+            dataclasses.replace(rec, id="s007", **change)
 
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
     @pytest.mark.parametrize("y", [None, "abc", np.array([40.0, 50.0])],
                              ids=["None", "str", "2-vector"])
-    def test_predict_names_the_subject_with_a_score_that_is_not_a_number(self, y, kind):
-        # float(y) and math.isfinite used to raise TypeError or ValueError
-        hyper = HyperParams(n_rois=6)
+    def test_score_that_is_not_a_number_is_rejected_when_the_record_is_built(self, y):
+        # float(y) and math.isfinite inside predict used to raise TypeError or ValueError
         rec = random_subject(np.random.default_rng(0), 6)
-        rec.id = "s007"
-        rec.y = y
         with pytest.raises(InputError, match="subject 's007': score must be a finite number"):
-            predict(rec, init_params(kind, hyper, 0), hyper, kind)
+            dataclasses.replace(rec, id="s007", y=y)
 
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
     @pytest.mark.parametrize("p, message", [
-        (np.full(5, 0.5), "length does not match X"),
-        (np.full(6, 1.5), r"must lie in \[0, 1\]"),
-        (np.full(6, -3.0), r"must lie in \[0, 1\]"),
+        (np.full(5, 0.5), "subject 's007': lesion encoding length does not match X"),
+        (np.full(6, 1.5), r"spared fractions must lie in \[0, 1\]"),
+        (np.full(6, -3.0), r"spared fractions must lie in \[0, 1\]"),
     ], ids=["length-5", "p-1.5", "p-minus-3"])
-    def test_predict_names_the_subject_with_a_bad_lesion_encoding(self, p, message, kind):
+    def test_bad_lesion_encoding_is_rejected_before_predict(self, p, message):
         # numpy's broadcast ValueError or a ShapeError used to surface from
         # inside the forward, and out-of-range fractions were scored
-        hyper = HyperParams(n_rois=6)
         rec = random_subject(np.random.default_rng(0), 6)
-        rec.id = "s007"
-        rec.lesion.p = p
-        with pytest.raises(InputError, match=f"subject 's007': .*{message}"):
-            predict(rec, init_params(kind, hyper, 0), hyper, kind)
+        with pytest.raises(InputError, match=message):
+            dataclasses.replace(rec, id="s007", lesion=LesionEncoding(p=p))
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_predict_names_the_subject_whose_roi_count_does_not_fit(self, kind):
         # braingnn-dagger and bnc-2channel raised diffmath's ShapeError from
         # inside the forward; legnet and bnc-mask did not name the subject
         hyper = HyperParams(n_rois=6)
-        rec = random_subject(np.random.default_rng(0), 5)
-        rec.id = "s007"
+        rec = dataclasses.replace(random_subject(np.random.default_rng(0), 5), id="s007")
         with pytest.raises(InputError, match=r"subject 's007' has X \(5, 5\).* expects 6 ROIs"):
             predict(rec, init_params(kind, hyper, 0), hyper, kind)
 
