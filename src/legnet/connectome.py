@@ -192,11 +192,16 @@ def build_toy_atlas(
     The left hemisphere is x < grid_dims[0] // 2. Territories are contiguous
     z-slabs within each hemisphere, ROIs are contiguous sub-blocks of their
     territory. ROI counts are distributed across territories proportionally
-    to territory volume.
+    to territory volume. Sizes and counts must be integers, checked first.
     """
+    if not isinstance(grid_dims, (tuple, list, np.ndarray)) or len(grid_dims) != 3:
+        raise InputError(f"grid_dims must hold three sizes, got {grid_dims!r}")
+    for name, value in zip(("n_rois", "n_territories") + ("grid size",) * 3,
+                           (n_rois, n_territories, *grid_dims)):
+        check_number(name, value, 1, integral=True)
+    if n_territories % 2:
+        raise InputError(f"n_territories must be even, got {n_territories}")
     gx, gy, gz = grid_dims
-    if n_territories < 2 or n_territories % 2:
-        raise InputError("n_territories must be even and >= 2")
     per_hemi = n_territories // 2
     if gz < per_hemi or gx < 2:
         raise InputError(f"grid {grid_dims} too small for {n_territories} territories")

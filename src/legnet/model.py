@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,7 +65,8 @@ _CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Model dimensions and the ridge weight lam, checked at construction."""
+    """Model dimensions and the ridge weight lam, checked at construction. A
+    numpy scalar is kept as the equal Python scalar, which JSON can write."""
 
     n_rois: int
     k: int = 8
@@ -76,6 +77,9 @@ class HyperParams:
     lam: float = 0.005
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, np.generic):
+                object.__setattr__(self, name, value.item())
         for name in ("n_rois", "k", "d0", "d1", "d2", "d3"):
             check_number(f"hyperparameter {name}", getattr(self, name), 1, integral=True)
         check_number("lam", self.lam, 0)
@@ -332,10 +336,12 @@ def _with_head(features):
 FORWARDS = {kind: _with_head(spec.features) for kind, spec in KINDS.items()}
 
 
-def check_params(kind: str, hyper: HyperParams, shapes: dict) -> None:
-    """Raise InputError, naming the tensor, unless `shapes` (tensor name ->
-    shape) is exactly the kind's tensor table. Entries are not read."""
+def check_params(kind: str, hyper: HyperParams, params: dict) -> None:
+    """Raise InputError, naming the tensor, unless `params` (tensor name ->
+    array or Tensor) has exactly the names and shapes of the kind's tensor
+    table. Entries are not read."""
     spec = {name: shape for name, shape, *_ in param_spec(kind, hyper)}
+    shapes = {name: t.shape for name, t in params.items()}
     if shapes == spec:
         return
     mismatch = f"tensors do not match the {kind} tensor table"
@@ -348,19 +354,24 @@ def check_params(kind: str, hyper: HyperParams, shapes: dict) -> None:
     raise InputError(f"{mismatch}: {extra[0]} is not in it")
 
 
+def _check_finite(params: dict[str, np.ndarray]) -> None:
+    """Raise InputError naming the first tensor with a non-finite entry."""
+    for name, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise InputError(f"parameter tensor {name!r} has non-finite entries")
+
+
 def as_tensors(params: dict[str, np.ndarray], requires_grad: bool = True) -> dict[str, Tensor]:
     """Wrap parameter arrays as leaves. Arrays are shared, not copied, so
     in-place optimizer updates stay visible. An InputError names a tensor
     with a non-finite entry."""
-    for name, arr in params.items():
-        if not np.isfinite(arr).all():
-            raise InputError(f"parameter tensor {name!r} has non-finite entries")
+    _check_finite(params)
     return {name: Tensor(arr, requires_grad=requires_grad) for name, arr in params.items()}
 
 
 def predict(record: SubjectRecord, params: dict[str, np.ndarray], hyper: HyperParams,
             kind: str = MODEL_LEGNET) -> float:
-    check_params(kind, hyper, {name: arr.shape for name, arr in params.items()})
+    check_params(kind, hyper, params)
     subj = prepare_subject(record, kind)
     _check_fits(subj, hyper)
     out = FORWARDS[kind](Tape(), subj, as_tensors(params, requires_grad=False), hyper)
@@ -413,7 +424,7 @@ def batch_loss_and_grads(
     """
     if not prepared:
         raise InputError("empty batch")
-    check_params(kind, hyper, {name: t.shape for name, t in params_t.items()})
+    check_params(kind, hyper, params_t)
     check_number("lam", lam, 0)
     m = len(prepared)
     chunk = chunk_subjects(hyper)
@@ -432,15 +443,6 @@ def batch_loss_and_grads(
             for name, t in params_t.items():
                 grads[name] += t.grad
     return loss, grads, preds
-
-
-def loss(batch: list[SubjectRecord], params: dict[str, np.ndarray], hyper: HyperParams,
-         kind: str = MODEL_LEGNET) -> float:
-    """Training objective on a batch: (1/M) sum (yhat - y)^2 + lam * R."""
-    prepared = prepare_dataset(batch, kind)
-    value, _, _ = batch_loss_and_grads(prepared, as_tensors(params), hyper, kind,
-                                       lam=hyper.lam, want_grads=False)
-    return value
 
 
 def single_tape_batch_loss(tape: Tape, prepared: list[PreparedSubject],
@@ -464,30 +466,36 @@ def single_tape_batch_loss(tape: Tape, prepared: list[PreparedSubject],
 # ----------------------------------------------------------------------
 
 
+def _checkpoint_header(kind: str, hyper: HyperParams) -> bytes:
+    """The one header a (kind, hyper) checkpoint has: JSON of the kind, the
+    hyperparameters and the [name, shape] table in name order."""
+    tensors = [[name, list(shape)] for name, shape, *_ in sorted(param_spec(kind, hyper))]
+    return json.dumps({"model": kind, "hyper": asdict(hyper), "tensors": tensors},
+                      sort_keys=True).encode("utf-8")
+
+
 def save_checkpoint(path, kind: str, hyper: HyperParams,
                     params: dict[str, np.ndarray]) -> None:
-    """Binary checkpoint: LEGP header (json: kind, hyper, tensor table)
-    followed by float64 tensor data in table order. Byte-stable."""
-    names = sorted(params)
-    header = json.dumps(
-        {
-            "model": kind,
-            "hyper": asdict(hyper),
-            "tensors": [[name, list(params[name].shape)] for name in names],
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    """Binary checkpoint: LEGP, version, header length, the header
+    `_checkpoint_header(kind, hyper)`, then float64 tensors in name order.
+    Params that load_checkpoint would refuse (not the kind's tensor table,
+    or a non-finite entry) are an InputError, and no file is written."""
+    check_params(kind, hyper, params)
+    _check_finite(params)
+    header = _checkpoint_header(kind, hyper)
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", _CHECKPOINT_VERSION, len(header)))
         fh.write(header)
-        for name in names:
+        for name in sorted(params):
             fh.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[str, HyperParams, dict[str, np.ndarray]]:
-    """Read a checkpoint. A file that is cut, overlong or not UTF-8 JSON, or
-    whose tensor table is not its kind's `param_spec`, is an InputError."""
+    """Read a checkpoint. Its header must be `_checkpoint_header(kind,
+    hyper)` byte for byte, for the kind and hyperparameters it names, so
+    load refuses what save refuses. A file that is cut or overlong, a
+    header that differs, and a non-finite entry are each an InputError."""
     reader = _ExactReader(path, "checkpoint")
     magic = bytes(reader.take(4))
     if magic != _CHECKPOINT_MAGIC:
@@ -495,32 +503,18 @@ def load_checkpoint(path) -> tuple[str, HyperParams, dict[str, np.ndarray]]:
     version, header_len = reader.unpack("<II")
     if version != _CHECKPOINT_VERSION:
         raise InputError(f"unsupported checkpoint version {version}")
+    raw = bytes(reader.take(header_len))
     try:
-        header = json.loads(bytes(reader.take(header_len)).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"checkpoint header is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(header, dict) or set(header) != {"model", "hyper", "tensors"}:
-        raise InputError("checkpoint header must hold exactly model, hyper and tensors")
-    kind, hyper_fields = header["model"], header["hyper"]
-    if kind not in MODEL_KINDS:
-        raise InputError(f"unknown model kind {kind!r} in checkpoint")
-    names = sorted(f.name for f in fields(HyperParams))
-    if not isinstance(hyper_fields, dict) or sorted(hyper_fields) != names:
-        raise InputError(f"checkpoint hyperparameters must be exactly {names}")
-    hyper = HyperParams(**hyper_fields)
-    try:
-        shapes = {name: tuple(shape) for name, shape in header["tensors"]}
-    except (TypeError, ValueError):
-        raise InputError("checkpoint tensor table must be a list of [name, shape]") from None
-    if len(shapes) != len(header["tensors"]):
-        raise InputError("checkpoint tensor table names a tensor twice")
-    check_params(kind, hyper, shapes)
-    if list(shapes) != sorted(shapes):
-        raise InputError("checkpoint tensor table is not in name order")
-    params: dict[str, np.ndarray] = {}
-    for name, shape, *_ in sorted(param_spec(kind, hyper)):
-        params[name] = reader.array("<f8", math.prod(shape)).astype(np.float64).reshape(shape)
-        if not np.isfinite(params[name]).all():
-            raise InputError(f"checkpoint tensor {name} has non-finite entries")
+        header = json.loads(raw.decode("utf-8"))
+        kind, hyper = header["model"], HyperParams(**header["hyper"])
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:  # and HyperParams' InputError
+        raise InputError("checkpoint header is not UTF-8 JSON naming a model kind and "
+                         f"valid hyperparameters: {exc}") from exc
+    if not isinstance(kind, str) or raw != _checkpoint_header(kind, hyper):
+        raise InputError(f"checkpoint header is not the one save_checkpoint writes for "
+                         f"a {kind!r} model with {hyper}")
+    params = {name: reader.array("<f8", math.prod(shape)).astype(np.float64).reshape(shape)
+              for name, shape, *_ in sorted(param_spec(kind, hyper))}
+    _check_finite(params)
     reader.finish()
     return kind, hyper, params

@@ -220,7 +220,16 @@ class TestToyAtlas:
         ({"grid_dims": (1, 16, 16)}, r"grid \(1, 16, 16\) too small for 6 territories"),
         ({"grid_dims": (16, 16, 2)}, r"grid \(16, 16, 2\) too small for 6 territories"),
         ({"n_rois": 4}, "every territory needs at least one ROI"),
-    ], ids=["one x slice", "fewer z slices than territories", "fewer ROIs than territories"])
+        # each raised a TypeError or ValueError from inside the build before
+        ({"n_rois": 2.5}, "n_rois must be an integer >= 1, got 2.5"),
+        ({"n_rois": None}, "n_rois must be an integer >= 1, got None"),
+        ({"grid_dims": (32, 32.0, 32)}, "grid size must be an integer >= 1, got 32.0"),
+        ({"n_territories": 6.0}, "n_territories must be an integer >= 1, got 6.0"),
+        ({"grid_dims": (32, 32)}, r"grid_dims must hold three sizes, got \(32, 32\)"),
+        ({"n_territories": 5}, "n_territories must be even, got 5"),
+    ], ids=["one x slice", "fewer z slices than territories", "fewer ROIs than territories",
+            "fractional n_rois", "no n_rois", "float grid size", "float n_territories",
+            "two-axis grid", "odd n_territories"])
     def test_layout_that_cannot_be_built_names_the_reason(self, kwargs, message):
         with pytest.raises(InputError, match=message):
             build_toy_atlas(**kwargs)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -40,7 +41,6 @@ from legnet.model import (
     edge_to_node,
     init_params,
     load_checkpoint,
-    loss,
     param_spec,
     predict,
     predict_head,
@@ -135,6 +135,12 @@ def assert_rel_close(a, b, rtol, what):
     """max |a - b| <= rtol * max(|a|, |b|), over all entries."""
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
     assert np.max(np.abs(a - b)) <= rtol * scale, what
+
+
+def loss(records, params, hyper, kind=MODEL_LEGNET):
+    """The training objective on a batch, with the ridge weight hyper.lam."""
+    return batch_loss_and_grads(prepare_dataset(records, kind), as_tensors(params), hyper,
+                                kind, hyper.lam, want_grads=False)[0]
 
 
 def t(arr, **kw):
@@ -418,7 +424,7 @@ class TestLoss:
 
     def test_empty_batch_rejected(self):
         hyper = HyperParams(n_rois=4)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="empty batch"):
             loss([], init_params(MODEL_LEGNET, hyper, 0), hyper)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -711,6 +717,9 @@ class TestGradientChecks:
             run_gradient_checks("nope")
 
 
+NOT_SAVED = "checkpoint header is not the one save_checkpoint writes for"
+
+
 class TestParamsAndCheckpoints:
     def test_init_is_deterministic(self):
         hyper = HyperParams(n_rois=6)
@@ -802,11 +811,11 @@ class TestParamsAndCheckpoints:
 
     @pytest.mark.parametrize("edit, message", [
         # a TypeError from HyperParams before
-        (lambda h: h["hyper"].update(extra=1), "hyperparameters must be exactly"),
+        (lambda h: h["hyper"].update(extra=1), "unexpected keyword argument 'extra'"),
         # a KeyError in predict before
         (lambda h: h.update(model="gcn"), "unknown model kind"),
         # a late "head expects" error in the forward before
-        (lambda h: h.update(model=MODEL_BNC_MASK), "do not match the bnc-mask"),
+        (lambda h: h.update(model=MODEL_BNC_MASK), f"{NOT_SAVED} a 'bnc-mask' model"),
         # loaded and predicted before
         (lambda h: h["hyper"].update(k=0), "k must be an integer >= 1"),
         (lambda h: h["hyper"].update(d0="4"), "d0 must be an integer >= 1"),
@@ -815,14 +824,18 @@ class TestParamsAndCheckpoints:
         (lambda h: h["hyper"].update(k=True), "k must be an integer >= 1"),
         (lambda h: h["hyper"].update(lam=True), "lam must be"),
         (lambda h: h["hyper"].update(lam=-1.0), "lam must be"),
-        (lambda h: h["tensors"].remove(["g", [8, 8, 4]]), "do not match the legnet"),
-        (lambda h: h.pop("hyper"), "exactly model, hyper and tensors"),
-        (lambda h: h.update(tensors={"g": [8, 8, 4]}), "must be a list of"),
-        (lambda h: h["tensors"].append(["g", [8, 8, 4]]), "names a tensor twice"),
-        (lambda h: h["tensors"].reverse(), "not in name order"),
+        (lambda h: h["tensors"].remove(["g", [8, 8, 4]]), f"{NOT_SAVED} a 'legnet' model"),
+        (lambda h: h.pop("hyper"), "valid hyperparameters: 'hyper'"),
+        (lambda h: h.update(tensors={"g": [8, 8, 4]}), NOT_SAVED),
+        (lambda h: h["tensors"].append(["g", [8, 8, 4]]), NOT_SAVED),
+        (lambda h: h["tensors"].reverse(), NOT_SAVED),
+        # the same content in another key order loaded before; save writes
+        # one format, so the header is compared byte for byte
+        (lambda h: h.update(hyper=dict(reversed(h["hyper"].items()))),
+         rf"{NOT_SAVED} a 'legnet' model with HyperParams\(n_rois=8, k=8"),
     ], ids=["extra-hyper-key", "unknown-kind", "other-kinds-tensors", "k-zero", "string-dim",
             "bool-dim", "bool-lam", "negative-lam", "missing-tensor", "no-hyper",
-            "table-not-a-list", "repeated-name", "out-of-order"])
+            "table-not-a-list", "repeated-name", "out-of-order", "reformatted"])
     def test_checkpoint_load_checks_header_against_param_spec(self, tmp_path, edit, message):
         path = self.saved_legnet(tmp_path)
         data = path.read_bytes()
@@ -834,7 +847,13 @@ class TestParamsAndCheckpoints:
         with pytest.raises(InputError, match=message):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe"])
+    @pytest.mark.parametrize("header", [
+        b"{not json", b"\xff\xfe",
+        # the decoder's ValueError (int digit limit) and RecursionError escaped before
+        pytest.param(b'{"model": "legnet", "hyper": {"n_rois": ' + b"1" * 5000 + b"}}",
+                     id="5000-digit-int"),
+        pytest.param(b"[" * 100000 + b"]" * 100000, id="deep-nesting"),
+    ])
     def test_checkpoint_load_rejects_header_that_is_not_json(self, tmp_path, header):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"LEGP" + struct.pack("<II", 1, len(header)) + header)
@@ -846,6 +865,52 @@ class TestParamsAndCheckpoints:
         path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", math.nan))
         with pytest.raises(InputError, match="non-finite"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda p: {n: a for n, a in p.items() if n != "g"}, "'g' is missing"),
+        (lambda p: {**p, "r": p["r"][:, :2]}, r"'r' has shape \(8, 2\), expected \(8, 4\)"),
+        (lambda p: init_params(MODEL_BNC_MASK, HyperParams(n_rois=8), 0), "'theta1' is missing"),
+        (lambda p: {**p, "theta1": np.full((8, 8), np.nan)}, "'theta1' has non-finite"),
+    ], ids=["missing-tensor", "wrong-shape", "other-kinds-tensors", "nan-entry"])
+    def test_save_refuses_what_load_would_refuse(self, tmp_path, damage, message):
+        # each was written before, and then refused by load_checkpoint
+        hyper = HyperParams(n_rois=8)
+        path = tmp_path / "bad.ckpt"
+        with pytest.raises(InputError, match=message):
+            save_checkpoint(path, MODEL_LEGNET, hyper, damage(init_params(MODEL_LEGNET, hyper, 0)))
+        assert not path.exists()
+
+    def test_numpy_scalar_hyperparameters_save_and_load_back_equal(self, tmp_path):
+        # save_checkpoint raised "Object of type int64 is not JSON serializable"
+        plain = HyperParams(n_rois=6, k=3, d0=2, lam=0.0)
+        hyper = HyperParams(n_rois=np.int64(6), k=np.uint8(3), d0=np.int32(2), lam=np.float64(0.0))
+        assert hyper == plain and all(type(v) in (int, float) for v in vars(hyper).values())
+        params = init_params(MODEL_LEGNET, hyper, 0)
+        save_checkpoint(tmp_path / "np.ckpt", MODEL_LEGNET, hyper, params)
+        save_checkpoint(tmp_path / "plain.ckpt", MODEL_LEGNET, plain, params)
+        assert (tmp_path / "np.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
+        assert load_checkpoint(tmp_path / "np.ckpt")[1] == hyper
+
+    def test_integer_lam_is_kept_as_written(self):
+        assert type(HyperParams(n_rois=6, lam=0).lam) is int
+
+
+class TestCheckpointPinned:
+    """`save_checkpoint` output for every kind, at init seed 0 and two
+    hyperparameter settings, hashes to the digest of the field-by-field
+    header writer it replaced. Init is numpy's uniform draw scaled by a
+    square root, so the bytes do not depend on the BLAS."""
+
+    DIGEST = "0c8186d027fd53ceec04cd5ac6988db21ce68b38c2cf320a5024e2fe5fd6faa9"
+
+    def test_checkpoint_bytes_hash_as_pinned(self, tmp_path):
+        digest = hashlib.sha256()
+        path = tmp_path / "a.ckpt"
+        for hyper in (HyperParams(n_rois=90), HyperParams(n_rois=6, k=3, d0=2, lam=0.0)):
+            for kind in MODEL_KINDS:
+                save_checkpoint(path, kind, hyper, init_params(kind, hyper, 0))
+                digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestInputsCheckedWhereTheyEnter:
