@@ -24,16 +24,12 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 HEMI_LEFT = 0
 HEMI_RIGHT = 1
 
 _COHORT_MAGIC = b"LEGC"
 _FORMAT_VERSION = 1
-
-# 6-connectivity: voxels are neighbours when they share a face
-FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
 # entrywise slack of the connectivity checks: symmetry and the [1/e, e] range
 CONNECTIVITY_ATOL = 1e-12
@@ -144,22 +140,21 @@ class ToyAtlas:
         if self.roi_of_voxel.ndim != 3 or terr.ndim != 1 or hemi.shape != terr.shape:
             raise InputError(f"need a 3-D roi_of_voxel and one territory and hemisphere per "
                              f"ROI, got shapes {self.roi_of_voxel.shape}, {terr.shape}, {hemi.shape}")
-        # find_objects skips labels past max_label, so range errors go first
+        # the box table indexes by label, so range errors go first
         for name, labels, low, top in (("roi_of_voxel", self.roi_of_voxel, 0, n),
                                        ("territory_of_roi", terr, 1, self.n_territories),
                                        ("hemisphere_of_roi", hemi, HEMI_LEFT, HEMI_RIGHT)):
             if np.any((labels < low) | (labels > top)):
                 raise InputError(f"{name} has labels outside [{low}, {top}]")
 
-        boxes = ndimage.find_objects(self.roi_of_voxel, max_label=n)
-        for roi, bbox in enumerate(boxes, start=1):
-            if bbox is None:
+        found, lo, hi = _bounding_boxes(self.roi_of_voxel, n)
+        for roi in range(1, n + 1):
+            if not found[roi - 1]:
                 raise InputError(f"ROI {roi} is empty")
+            bbox = tuple(map(slice, lo[roi - 1], hi[roi - 1]))
             if not _region_is_face_connected(self.roi_of_voxel[bbox] == roi):
                 raise InputError(f"ROI {roi} is not face-connected")
         # a territory lies inside the box around its ROIs' boxes
-        lo = np.array([[s.start for s in bbox] for bbox in boxes]).reshape(n, 3)
-        hi = np.array([[s.stop for s in bbox] for bbox in boxes]).reshape(n, 3)
         for t in range(1, self.n_territories + 1):
             members = terr == t
             if not members.any():
@@ -167,6 +162,21 @@ class ToyAtlas:
             bbox = tuple(map(slice, lo[members].min(axis=0), hi[members].max(axis=0)))
             if not _region_is_face_connected(self.territory_mask(t)[bbox]):
                 raise InputError(f"territory {t} is not face-connected")
+
+
+def _bounding_boxes(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whether each label 1..count of a grid with labels in [0, count] is
+    present, and the start and stop of its box per axis, each (count, ndim),
+    from one (label, coordinate) presence table per axis."""
+    lo, hi = [], []
+    for axis, size in enumerate(labels.shape):
+        keys = np.multiply(labels, size, dtype=np.intp)
+        keys += np.arange(size).reshape([-1 if a == axis else 1 for a in range(labels.ndim)])
+        present = np.bincount(keys.reshape(-1),
+                              minlength=(count + 1) * size).reshape(count + 1, size)[1:] > 0
+        lo.append(np.where(present, np.arange(size), size).min(axis=1, initial=size))
+        hi.append(np.where(present, np.arange(1, size + 1), 0).max(axis=1, initial=0))
+    return present.any(axis=1), np.stack(lo, axis=1), np.stack(hi, axis=1)
 
 
 def _split_counts(total: int, parts: int) -> list[int]:
@@ -248,10 +258,46 @@ def _largest_remainder_quotas(total: int, sizes: list[int]) -> list[int]:
 # ----------------------------------------------------------------------
 
 
+def _flood(reached: np.ndarray, allowed: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """Grow `reached` (in `allowed`; flat C-order boolean grids of shape
+    (a, b, c)) in place by face steps through `allowed`, and return it. Each
+    pass ORs in the six shifts by 1, c and b*c and keeps the allowed voxels,
+    until a pass adds nothing or all are reached. A shift also pairs the last
+    voxel of a row or plane with the first of the next: callers keep both
+    out of `allowed`, or reached from the start."""
+    strides = (1, shape[2], shape[1] * shape[2])
+    total, count = np.count_nonzero(allowed), np.count_nonzero(reached)
+    grown = np.empty_like(reached)
+    # views made once: on small boxes, call overhead sets a pass's cost
+    shifts = ([(grown[s:], reached[:-s]) for s in strides]
+              + [(grown[:-s], reached[s:]) for s in strides])
+    while count < total:
+        np.copyto(grown, reached)
+        for dst, src in shifts:
+            dst |= src
+        grown &= allowed
+        before, count = count, np.count_nonzero(grown)
+        if count == before:
+            break
+        np.copyto(reached, grown)
+    return reached
+
+
 def _region_is_face_connected(cells: np.ndarray) -> bool:
-    """True if the set bits of a boolean grid form one 6-connected component."""
-    # a grid with every bit set is one component; labelling it is the slow part
-    return (cells.size > 0 and bool(cells.all())) or ndimage.label(cells, FACE_STRUCTURE)[1] == 1
+    """True if the set voxels of a 3-D boolean grid form one face-connected
+    component: a flood from the first set voxel reaches all of them. The
+    grid is padded by one unset voxel, so no flat shift crosses a row end."""
+    # a grid with every voxel set is one component; flooding it is the slow part
+    if cells.size > 0 and cells.all():
+        return True
+    allowed = np.pad(cells, 1)
+    flat = allowed.reshape(-1)
+    first = int(np.argmax(flat))
+    if not flat[first]:
+        return False
+    seed = np.zeros_like(flat)
+    seed[first] = True
+    return np.array_equal(_flood(seed, flat, allowed.shape), flat)
 
 
 def fill_cavities(box: np.ndarray) -> np.ndarray | None:
@@ -259,16 +305,19 @@ def fill_cavities(box: np.ndarray) -> np.ndarray | None:
 
     A cavity is a face-connected set of unset voxels with no face-adjacent
     path to the box's outer shell. The shell must be unset. A box shell is
-    a single face-connected set, so the outside is then the one component
-    of the unset voxels that holds the corner [0, 0, 0], and every other
-    component is a cavity. One `ndimage.label` pass finds them all; scipy's
-    hole filling gives the same voxels but repeats a dilation until nothing
-    changes.
+    a single face-connected set, so a flood of the unset voxels seeded from
+    the whole shell reaches the outside, and every voxel it does not reach
+    is set or in a cavity. Both voxels of every pair that a flat shift joins
+    across a row or plane end lie on the shell, so they are reached from the
+    start and the flood only makes face steps.
     """
-    labels, count = ndimage.label(~box, FACE_STRUCTURE)
-    if count < 2:
+    open_voxels = ~box.reshape(-1)
+    shell = np.ones(box.shape, dtype=bool)
+    shell[1:-1, 1:-1, 1:-1] = False
+    outside = _flood(shell.reshape(-1) & open_voxels, open_voxels, box.shape)
+    if np.array_equal(outside, open_voxels):
         return None
-    return labels != labels[0, 0, 0]
+    return ~outside.reshape(box.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,12 +377,14 @@ class LesionMask:
         if np.any(atlas.hemisphere_of_roi[self.rois(atlas)] != HEMI_LEFT):
             raise InputError("lesion leaves the left hemisphere")
         self.territory(atlas)
-        dense = self.to_dense()
-        if not _region_is_face_connected(dense):
+        # connectivity and cavities read only the lesion's bounding box
+        xyz = np.unravel_index(self.flat, self.grid_dims)
+        box = self.to_dense()[tuple(slice(a.min(), a.max() + 1) for a in xyz)]
+        if not _region_is_face_connected(box):
             raise InputError("lesion is not face-connected")
-        # a cavity: non-mask voxels with no face-adjacent path to the grid
+        # a cavity: non-mask voxels with no face-adjacent path to the box's
         # boundary; the empty padding joins every such path into one outside
-        if fill_cavities(np.pad(dense, 1)) is not None:
+        if fill_cavities(np.pad(box, 1)) is not None:
             raise InputError("lesion encloses a cavity")
 
 

@@ -4,11 +4,10 @@ Tensors are 64-bit float arrays with at most four axes. Operations are
 recorded on a :class:`Tape`; calling :func:`backward` on a scalar output
 propagates gradients to every leaf in reverse recording order. The primitive
 set is intentionally small: exactly what a dense edge-based graph network
-needs, plus a central-difference gradient checker. Besides the elementwise,
-product and shape primitives, two fused ones save passes over the largest
-arrays: `add_relu`, relu(a + b), and `outer_add_relu`, which writes every
-relu(row_i + col_j) of two (..., N, d) operands, the edge tensor of such a
-network, with one matrix product.
+needs. Besides the elementwise, product and shape primitives, two fused
+ones save passes over the largest arrays: `add_relu`, relu(a + b), and
+`outer_add_relu`, which writes every relu(row_i + col_j) of two (..., N, d)
+operands, the edge tensor of such a network, with one matrix product.
 
 Every primitive accepts leading batch axes: elementwise operations broadcast
 by numpy's rules and `matmul` by `np.matmul`'s, so a minibatch stacked on a
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -70,10 +69,6 @@ _FLOAT64 = np.dtype(np.float64)
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible with a primitive."""
-
-
-class GradientCheckError(RuntimeError):
-    """Raised when a gradient check hits a non-finite value."""
 
 
 class Tensor:
@@ -365,54 +360,3 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
             t.grad = np.zeros(t.data.shape)
         leaves[t] = t.grad
     return leaves
-
-
-def gradient_check(
-    build: Callable[[Tape, list[Tensor]], Tensor],
-    inputs: Sequence[np.ndarray],
-    step: float = 1e-5,
-) -> float:
-    """Compare tape gradients against central finite differences.
-
-    `build(tape, tensors)` must construct a scalar loss from the given leaf
-    tensors. Returns the maximum over all input coordinates of
-    |analytic - numeric| / max(1, |numeric|). Raises
-    :class:`GradientCheckError` (naming the offending coordinate) if any
-    value involved is non-finite.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    arrays = [np.array(x, dtype=np.float64) for x in inputs]
-
-    tape = Tape()
-    tensors = [Tensor(x) for x in arrays]
-    loss = build(tape, tensors)
-    backward(tape, loss)
-    analytic = [t.grad.copy() for t in tensors]
-
-    def evaluate(current: list[np.ndarray]) -> float:
-        t = Tape()
-        out = build(t, [Tensor(x) for x in current])
-        return float(out.data)
-
-    max_err = 0.0
-    for i, base in enumerate(arrays):
-        flat = base.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            up = evaluate(arrays)
-            flat[j] = orig - step
-            down = evaluate(arrays)
-            flat[j] = orig
-            numeric = (up - down) / (2.0 * step)
-            analytic_j = analytic[i].reshape(-1)[j]
-            if not (np.isfinite(numeric) and np.isfinite(analytic_j)):
-                raise GradientCheckError(
-                    f"non-finite gradient at input {i}, coordinate {j}: "
-                    f"analytic={analytic_j}, numeric={numeric}"
-                )
-            err = abs(analytic_j - numeric) / max(1.0, abs(numeric))
-            if err > max_err:
-                max_err = err
-    return max_err

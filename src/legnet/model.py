@@ -337,13 +337,18 @@ FORWARDS = {kind: _with_head(spec.features) for kind, spec in KINDS.items()}
 
 
 def check_params(kind: str, hyper: HyperParams, params: dict) -> None:
-    """Raise InputError, naming the tensor, unless `params` (tensor name ->
-    array or Tensor) has exactly the names and shapes of the kind's tensor
-    table. Entries are not read."""
+    """Raise InputError, naming the tensor, unless `params` maps tensor names
+    to ndarrays or Tensors with exactly the names and shapes of the kind's
+    tensor table. Entries are not read."""
     spec = {name: shape for name, shape, *_ in param_spec(kind, hyper)}
-    shapes = {name: t.shape for name, t in params.items()}
+    shapes = {name: t.shape if isinstance(t, (np.ndarray, Tensor)) else None
+              for name, t in params.items()}
     if shapes == spec:
         return
+    for name, t in params.items():
+        if shapes[name] is None:
+            raise InputError(f"parameter tensor {name!r} is a {type(t).__name__}, "
+                             f"not an ndarray or Tensor")
     mismatch = f"tensors do not match the {kind} tensor table"
     for name, shape in spec.items():
         if name not in shapes:

@@ -20,10 +20,10 @@ arterial territory, and every cavity the growth encloses is filled, so the
 mask has no holes. The start voxel and every frontier pick are the
 integers `rng.integers(k)` gives, computed in Python from the bit
 generator's raw output with numpy's own method, so a pick makes no numpy
-call. Cavities are found with one labelling pass over the unset voxels of
-a box whose outer shell is never grown: that shell is one face-connected
-set, so the outside is a single component and every other component is a
-cavity. A step that sets one voxel skips the pass when the voxel's unset
+call. Cavities are found by one flood of the unset voxels of a box whose
+outer shell is never grown: that shell is one face-connected set, so the
+flood seeded from it reaches the whole outside, and every unset voxel it
+misses lies in a cavity. A step that sets one voxel skips the pass when the voxel's unset
 face neighbours are joined through its unset edge neighbours: every unset
 path through the voxel then has a detour beside it, so no cavity forms.
 Lesioning a subject also diminishes and noises connectivity entries touching
@@ -322,15 +322,15 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
     so neighbours need no bounds check. Any cavity is enclosed by grown
     voxels, so cavities are sought in the grown voxels' bounding box plus
     that one-voxel margin, which the padding keeps inside the grid. The
-    margin is never grown, and a box shell is one face-connected set, so the
-    ungrown voxels hold one outside component and `fill_cavities` sets every
-    other component, all from one labelling pass. The result equals scipy's
-    hole filling on the box, which repeats a dilation until nothing changes.
+    margin is never grown, and a box shell is one face-connected set, so
+    `fill_cavities` floods the ungrown voxels from the shell and sets every
+    voxel the flood misses. The tests check the result against iterated hole
+    filling on the box.
 
-    A step that adds one voxel to a mask without cavities skips that pass
+    A step that adds one voxel to a mask without cavities skips the flood
     when `_stays_joined` holds: the ungrown voxels stay one component, so
     the filled size rises by exactly one. Near the target every step adds
-    one voxel, so most of those steps skip labelling.
+    one voxel, so most of those steps skip it.
     """
     if spec.territory not in atlas.left_territories():
         raise InputError(f"territory {spec.territory} is not a left-hemisphere territory")

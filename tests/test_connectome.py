@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from legnet.connectome import (
-    FACE_STRUCTURE,
     HEMI_LEFT,
     InputError,
     LesionEncoding,
     LesionMask,
     SubjectRecord,
     ToyAtlas,
+    _bounding_boxes,
     _range_chunks,
+    _region_is_face_connected,
     build_toy_atlas,
     correlation_matrix,
     exponentiate,
@@ -36,6 +37,10 @@ from legnet.synthgen import (
     generate_healthy_subject,
     lesioned_roi_series,
 )
+
+
+# the oracle's 6-connectivity: voxels are neighbours when they share a face
+FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
 
 @pytest.fixture(scope="module")
@@ -409,6 +414,59 @@ class TestFillCavities:
         box[1, 2, 2] = box[2, 2, 2] = False
         assert fill_cavities(box) is None
         assert not self.check(box)
+
+
+class TestNumpyOracles:
+    """The numpy face-connectivity check and label boxes against
+    scipy.ndimage's `label` and `find_objects`."""
+
+    def test_connectivity_matches_label(self):
+        rng = np.random.default_rng(47)
+        verdicts = {True: 0, False: 0}
+        thin = 0
+        for _ in range(500):
+            shape = tuple(int(d) for d in rng.integers(1, 7, size=3))
+            cells = rng.random(shape) < rng.uniform(0.2, 1.0)
+            got = _region_is_face_connected(cells)
+            assert got == (ndimage.label(cells, FACE_STRUCTURE)[1] == 1), cells
+            verdicts[got] += 1
+            thin += min(shape) <= 2
+        assert min(verdicts.values()) >= 100 and thin >= 250, (verdicts, thin)
+
+    @pytest.mark.parametrize("shape, voxels, want", [
+        ((0, 3, 3), [], False),
+        ((2, 2, 2), [], False),
+        ((1, 1, 1), [(0, 0, 0)], True),
+        # consecutive in flat C order across a row end and a plane end
+        ((1, 2, 3), [(0, 0, 2), (0, 1, 0)], False),
+        ((2, 2, 1), [(0, 1, 0), (1, 0, 0)], False),
+        ((1, 1, 4), [(0, 0, 0), (0, 0, 1), (0, 0, 3)], False),
+        ((3, 1, 2), [(0, 0, 1), (1, 0, 1), (2, 0, 1), (2, 0, 0)], True),
+    ])
+    def test_connectivity_edge_cases(self, shape, voxels, want):
+        cells = np.zeros(shape, dtype=bool)
+        for v in voxels:
+            cells[v] = True
+        assert _region_is_face_connected(cells) == want
+        assert (ndimage.label(cells, FACE_STRUCTURE)[1] == 1) == want
+
+    def test_bounding_boxes_match_find_objects(self):
+        rng = np.random.default_rng(53)
+        absent = 0
+        for trial in range(300):
+            shape = tuple(int(d) for d in rng.integers(1, 8, size=3))
+            count = int(rng.integers(1, 12))
+            dtype = (np.uint8, np.int16, np.int32, np.int64)[trial % 4]
+            labels = (rng.integers(0, count + 1, size=shape)
+                      * (rng.random(shape) < rng.uniform(0.05, 1.0))).astype(dtype)
+            found, lo, hi = _bounding_boxes(labels, count)
+            want = ndimage.find_objects(labels, max_label=count)
+            assert found.tolist() == [box is not None for box in want]
+            for label, box in enumerate(want):
+                if box is not None:
+                    assert list(zip(lo[label], hi[label])) == [(s.start, s.stop) for s in box]
+            absent += len(want) - int(found.sum())
+        assert absent >= 100, absent
 
 
 class TestRoiTimeseries:

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legnet.diffmath import (
-    GradientCheckError,
     ShapeError,
     Tape,
     Tensor,
     backward,
-    gradient_check,
 )
+
+from gradcheck import GradientCheckError, gradient_check
 
 
 def finite(shape, seed, low=-2.0, high=2.0):

@@ -1,8 +1,12 @@
 """Every name a `legnet` module imports is used somewhere in that module,
-every module-level private name is read somewhere in the package, and every
-package attribute the benchmark's workloads read exists."""
+every module-level private name is read somewhere in the package, every
+package attribute the benchmark's workloads read exists, and the runtime
+needs no module beyond numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,7 @@ from legnet import connectome, diffmath, model, synthgen
 
 MODULES = sorted(Path(legnet.__file__).parent.glob("*.py"))
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+RUNTIME_SMOKE = Path(__file__).with_name("runtime_smoke.py")
 PACKAGE = {m.__name__.rsplit(".", 1)[1]: m for m in (connectome, diffmath, model, synthgen)}
 
 
@@ -89,3 +94,14 @@ def test_benchmark_workloads_read_only_defined_names():
     # a renamed or deleted function otherwise surfaces only in the slower
     # `python -m pytest perfbench` run
     assert missing_attributes(WORKLOADS.read_text(), PACKAGE) == []
+
+
+def test_runtime_runs_without_scipy():
+    # scipy is the tests' oracle, not a runtime dependency: the smoke script
+    # blocks it, then generates, validates and scores a small cohort
+    src = str(Path(legnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, str(RUNTIME_SMOKE)], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert "runtime smoke test passed without scipy" in result.stdout

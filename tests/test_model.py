@@ -23,7 +23,6 @@ from legnet.diffmath import (
     Tape,
     Tensor,
     backward,
-    gradient_check,
 )
 from legnet.model import (
     FORWARDS,
@@ -52,6 +51,8 @@ from legnet.model import (
     subgraph_conv,
     subgraph_filters,
 )
+
+from gradcheck import gradient_check
 
 
 # ----------------------------------------------------------------------
@@ -785,6 +786,22 @@ class TestParamsAndCheckpoints:
         params["extra"] = np.zeros(2)
         with pytest.raises(InputError, match="'extra' is not in it"):
             predict(random_subject(np.random.default_rng(0), 6), params, hyper)
+
+    @pytest.mark.parametrize("lists", ["one", "all"])
+    @pytest.mark.parametrize("use", ["predict", "save_checkpoint"])
+    def test_a_list_in_place_of_an_array_is_named(self, tmp_path, use, lists):
+        # an AttributeError: 'list' object has no attribute 'shape' before
+        hyper = HyperParams(n_rois=6)
+        params = init_params(MODEL_LEGNET, hyper, 0)
+        for name in (["g"] if lists == "one" else list(params)):
+            params[name] = params[name].tolist()
+        first = next(name for name, value in params.items() if isinstance(value, list))
+        with pytest.raises(InputError, match=f"parameter tensor '{first}' is a list, not an"):
+            if use == "predict":
+                predict(random_subject(np.random.default_rng(0), 6), params, hyper)
+            else:
+                save_checkpoint(tmp_path / "a.ckpt", MODEL_LEGNET, hyper, params)
+        assert not (tmp_path / "a.ckpt").exists()
 
     def test_batch_loss_rejects_unknown_kind(self):
         # a KeyError: 'nope' before

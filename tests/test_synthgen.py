@@ -11,7 +11,6 @@ from scipy import ndimage
 
 from legnet import synthgen
 from legnet.connectome import (
-    FACE_STRUCTURE,
     InputError,
     LesionMask,
     ToyAtlas,
@@ -36,6 +35,9 @@ from legnet.synthgen import (
     rescale_score,
     territory_spared_fraction,
 )
+
+# the oracle's 6-connectivity: voxels are neighbours when they share a face
+FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
 
 @pytest.fixture(scope="module")
