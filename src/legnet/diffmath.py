@@ -6,8 +6,9 @@ propagates gradients to every leaf in reverse recording order. The primitive
 set is intentionally small: exactly what a dense edge-based graph network
 needs. Besides the elementwise, product and shape primitives, two fused
 ones save passes over the largest arrays: `add_relu`, relu(a + b), and
-`outer_add_relu`, which writes every relu(row_i + col_j) of two (..., N, d)
-operands, the edge tensor of such a network, with one matrix product.
+`outer_add_relu_matmul`, which writes the edge tensor of such a network,
+every relu(row_i + col_j) of two (..., N, d) operands, with one product and
+contracts it with a weight matrix; neither it nor its gradient is on the tape.
 
 Every primitive accepts leading batch axes: elementwise operations broadcast
 by numpy's rules and `matmul` by `np.matmul`'s, so a minibatch stacked on a
@@ -39,16 +40,15 @@ def _keep_freed_tape_memory() -> None:
     """Let glibc reuse one tape's freed arrays for the next tape.
 
     A minibatch tape at N = 90 allocates and frees its (B, N, N, d0) arrays:
-    a legnet loss and its gradients peak at ~1.1 MB for one subject, ~7.9 MB
-    for 8 and ~15.7 MB for the 16 that `model` puts in one chunk
-    (tracemalloc). Under glibc's adaptive defaults, unless the process has
-    already freed a multi-megabyte block, each freed heap top goes back to
-    the OS and the next tape faults it in again: a four-kind training step
-    at B = 8 then takes ~2,400 minor faults and about twice the time (27
-    against 14 ms on a 2-core VM). This serves blocks up to MMAP_THRESHOLD
-    (4 MiB) from the heap and keeps up to TRIM_THRESHOLD (32 MiB, above a
-    full chunk's peak) of free heap. A C library without mallopt is left as
-    it is.
+    a legnet loss and its gradients peak at ~0.8 MB for one subject, ~2.6 MB
+    for the 4 that `model` puts in one chunk and ~5.1 MB for 8 (tracemalloc).
+    Under glibc's adaptive defaults, unless the process has already freed a
+    multi-megabyte block, each freed heap top goes back to the OS and the
+    next tape faults it in again: a four-kind training step at B = 8 then
+    takes ~1,600 minor faults and up to twice the time (21 against 10-16 ms
+    on a 2-core VM). This serves blocks up to MMAP_THRESHOLD (4 MiB) from
+    the heap and keeps up to TRIM_THRESHOLD (32 MiB, far above a chunk's
+    peak) of free heap. A C library without mallopt is left as it is.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -224,20 +224,18 @@ class Tape:
 
         return self._emit(out, (a, b), backward)
 
-    def outer_add_relu(self, row: Tensor, col: Tensor) -> Tensor:
-        """relu(row_i + col_j) for every pair (i, j) of two (..., N, d)
-        operands, shape (..., N, N, d): entry (i, j, k) is relu(row_ik + col_jk).
-
-        One product [row | 1] @ [T ; vec(col)], with T = [I I ... I] (d, N d),
-        writes it as rows of N d entries and the relu runs in place; the
-        output is a view of that product. Every other term of a sum is an
-        exact 0, so each entry is row + col rounded once, as `add` rounds it.
-        Keeps only its output, whose positive entries are where the gradient
-        passes.
-        """
-        if row.shape != col.shape or len(row.shape) < 2:
-            raise ShapeError(f"outer_add_relu needs two (..., N, d) operands of one shape, "
-                             f"got {row.shape} and {col.shape}")
+    def outer_add_relu_matmul(self, row: Tensor, col: Tensor, w: Tensor) -> Tensor:
+        """H @ w for the edge tensor H_i,jd+k = relu(row_ik + col_jk) of two
+        (..., N, d) operands and w (N d, d1), shape (..., N, d1). One product
+        [row | 1] @ [T ; vec(col)], with T = [I I ... I] (d, N d), writes H
+        and the relu runs in place; every other term of a sum is an exact 0,
+        so each entry is row + col rounded once, as `add` rounds it. H stays
+        in the node: backward zeroes H's one gradient, g @ w^T, in place
+        where H is not positive."""
+        if row.shape != col.shape or len(row.shape) < 2 or len(w.shape) != 2 \
+                or w.shape[0] != row.shape[-2] * row.shape[-1]:
+            raise ShapeError(f"outer_add_relu_matmul needs two (..., N, d) operands of one "
+                             f"shape and w (N d, d1), got {row.shape}, {col.shape} and {w.shape}")
         lead, (n, d) = row.shape[:-2], row.shape[-2:]
         tile = _eye_tile(n, d)
         left = np.empty(lead + (n, d + 1))
@@ -246,16 +244,17 @@ class Tape:
         right = np.empty(lead + (d + 1, n * d))
         right[..., :d, :] = tile
         right[..., d, :] = col.data.reshape(lead + (n * d,))
-        out = np.matmul(left, right)
-        np.maximum(out, 0.0, out=out)
+        h = np.matmul(left, right)
+        np.maximum(h, 0.0, out=h)
+        out = np.matmul(h, w.data)
 
         def backward(g):
-            # a float mask: a product with a bool array casts it in a slow loop
-            gm = (out > 0.0).astype(np.float64)
-            gm *= g.reshape(out.shape)
-            return gm @ tile.T, gm.sum(axis=-2).reshape(col.data.shape)
+            gw = _unbroadcast(np.swapaxes(h, -1, -2) @ g, w.data.shape)
+            gh = g @ np.swapaxes(w.data, -1, -2)
+            gh *= h > 0.0
+            return gh @ tile.T, gh.sum(axis=-2).reshape(col.data.shape), gw
 
-        return self._emit(out.reshape(lead + (n, n, d)), (row, col), backward)
+        return self._emit(out, (row, col, w), backward)
 
     def softmax_lastaxis(self, a: Tensor) -> Tensor:
         """Softmax over the last axis, with max-subtraction for stability."""
@@ -319,7 +318,7 @@ class Tape:
 
 @functools.lru_cache(maxsize=8)
 def _eye_tile(n: int, d: int) -> np.ndarray:
-    """The read-only (d, N d) matrix [I I ... I] that `outer_add_relu`
+    """The read-only (d, N d) matrix [I I ... I] that `outer_add_relu_matmul`
     repeats row terms with, built once per shape."""
     tile = np.tile(np.eye(d), n)
     tile.flags.writeable = False
@@ -332,8 +331,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     `loss` must be a 0-d tensor produced on the tape. A leaf is a
     gradient-enabled input that the tape did not produce, even if another
     tape did. After the call every leaf has `.grad` set, a zero gradient if
-    it does not influence the loss; so has every output the loss depends
-    on. Constants are left alone. Returns the leaf gradients keyed by tensor.
+    it does not influence the loss. An output's `.grad` is dropped once its
+    node has run, so none is left set. Constants are left alone. Returns
+    the leaf gradients keyed by tensor.
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"loss must be a scalar, got shape {loss.shape}")
@@ -350,6 +350,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         if out.grad is None:
             continue
         grads = backward_fn(out.grad)
+        out.grad = None
         for t, g in zip(inputs, grads):
             if not t.requires_grad:
                 continue

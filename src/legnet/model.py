@@ -4,11 +4,11 @@ A model maps a dense connectivity matrix X (one edge feature per ROI pair)
 and per-ROI spared fractions p to a scalar score. Each kind stacks shared
 modules and ends in one dense head (predict_head):
 
-  edge module      edge_to_edge, H_ij = relu(sum_n r_n X_in + sum_n c_n X_nj),
-                   then edge_to_node, h1_i = relu(sum_n g_n H_in + b1). H is
-                   written by one tape op, `outer_add_relu` of the row and
-                   column terms; edge_to_node's product reads it without a
-                   copy.
+  edge module      edge_to_node, h1_i = relu(sum_n g_n H_in + b1) of the edge
+                   tensor H_ij = relu(sum_n r_n X_in + sum_n c_n X_nj). The
+                   row terms X r and column terms X^T c are tape products;
+                   one tape op, `outer_add_relu_matmul`, writes H from them
+                   and contracts it with g, and H never leaves that op.
   subgraph module  assignment_scores, row j = softmax(p_j theta1[:, j]) (the
                    lesion encoding); subgraph_filters, row j of V is vec(W_j)
                    = theta2 S_j + b2; subgraph_conv, h2_i = relu(sum_j W_j h1_j).
@@ -28,26 +28,28 @@ complete node set including self. All stages are tape operations, so the
 loss is differentiable end to end.
 
 Every stage takes optional leading batch axes, written "...": X (..., N, N)
-and p as pcol (..., N, 1) give H (..., N, N, d0), h1 (..., N, d1), S
-(..., N, k), V (..., N, d1 d2), h2 (..., N, d2) and a score (..., 1). One
-subject has no leading axis (`predict`); `batch_loss_and_grads` stacks a
-minibatch into chunks of `chunk_subjects(hyper)` subjects and runs each
-chunk through the same forward as one tape that holds the chunk's share of
-the objective.
+and p as pcol (..., N, 1) give row and column terms (..., N, d0), h1
+(..., N, d1), S (..., N, k), V (..., N, d1 d2), h2 (..., N, d2) and a score
+(..., 1). One subject has no leading axis (`predict`);
+`batch_loss_and_grads` stacks a minibatch into chunks of
+`chunk_subjects(hyper)` subjects and runs each chunk through the same
+forward as one tape that holds the chunk's share of the objective.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
 
 from .connectome import InputError, SubjectRecord, _ExactReader, check_number, check_seed
-from .diffmath import MMAP_THRESHOLD, Tape, Tensor, backward
+from .diffmath import Tape, Tensor, backward
 
 MODEL_LEGNET = "legnet"
 MODEL_BRAINGNN_DAGGER = "braingnn-dagger"
@@ -56,8 +58,9 @@ MODEL_BNC_2CHANNEL = "bnc-2channel"
 
 BNC_MASK_THRESHOLD = 0.3  # spared fraction below which bnc-mask drops an ROI
 
-# a chunk's largest array, (C, N, N, d0), stays on the heap (see diffmath)
-CHUNK_BYTES = MMAP_THRESHOLD
+# a chunk's (C, N, N, d0) edge tensor: 4 subjects at N = 90, far inside the
+# heap threshold (see diffmath), and steps as fast as with 8 or 16 per tape
+CHUNK_BYTES = 1 << 20
 
 _CHECKPOINT_MAGIC = b"LEGP"
 _CHECKPOINT_VERSION = 1
@@ -127,23 +130,15 @@ def init_params(kind: str, hyper: HyperParams, seed: int) -> dict[str, np.ndarra
 # ----------------------------------------------------------------------
 
 
-def edge_to_edge(tape: Tape, x: Tensor, r: Tensor, c: Tensor) -> Tensor:
-    """H_ij = relu(sum_n r_n X_in + sum_n c_n X_nj), shape (..., N, N, d0)."""
-    n, d0 = r.shape
-    if x.shape[-2:] != (n, n) or c.shape != (n, d0):
-        raise InputError(f"edge_to_edge shapes disagree: X {x.shape}, r {r.shape}, c {c.shape}")
-    return tape.outer_add_relu(tape.matmul(x, r), tape.matmul(tape.transpose(x), c))
-
-
-def edge_to_node(tape: Tape, h: Tensor, g: Tensor, b1: Tensor) -> Tensor:
-    """h1_i = relu(sum_n g_n H_in + b1), shape (..., N, d1)."""
-    lead, (n, n2, d0) = h.shape[:-3], h.shape[-3:]
-    if n != n2 or g.shape[0] != n or g.shape[2] != d0 or b1.shape != (g.shape[1],):
-        raise InputError(f"edge_to_node shapes disagree: H {h.shape}, g {g.shape}, b1 {b1.shape}")
-    d1 = g.shape[1]
-    hr = tape.reshape(h, lead + (n, n * d0))
-    gr = tape.reshape(tape.transpose(g), (n * d0, d1))
-    return tape.add_relu(tape.matmul(hr, gr), b1)
+def edge_to_node(tape: Tape, row: Tensor, col: Tensor, g: Tensor, b1: Tensor) -> Tensor:
+    """h1_i = relu(sum_n g_n H_in + b1) with H_ij = relu(row_i + col_j), from
+    the (..., N, d0) row and column terms of the edge filter; shape (..., N, d1)."""
+    n, d0 = row.shape[-2:]
+    if col.shape != row.shape or g.shape[0] != n or g.shape[2] != d0 or b1.shape != (g.shape[1],):
+        raise InputError(f"edge_to_node shapes disagree: row {row.shape}, col {col.shape}, "
+                         f"g {g.shape}, b1 {b1.shape}")
+    gr = tape.reshape(tape.transpose(g), (n * d0, g.shape[1]))
+    return tape.add_relu(tape.outer_add_relu_matmul(row, col, gr), b1)
 
 
 def assignment_scores(tape: Tape, pcol: Tensor, theta1: Tensor) -> Tensor:
@@ -200,8 +195,8 @@ def predict_head(tape: Tape, features: Tensor, w1: Tensor, b1: Tensor,
 
 @dataclass(eq=False)
 class PreparedSubject:
-    """Constant leaf tensors for one subject, reusable across tapes: the
-    kind's inputs x (N, N) and pcol (N, 1), and the target (1,)."""
+    """Constant leaf tensors for one subject, reusable across tapes: X as x
+    (N, N), p as pcol (N, 1), and the target (1,)."""
 
     id: str
     x: Tensor
@@ -245,9 +240,9 @@ def stack_subjects(prepared: list[PreparedSubject], hyper: HyperParams) -> Prepa
     return PreparedBatch(stack("x"), stack("pcol"), stack("target"))
 
 
-def _edge_module(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
-    h = edge_to_edge(tape, subj.x, params["r"], params["c"])
-    return edge_to_node(tape, h, params["g"], params["b1"])
+def _edge_module(tape: Tape, x: Tensor, params: dict[str, Tensor]) -> Tensor:
+    return edge_to_node(tape, tape.matmul(x, params["r"]),
+                        tape.matmul(tape.transpose(x), params["c"]), params["g"], params["b1"])
 
 
 def _two_channel_edge_module(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
@@ -257,47 +252,46 @@ def _two_channel_edge_module(tape: Tape, subj: Prepared, params: dict[str, Tenso
                    tape.matmul(subj.pcol, tape.matmul(pt, params["r2"])))
     col = tape.add(tape.matmul(xt, params["c"]),
                    tape.matmul(subj.pcol, tape.matmul(pt, params["c2"])))
-    return edge_to_node(tape, tape.outer_add_relu(row, col), params["g"], params["b1"])
+    return edge_to_node(tape, row, col, params["g"], params["b1"])
 
 
-def _subgraph_module(tape: Tape, h1: Tensor, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
-    s = assignment_scores(tape, subj.pcol, params["theta1"])
+def _subgraph_module(tape: Tape, h1: Tensor, pcol: Tensor, params: dict[str, Tensor]) -> Tensor:
+    s = assignment_scores(tape, pcol, params["theta1"])
     return subgraph_conv(tape, h1, subgraph_filters(tape, s, params["theta2"], params["b2"]))
 
 
 def _legnet_features(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
-    return _subgraph_module(tape, _edge_module(tape, subj, params), subj, params)
+    return _subgraph_module(tape, _edge_module(tape, subj.x, params), subj.pcol, params)
 
 
 def _braingnn_dagger_features(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
-    """Linear per-row node embedding of X, then the subgraph module."""
+    """Linear per-row node embedding of X, then the subgraph module with p = 1."""
     h1 = tape.add_relu(tape.matmul(subj.x, tape.transpose(params["node_w"])),
                        params["node_b"])
-    return _subgraph_module(tape, h1, subj, params)
+    spared = Tensor(np.ones(subj.pcol.shape), requires_grad=False)
+    return _subgraph_module(tape, h1, spared, params)
 
 
-def _mask_damaged(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    keep = p >= BNC_MASK_THRESHOLD
-    return x * np.outer(keep, keep), p
+def _bnc_mask_features(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
+    """The edge module on X with ROIs of p < 0.3 masked, a tape constant."""
+    keep = subj.pcol.data >= BNC_MASK_THRESHOLD
+    x = Tensor(subj.x.data * (keep & np.swapaxes(keep, -1, -2)), requires_grad=False)
+    return _edge_module(tape, x, params)
 
 
 @dataclass(frozen=True)
 class ModelKind:
     """One model kind: the tensor groups of its modules in table order (see
-    param_spec; the head's follow), its feature stack, and the map from a
-    record's (X, p) to the kind's inputs."""
+    param_spec; the head's follow) and its feature stack."""
 
     modules: tuple[str, ...]
     features: Callable[[Tape, Prepared, dict[str, Tensor]], Tensor]
-    inputs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] = (
-        lambda x, p: (x, p))
 
 
 KINDS = {
     MODEL_LEGNET: ModelKind(("edge", "node", "subgraph"), _legnet_features),
-    MODEL_BRAINGNN_DAGGER: ModelKind(("embed", "subgraph"), _braingnn_dagger_features,
-                                     lambda x, p: (x, np.ones_like(p))),
-    MODEL_BNC_MASK: ModelKind(("edge", "node"), _edge_module, _mask_damaged),
+    MODEL_BRAINGNN_DAGGER: ModelKind(("embed", "subgraph"), _braingnn_dagger_features),
+    MODEL_BNC_MASK: ModelKind(("edge", "node"), _bnc_mask_features),
     MODEL_BNC_2CHANNEL: ModelKind(("edge", "lesion_edge", "node"), _two_channel_edge_module),
 }
 MODEL_KINDS = tuple(KINDS)
@@ -310,13 +304,12 @@ def _kind(kind: str) -> ModelKind:
 
 
 def prepare_subject(record: SubjectRecord, kind: str) -> PreparedSubject:
-    """The kind's input tensors for one record. A record is checked when it
-    is built, so nothing is checked here."""
-    x, p = _kind(kind).inputs(record.x, record.lesion.p)
+    """One record's input tensors, the same for every kind; records are checked when built."""
+    _kind(kind)  # an unknown kind is an InputError
     return PreparedSubject(
         id=record.id,
-        x=Tensor(x, requires_grad=False),
-        pcol=Tensor(p[:, None], requires_grad=False),
+        x=Tensor(record.x, requires_grad=False),
+        pcol=Tensor(record.lesion.p[:, None], requires_grad=False),
         target=Tensor(np.array([float(record.y)]), requires_grad=False),
     )
 
@@ -336,11 +329,17 @@ def _with_head(features):
 FORWARDS = {kind: _with_head(spec.features) for kind, spec in KINDS.items()}
 
 
+@functools.lru_cache(maxsize=32)
+def _shape_table(kind: str, hyper: HyperParams) -> MappingProxyType:
+    """The kind's {name: shape} tensor table, built once per (kind, hyper)."""
+    return MappingProxyType({name: shape for name, shape, *_ in param_spec(kind, hyper)})
+
+
 def check_params(kind: str, hyper: HyperParams, params: dict) -> None:
     """Raise InputError, naming the tensor, unless `params` maps tensor names
     to ndarrays or Tensors with exactly the names and shapes of the kind's
     tensor table. Entries are not read."""
-    spec = {name: shape for name, shape, *_ in param_spec(kind, hyper)}
+    spec = _shape_table(kind, hyper)
     shapes = {name: t.shape if isinstance(t, (np.ndarray, Tensor)) else None
               for name, t in params.items()}
     if shapes == spec:
@@ -407,7 +406,7 @@ def _chunk_objective(tape: Tape, batch: PreparedBatch, params_t: dict[str, Tenso
 
 def chunk_subjects(hyper: HyperParams) -> int:
     """Subjects per tape: as many as keep one (C, N, N, d0) array within
-    CHUNK_BYTES (16 at N = 90 and d0 = 4)."""
+    CHUNK_BYTES (4 at N = 90 and d0 = 4)."""
     return max(1, CHUNK_BYTES // (hyper.n_rois ** 2 * hyper.d0 * 8))
 
 

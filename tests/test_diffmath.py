@@ -64,40 +64,74 @@ class TestPrimitives:
         assert abs(out.data.sum() - 1.0) <= 1e-12
 
 
-class TestOuterAddRelu:
+def three_op_chain(tape, row, col, w):
+    """The edge op as separate tape ops: row terms repeated by a product with
+    [I I ... I], column terms reshaped, add + relu, then a product with w."""
+    lead, (n, d) = row.shape[:-2], row.shape[-2:]
+    tile = Tensor(np.tile(np.eye(d), n), requires_grad=False)
+    return tape.matmul(tape.add_relu(tape.matmul(row, tile),
+                                     tape.reshape(col, lead + (1, n * d))), w)
+
+
+def with_exact_zero_sums(shape, seed):
+    rng = np.random.default_rng(seed)
+    row, col = rng.normal(size=shape), rng.normal(size=shape)
+    # sums that are exactly 0: x + (-x), 0 + 0 and -0 + -0
+    col[..., 1, :] = -row[..., 2, :]
+    row[..., 0, 0] = col[..., 3, 0] = 0.0
+    row[..., 4, 1] = col[..., 4, 1] = -0.0
+    return row, col
+
+
+class TestOuterAddReluMatmul:
     @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3)], ids=["unbatched", "batched"])
-    def test_equals_relu_of_the_broadcast_sum_as_bytes(self, shape):
-        rng = np.random.default_rng(8)
-        row, col = rng.normal(size=shape), rng.normal(size=shape)
-        # sums that are exactly 0: x + (-x), 0 + 0 and -0 + -0
-        col[..., 1, :] = -row[..., 2, :]
-        row[..., 0, 0] = col[..., 3, 0] = 0.0
-        row[..., 4, 1] = col[..., 4, 1] = -0.0
-        out = Tape().outer_add_relu(Tensor(row), Tensor(col))
-        expected = np.maximum(row[..., :, None, :] + col[..., None, :, :], 0.0)
-        assert out.shape == expected.shape == shape[:-1] + shape[-2:]
+    def test_equals_the_relu_of_the_broadcast_sum_times_w_as_bytes(self, shape):
+        row, col = with_exact_zero_sums(shape, seed=8)
+        w = finite((15, 4), seed=9)
+        out = Tape().outer_add_relu_matmul(Tensor(row), Tensor(col), Tensor(w))
+        h = np.maximum(row[..., :, None, :] + col[..., None, :, :], 0.0)
+        expected = np.matmul(h.reshape(shape[:-1] + (15,)), w)
+        assert out.shape == expected.shape == shape[:-1] + (4,)
         assert out.data.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3)], ids=["unbatched", "batched"])
+    def test_gradients_equal_the_three_op_chain_as_bytes(self, shape):
+        # exact zero sums pass no gradient in either: relu'(0) = 0
+        row, col = with_exact_zero_sums(shape, seed=10)
+        w, target = finite((15, 4), seed=11), finite(shape[:-1] + (4,), seed=12)
+        grads = []
+        for op in (Tape.outer_add_relu_matmul, three_op_chain):
+            tape = Tape()
+            leaves = [Tensor(row), Tensor(col), Tensor(w)]
+            loss = tape.mse(op(tape, *leaves), Tensor(target, requires_grad=False))
+            backward(tape, loss)
+            grads.append([t.grad.tobytes() for t in leaves])
+        assert grads[0] == grads[1]
+
     def test_gradient_counts_the_positive_pairs(self):
-        # with every output's gradient 1, d/d row_ik counts the j with
-        # row_ik + col_jk > 0 and d/d col_jk the i; an exact 0 counts for neither
+        # with w a column of ones and every output's gradient 1, d/d row_ik
+        # counts the j with row_ik + col_jk > 0, d/d col_jk the i, and d/d w
+        # sums H over i; an exact 0 counts for neither
         row = np.array([[1.0, -2.0], [0.5, 0.0], [-1.0, 3.0]])
         col = np.array([[-1.0, 2.0], [0.25, 0.0], [-0.5, -3.0]])
         tape = Tape()
-        trow, tcol = Tensor(row), Tensor(col)
-        out = tape.reshape(tape.outer_add_relu(trow, tcol), (3, 6))
-        ones = Tensor(np.ones(out.shape[-1]), requires_grad=False)
-        total = tape.matmul(Tensor(np.ones(3), requires_grad=False), tape.matmul(out, ones))
-        backward(tape, total)
-        positive = row[:, None, :] + col[None, :, :] > 0.0
-        assert np.array_equal(trow.grad, positive.sum(axis=1))
-        assert np.array_equal(tcol.grad, positive.sum(axis=0))
+        trow, tcol, tw = Tensor(row), Tensor(col), Tensor(np.ones((6, 1)))
+        out = tape.outer_add_relu_matmul(trow, tcol, tw)
+        ones = Tensor(np.ones(3), requires_grad=False)
+        backward(tape, tape.matmul(ones, tape.reshape(out, (3,))))
+        h = np.maximum(row[:, None, :] + col[None, :, :], 0.0)
+        assert np.array_equal(trow.grad, (h > 0.0).sum(axis=1))
+        assert np.array_equal(tcol.grad, (h > 0.0).sum(axis=0))
+        assert np.array_equal(tw.grad, h.sum(axis=0).reshape(6, 1))
 
-    @pytest.mark.parametrize("row, col", [((5, 3), (5, 2)), ((2, 5, 3), (5, 3)),
-                                          ((5, 3), (4, 3)), ((3,), (3,))])
-    def test_rejects_operands_of_different_or_too_few_axes(self, row, col):
+    @pytest.mark.parametrize("row, col, w", [
+        ((5, 3), (5, 2), (15, 2)), ((2, 5, 3), (5, 3), (15, 2)), ((5, 3), (4, 3), (15, 2)),
+        ((3,), (3,), (3, 2)), ((5, 3), (5, 3), (12, 2)), ((5, 3), (5, 3), (15,)),
+    ])
+    def test_rejects_operands_that_do_not_fit(self, row, col, w):
         with pytest.raises(ShapeError):
-            Tape().outer_add_relu(Tensor(np.ones(row)), Tensor(np.ones(col)))
+            Tape().outer_add_relu_matmul(Tensor(np.ones(row)), Tensor(np.ones(col)),
+                                         Tensor(np.ones(w)))
 
 
 class TestTranspose:
@@ -192,6 +226,20 @@ class TestBackward:
         backward(tape, tape.l2_norm_sq(tape.add(x, x)))
         assert np.allclose(x.grad, 8.0 * x.data, atol=1e-15)
 
+    def test_outputs_drop_their_gradients_and_leaves_keep_theirs(self):
+        tape = Tape()
+        x, w, unused = Tensor([1.0, -2.0]), Tensor([[0.5, 1.0], [2.0, -1.0]]), Tensor([7.0])
+        h = tape.relu(tape.matmul(w, x))
+        loss = tape.add(tape.l2_norm_sq(h), tape.l2_norm_sq(tape.scale(x, 2.0)))
+        tape.l2_norm_sq(unused)  # recorded but not feeding the loss
+        backward(tape, loss)
+        assert len(tape.nodes) == 7
+        assert all(out.grad is None for out, _, _ in tape.nodes)
+        # h = relu([-1.5, 4]) = [0, 4]; d/dx = w^T [0, 8] + 8 x
+        assert np.array_equal(x.grad, [24.0, -24.0])
+        assert np.array_equal(w.grad, [[0.0, 0.0], [8.0, -16.0]])
+        assert np.array_equal(unused.grad, [0.0])
+
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
         x = Tensor([1.0, 2.0])
@@ -271,12 +319,13 @@ def test_every_primitive_matches_central_differences(seed):
     u = rng.uniform(-1.0, 1.0, size=(4,))
     row = away_from_zero((2, 3, 1, 2))
     col = rng.uniform(-0.1, 0.1, size=(2, 1, 3, 2))  # |row + col| >= 0.1
+    edge_w = rng.uniform(-1.0, 1.0, size=(6, 3))
     # constants are drawn once: build() must be the same function on every call
     shift = Tensor(rng.uniform(0.3, 0.9, size=(2,)), requires_grad=False)
     weight = Tensor(rng.uniform(-1.0, 1.0, size=(3, 4)), requires_grad=False)
 
     def build(tape, ts):
-        ta, tb, tv, tbatch, tu, trow, tcol = ts
+        ta, tb, tv, tbatch, tu, trow, tcol, tw = ts
         m = tape.add(tape.matmul(ta, tb), shift)     # (3, 2)
         s = tape.softmax_lastaxis(tape.relu(m))
         mixed = tape.mul(ta, tv)                     # (3, 4)
@@ -295,8 +344,10 @@ def test_every_primitive_matches_central_differences(seed):
         # mse against ones: its gradient is nonzero where relu outputs 0
         fused = tape.add_relu(trow, tcol)
         total = tape.add(total, tape.mse(fused, Tensor(np.ones(fused.shape), requires_grad=False)))
-        # the outer sum of every pair of rows; no pair sum lies within 0.1 of 0
-        outer = tape.outer_add_relu(tape.reshape(trow, (2, 3, 2)), tape.reshape(tcol, (2, 3, 2)))
+        # the outer sum of every pair of rows, batched, times a shared w; no
+        # pair sum lies within 0.1 of 0
+        outer = tape.outer_add_relu_matmul(tape.reshape(trow, (2, 3, 2)),
+                                           tape.reshape(tcol, (2, 3, 2)), tw)
         return tape.add(total, tape.mse(outer, Tensor(np.ones(outer.shape), requires_grad=False)))
 
-    assert gradient_check(build, [a, b, v, batched, u, row, col], step=1e-5) <= 1e-4
+    assert gradient_check(build, [a, b, v, batched, u, row, col, edge_w], step=1e-5) <= 1e-4

@@ -36,7 +36,6 @@ from legnet.model import (
     assignment_scores,
     batch_loss_and_grads,
     chunk_subjects,
-    edge_to_edge,
     edge_to_node,
     init_params,
     load_checkpoint,
@@ -148,34 +147,53 @@ def t(arr, **kw):
     return Tensor(np.asarray(arr, dtype=float), **kw)
 
 
-class TestEdgeToEdge:
-    def test_single_node_reduction(self):
-        x = t([[math.e]], requires_grad=False)
-        out = edge_to_edge(Tape(), x, t([[0.7]]), t([[0.2]]))
-        assert out.data[0, 0, 0] == pytest.approx(max((0.7 + 0.2) * math.e, 0.0))
+def edge_stage(tape, x, r, c, g, b1):
+    """The edge module on a constant X: row terms X r, column terms X^T c,
+    then edge_to_node."""
+    return model._edge_module(tape, t(x, requires_grad=False),
+                              {"r": t(r), "c": t(c), "g": t(g), "b1": t(b1)})
 
-    def test_zero_filters_give_zero(self):
+
+class TestEdgeToNode:
+    def test_single_node_reduction(self):
+        out = edge_stage(Tape(), [[math.e]], [[0.7]], [[0.2]], [[[1.5]]], [0.0])
+        assert out.data[0, 0] == pytest.approx(1.5 * (0.7 + 0.2) * math.e)
+
+    def test_zero_edge_filters_give_the_bias(self):
         rng = np.random.default_rng(0)
-        x = t(rng.uniform(0.5, 2.5, (4, 4)), requires_grad=False)
-        out = edge_to_edge(Tape(), x, t(np.zeros((4, 2))), t(np.zeros((4, 2))))
-        assert np.all(out.data == 0.0)
+        b1 = np.array([1.0, -2.0, 0.5])
+        out = edge_stage(Tape(), rng.uniform(0.5, 2.5, (4, 4)), np.zeros((4, 2)),
+                         np.zeros((4, 2)), rng.uniform(-1, 1, (4, 3, 2)), b1)
+        assert np.array_equal(out.data, np.tile(np.maximum(b1, 0.0), (4, 1)))
+
+    def test_zero_node_filters_give_the_bias(self):
+        rng = np.random.default_rng(1)
+        b1 = np.array([1.0, -2.0, 0.5])
+        out = edge_stage(Tape(), rng.uniform(0.5, 2.5, (3, 3)), rng.uniform(-1, 1, (3, 2)),
+                         rng.uniform(-1, 1, (3, 2)), np.zeros((3, 3, 2)), b1)
+        assert np.array_equal(out.data, np.tile(np.maximum(b1, 0.0), (3, 1)))
+
+    def test_single_node(self):
+        row, col = np.array([[0.3, -0.5]]), np.array([[0.1, 0.2]])
+        g = np.array([[[0.5, 1.0], [2.0, -1.0]]])
+        b1 = np.array([0.1, 0.2])
+        out = edge_to_node(Tape(), t(row), t(col), t(g), t(b1))
+        h = np.maximum(row[0] + col[0], 0.0)  # [0.4, 0]: the second entry is cut
+        assert np.allclose(out.data[0], np.maximum(g[0] @ h + b1, 0.0))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_loop_oracle(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, (4, 4))
-        r = rng.uniform(-1, 1, (4, 2))
-        c = rng.uniform(-1, 1, (4, 2))
-        out = edge_to_edge(Tape(), t(x, requires_grad=False), t(r), t(c))
-        assert np.allclose(out.data, oracle_edge_to_edge(x, r, c), atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            edge_to_edge(Tape(), t(np.ones((3, 3))), t(np.ones((4, 2))), t(np.ones((4, 2))))
+        r, c = rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 3))
+        g, b1 = rng.uniform(-1, 1, (4, 2, 3)), rng.uniform(-1, 1, 2)
+        out = edge_stage(Tape(), x, r, c, g, b1)
+        expected = oracle_edge_to_node(oracle_edge_to_edge(x, r, c), g, b1)
+        assert np.allclose(out.data, expected, atol=1e-12)
 
 
 class TestEdgeTile:
-    """The [I I ... I] constant that `outer_add_relu` builds H with."""
+    """The [I I ... I] constant that `outer_add_relu_matmul` builds H with."""
 
     def test_is_a_read_only_constant(self):
         tile = diffmath._eye_tile(5, 3)
@@ -206,31 +224,6 @@ class TestEdgeTile:
         first = predictions(sizes)
         assert predictions(sizes[::-1]) == first
         assert predictions(sizes[::2] + sizes[1::2]) == first
-
-
-class TestEdgeToNode:
-    def test_bias_only(self):
-        b1 = np.array([1.0, -2.0, 0.5])
-        out = edge_to_node(Tape(), t(np.random.default_rng(1).uniform(size=(3, 3, 2))),
-                           t(np.zeros((3, 3, 2))), t(b1))
-        assert np.allclose(out.data, np.tile(np.maximum(b1, 0.0), (3, 1)))
-
-    def test_single_node(self):
-        h = np.array([[[0.4, -0.3]]])
-        g = np.array([[[0.5, 1.0], [2.0, -1.0]]])
-        b1 = np.array([0.1, 0.2])
-        out = edge_to_node(Tape(), t(h), t(g), t(b1))
-        expected = np.maximum(g[0] @ h[0, 0] + b1, 0.0)
-        assert np.allclose(out.data[0], expected)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_loop_oracle(self, seed):
-        rng = np.random.default_rng(10 + seed)
-        h = rng.uniform(-1, 1, (4, 4, 3))
-        g = rng.uniform(-1, 1, (4, 2, 3))
-        b1 = rng.uniform(-1, 1, 2)
-        out = edge_to_node(Tape(), t(h, requires_grad=False), t(g), t(b1))
-        assert np.allclose(out.data, oracle_edge_to_node(h, g, b1), atol=1e-12)
 
 
 class TestAssignmentScores:
@@ -336,7 +329,12 @@ def ones(*shape):
 
 class TestStageShapeChecks:
     @pytest.mark.parametrize("stage, call", [
-        ("edge_to_node", lambda: edge_to_node(Tape(), ones(3, 4, 2), ones(3, 5, 2), ones(5))),
+        ("edge_to_node", lambda: edge_to_node(Tape(), ones(3, 2), ones(3, 2), ones(4, 5, 2),
+                                              ones(5))),
+        ("edge_to_node", lambda: edge_to_node(Tape(), ones(3, 2), ones(3, 2), ones(3, 5, 2),
+                                              ones(4))),
+        ("edge_to_node", lambda: edge_to_node(Tape(), ones(2, 3, 2), ones(3, 2), ones(3, 5, 2),
+                                              ones(5))),
         ("lesion column", lambda: assignment_scores(Tape(), ones(4, 1), ones(2, 3))),
         ("subgraph_filters", lambda: subgraph_filters(Tape(), ones(3, 2), ones(6, 3), ones(6))),
         # one subject's V does not broadcast over h1's batch
@@ -344,8 +342,9 @@ class TestStageShapeChecks:
         ("subgraph_conv", lambda: subgraph_conv(Tape(), ones(3, 4), ones(3, 6))),
         ("head expects", lambda: predict_head(Tape(), ones(3, 2), ones(4, 5), ones(4),
                                               ones(1, 4), ones(1))),
-    ], ids=["edge_to_node", "assignment_scores", "subgraph_filters",
-            "subgraph_conv-batched-h1-unbatched-V", "subgraph_conv-width", "predict_head"])
+    ], ids=["edge_to_node-g", "edge_to_node-b1", "edge_to_node-col", "assignment_scores",
+            "subgraph_filters", "subgraph_conv-batched-h1-unbatched-V", "subgraph_conv-width",
+            "predict_head"])
     def test_stage_rejects_shapes_that_disagree(self, stage, call):
         with pytest.raises(InputError, match=stage):
             call()
@@ -355,8 +354,8 @@ class TestFullForward:
     def hyper(self, n):
         return HyperParams(n_rois=n, k=3, d0=2, d1=4, d2=2, d3=4)
 
-    @pytest.mark.parametrize("kind, nodes", [(MODEL_LEGNET, 26), (MODEL_BRAINGNN_DAGGER, 21),
-                                             (MODEL_BNC_MASK, 15), (MODEL_BNC_2CHANNEL, 21)])
+    @pytest.mark.parametrize("kind, nodes", [(MODEL_LEGNET, 24), (MODEL_BRAINGNN_DAGGER, 21),
+                                             (MODEL_BNC_MASK, 13), (MODEL_BNC_2CHANNEL, 19)])
     def test_forward_tape_node_count_is_pinned(self, kind, nodes):
         # a reshape or transpose round trip between stages shows here
         hyper = self.hyper(5)
@@ -498,12 +497,15 @@ class TestLoss:
             batch_loss_and_grads(batch, params_t, hyper, MODEL_LEGNET, lam=0.0)
 
     def test_full_chunk_stays_within_the_allocator_thresholds(self):
-        # at N = 90 a chunk is 16 subjects; its (16, 90, 90, 4) H is 4.1 MB
+        # at N = 90 a chunk is 4 subjects; its (4, 90, 90, 4) H is 1.0 MB
         hyper = HyperParams(n_rois=90)
         c = chunk_subjects(hyper)
-        assert c == 16
+        assert c == 4
+        h_bytes = 90 * 90 * hyper.d0 * 8
+        assert c * h_bytes <= model.CHUNK_BYTES < (c + 1) * h_bytes
+        assert model.CHUNK_BYTES <= MMAP_THRESHOLD
         rng = np.random.default_rng(2)
-        batch = prepare_dataset([random_subject(rng, 90) for _ in range(c)], MODEL_LEGNET)
+        batch = prepare_dataset([random_subject(rng, 90) for _ in range(8)], MODEL_LEGNET)
         params_t = as_tensors(init_params(MODEL_LEGNET, hyper, 0))
 
         tracemalloc.start()
@@ -512,14 +514,16 @@ class TestLoss:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < TRIM_THRESHOLD
+        # two chunks of 4: ~2.9 MB, against ~7.9 MB when one chunk of 8 kept
+        # H, H's gradient and a float copy of its mask on the tape
+        assert peak <= 3.5e6 < TRIM_THRESHOLD
 
+        # H and its gradient stay inside the edge op: no tape tensor holds
+        # even one subject's share of it
         tape = Tape()
-        stacked = stack_subjects(batch, hyper)
-        yhat = FORWARDS[MODEL_LEGNET](tape, stacked, params_t, hyper)
-        backward(tape, tape.mse(yhat, stacked.target))
-        largest = max(max(out.data.nbytes, out.grad.nbytes) for out, _, _ in tape.nodes)
-        assert largest == c * 90 * 90 * hyper.d0 * 8 <= MMAP_THRESHOLD
+        stacked = stack_subjects(batch[:c], hyper)
+        FORWARDS[MODEL_LEGNET](tape, stacked, params_t, hyper)
+        assert max(out.data.nbytes for out, _, _ in tape.nodes) < h_bytes
 
 
 class TestBaselines:
@@ -611,31 +615,52 @@ def three_op_edge_relu(tape, row, col):
     return tape.reshape(h, lead + (n, n, d0))
 
 
+def reference_edge_op(tape, row, col, w):
+    """The edge op as tape ops, as the model chained them before
+    `outer_add_relu_matmul`: H from three ops, reshaped to (..., N, N d0),
+    then contracted with w by `matmul`."""
+    lead, (n, d0) = row.shape[:-2], row.shape[-2:]
+    return tape.matmul(tape.reshape(three_op_edge_relu(tape, row, col), lead + (n, n * d0)), w)
+
+
 class TestEdgeTensorPinned:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_outputs_equal_the_three_op_chain_as_bytes(self, kind, monkeypatch):
+    def test_outputs_equal_the_reference_chain_as_bytes(self, kind, monkeypatch):
         rng = np.random.default_rng(90)
         hyper = HyperParams(n_rois=90)
         records = [random_subject(rng, 90) for _ in range(9)]
+        prepared = prepare_dataset(records[:8], kind)
         params = init_params(kind, hyper, 5)
-        runs = []
-        for edge_relu in (Tape.outer_add_relu, three_op_edge_relu):
-            hs = []
+        default_chunk, one_chunk = model.CHUNK_BYTES, 8 * 90 * 90 * hyper.d0 * 8
+        runs, ties = [], []
+        for edge_op in (Tape.outer_add_relu_matmul, reference_edge_op):
+            outs = []
 
-            def recording(tape, row, col, edge_relu=edge_relu, hs=hs):
-                h = edge_relu(tape, row, col)
-                hs.append(h.data.tobytes())
-                return h
+            def recording(tape, row, col, w, edge_op=edge_op, outs=outs):
+                ties.append(np.count_nonzero(row.data[..., :, None, :] + col.data[..., None, :, :]
+                                             == 0.0))
+                out = edge_op(tape, row, col, w)
+                outs.append(out.data.tobytes())
+                return out
 
-            monkeypatch.setattr(Tape, "outer_add_relu", recording)
-            value, grads, preds = batch_loss_and_grads(
-                prepare_dataset(records[:8], kind), as_tensors(params), hyper, kind, hyper.lam)
+            monkeypatch.setattr(Tape, "outer_add_relu_matmul", recording)
+            monkeypatch.setattr(model, "CHUNK_BYTES", one_chunk)
+            value, grads, preds = batch_loss_and_grads(prepared, as_tensors(params), hyper, kind,
+                                                       hyper.lam)
+            monkeypatch.setattr(model, "CHUNK_BYTES", default_chunk)  # two tapes of 4
+            chunked = batch_loss_and_grads(prepared, as_tensors(params), hyper, kind, hyper.lam,
+                                           want_grads=False)[2]
+            assert chunked.tobytes() == preds.tobytes()
             single = predict(records[8], params, hyper, kind)
-            runs.append((hs, np.float64(value).tobytes(), preds.tobytes(),
+            runs.append((outs, np.float64(value).tobytes(), preds.tobytes(),
                          np.float64(single).tobytes(),
                          {name: g.tobytes() for name, g in grads.items()}))
-        assert len(runs[0][0]) == (0 if kind == MODEL_BRAINGNN_DAGGER else 2)
+        assert len(runs[0][0]) == (0 if kind == MODEL_BRAINGNN_DAGGER else 4)
         assert runs[0] == runs[1]
+        if kind == MODEL_BNC_MASK:
+            # zeroed rows and columns give row_i + col_j == 0 exactly, where
+            # relu'(0) = 0 in both the op and add_relu
+            assert min(ties) > 0
 
 
 def run_gradient_checks(module: str = "all", seed: int = 0,
@@ -644,7 +669,7 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
     """Max relative error of tape gradients vs central differences, per stage.
 
     Instances are seeded random, sized by `hyper` (default: 6 ROIs with a
-    scaled-down k=3). `module` picks one of e2e, e2n, subgraph, head, loss
+    scaled-down k=3). `module` picks one of edge, subgraph, head, loss
     (LEGNet's full objective), loss-braingnn-dagger, loss-bnc-mask,
     loss-bnc-2channel, or all. The full objectives run a 2-subject batch as
     one tape through the chunk objective that batch_loss_and_grads uses.
@@ -665,11 +690,10 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
         if module in ("all", name):
             checks[name] = gradient_check(build, inputs, step=step)
 
-    check("e2e", lambda tape, ts: tape.l2_norm_sq(edge_to_edge(tape, x_const, ts[0], ts[1])),
-          [rng.uniform(-1, 1, size=(n, d0)), rng.uniform(-1, 1, size=(n, d0))])
-    h_fixed = Tensor(rng.uniform(0.1, 2.0, size=(n, n, d0)), requires_grad=False)
-    check("e2n", lambda tape, ts: tape.l2_norm_sq(edge_to_node(tape, h_fixed, ts[0], ts[1])),
-          [rng.uniform(-1, 1, size=(n, d1, d0)), rng.uniform(-1, 1, size=(d1,))])
+    check("edge", lambda tape, ts: tape.l2_norm_sq(
+              model._edge_module(tape, x_const, dict(zip(("r", "c", "g", "b1"), ts)))),
+          [rng.uniform(-1, 1, size=(n, d0)), rng.uniform(-1, 1, size=(n, d0)),
+           rng.uniform(-1, 1, size=(n, d1, d0)), rng.uniform(-1, 1, size=(d1,))])
     h1_fixed = Tensor(rng.uniform(0.1, 2.0, size=(n, d1)), requires_grad=False)
 
     def build_subgraph(tape, ts):
@@ -704,7 +728,7 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
 class TestGradientChecks:
     def test_each_stage_within_tolerance(self):
         checks = run_gradient_checks("all", seed=0)
-        assert set(checks) == {"e2e", "e2n", "subgraph", "head", "loss", "loss-braingnn-dagger",
+        assert set(checks) == {"edge", "subgraph", "head", "loss", "loss-braingnn-dagger",
                                "loss-bnc-mask", "loss-bnc-2channel"}
         for name, err in checks.items():
             assert err <= 1e-4, f"{name}: {err}"
@@ -938,7 +962,7 @@ class TestInputsCheckedWhereTheyEnter:
                              ids=["None", "-1", "1.5", "True", "SeedSequence"])
     @pytest.mark.parametrize("entry", [
         lambda seed: init_params(MODEL_LEGNET, HyperParams(n_rois=6, k=3), seed),
-        lambda seed: run_gradient_checks("e2e", seed),
+        lambda seed: run_gradient_checks("edge", seed),
     ], ids=["init_params", "run_gradient_checks"])
     def test_seed_must_be_an_integer_at_least_zero(self, entry, seed):
         # None seeded from OS entropy, so two inits differed; -1 raised
