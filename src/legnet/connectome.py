@@ -186,10 +186,10 @@ def _split_counts(total: int, parts: int) -> list[int]:
 
 
 def _range_chunks(extent: int, parts: int) -> list[tuple[int, int]]:
-    """`parts` near-equal ranges tiling [0, extent); none is empty when
-    parts <= extent."""
-    bounds = np.linspace(0, extent, parts + 1).round().astype(int)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(parts)]
+    """`parts` near-equal ranges tiling [0, extent), none empty when parts <=
+    extent: np.linspace's bounds i * (extent / parts), rounded half to even."""
+    bounds = [round(i * (extent / parts)) for i in range(parts)] + [extent]
+    return list(zip(bounds, bounds[1:]))
 
 
 def build_toy_atlas(

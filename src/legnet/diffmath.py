@@ -11,10 +11,11 @@ every relu(row_i + col_j) of two (..., N, d) operands, with one product and
 contracts it with a weight matrix; neither it nor its gradient is on the tape.
 
 Every primitive accepts leading batch axes: elementwise operations broadcast
-by numpy's rules and `matmul` by `np.matmul`'s, so a minibatch stacked on a
-leading axis runs as one tape. The gradient of an operand that broadcast
-over the batch (a shared weight) is summed over the batch axes. Entries are
-not checked for finiteness: callers check their inputs where they enter.
+by numpy's rules and `matmul`, whose operands have two or more axes, by
+`np.matmul`'s, so a minibatch stacked on a leading axis runs as one tape.
+The gradient of an operand that broadcast over the batch (a shared weight)
+is summed over the batch axes. Entries are not checked for finiteness:
+callers check their inputs where they enter.
 """
 
 from __future__ import annotations
@@ -142,27 +143,22 @@ class Tape:
     # ------------------------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        """Matrix product with np.matmul semantics: 1-D operands are
-        promoted, leading axes broadcast."""
+        """Matrix product with np.matmul's broadcasting of leading axes. A
+        1-D operand is a ShapeError: write a vector as a (1, n) or (n, 1)."""
+        if a.data.ndim < 2 or b.data.ndim < 2:
+            raise ShapeError(f"matmul needs operands with at least two axes, "
+                             f"got {a.shape} @ {b.shape}")
         try:
             out = np.matmul(a.data, b.data)
         except ValueError as exc:
             raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from exc
 
         def backward(g):
-            ad, bd = a.data, b.data
-            # np.matmul's promotion of 1-D operands, undone on the way out
-            a2 = ad[None, :] if ad.ndim == 1 else ad
-            b2 = bd[:, None] if bd.ndim == 1 else bd
-            if bd.ndim == 1:
-                g = g[..., None]
-            if ad.ndim == 1:
-                g = np.expand_dims(g, -2)
             ga = gb = None
             if a.requires_grad:
-                ga = _unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(ad.shape)
+                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
             if b.requires_grad:
-                gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape).reshape(bd.shape)
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
             return ga, gb
 
         return self._emit(out, (a, b), backward)

@@ -27,13 +27,13 @@ ridge term covers every tensor but the head's. The neighbourhood is the
 complete node set including self. All stages are tape operations, so the
 loss is differentiable end to end.
 
-Every stage takes optional leading batch axes, written "...": X (..., N, N)
-and p as pcol (..., N, 1) give row and column terms (..., N, d0), h1
-(..., N, d1), S (..., N, k), V (..., N, d1 d2), h2 (..., N, d2) and a score
-(..., 1). One subject has no leading axis (`predict`);
-`batch_loss_and_grads` stacks a minibatch into chunks of
-`chunk_subjects(hyper)` subjects and runs each chunk through the same
-forward as one tape that holds the chunk's share of the objective.
+Every forward runs on a batch, and one subject is a batch of one: X as x
+(B, N, N) and p as pcol (B, N, 1) give row and column terms (B, N, d0), h1
+(B, N, d1), S (B, N, k), V (B, N, d1 d2), h2 (B, N, d2) and scores (B, 1).
+The stages before the head broadcast over any leading axes, written "...".
+`predict` runs a batch of one; `batch_loss_and_grads` stacks a minibatch
+into chunks of `chunk_subjects(hyper)` subjects and runs each chunk through
+the same forward as one tape that holds the chunk's share of the objective.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ def subgraph_conv(tape: Tape, h1: Tensor, v: Tensor) -> Tensor:
 
 def predict_head(tape: Tape, features: Tensor, w1: Tensor, b1: Tensor,
                  w2: Tensor, b2: Tensor) -> Tensor:
-    """Flatten the last two axes + dense(d3) + relu + dense(1); returns
-    shape (..., 1)."""
+    """Flatten the last two axes of (B, N, d) features + dense(d3) + relu +
+    dense(1); returns shape (B, 1)."""
     lead, (n, d) = features.shape[:-2], features.shape[-2:]
     flat = tape.reshape(features, lead + (n * d,))
     if w1.shape[1] != n * d:
@@ -195,49 +195,40 @@ def predict_head(tape: Tape, features: Tensor, w1: Tensor, b1: Tensor,
 
 @dataclass(eq=False)
 class PreparedSubject:
-    """Constant leaf tensors for one subject, reusable across tapes: X as x
-    (N, N), p as pcol (N, 1), and the target (1,)."""
+    """Constant leaf tensors of a batch, reusable across tapes: X as x
+    (B, N, N), p as pcol (B, N, 1), the targets (B, 1) and the B subject
+    ids. One subject is a batch of one (`prepare_subject`)."""
 
-    id: str
+    ids: tuple[str, ...]
     x: Tensor
     pcol: Tensor
     target: Tensor
-
-
-@dataclass(eq=False)
-class PreparedBatch:
-    """Prepared subjects stacked on a leading axis: x (B, N, N), pcol
-    (B, N, 1) and target (B, 1). A forward reads only x and pcol, so it
-    takes a PreparedBatch or one PreparedSubject alike."""
-
-    x: Tensor
-    pcol: Tensor
-    target: Tensor
-
-
-Prepared = PreparedSubject | PreparedBatch
 
 
 def _check_fits(subj: PreparedSubject, hyper: HyperParams) -> None:
-    """Raise InputError, naming the subject, unless its x and pcol fit hyper.n_rois."""
-    n = hyper.n_rois
-    if subj.x.shape != (n, n) or subj.pcol.shape != (n, 1):
-        raise InputError(f"subject {subj.id!r} has X {subj.x.shape} and lesion column "
-                         f"{subj.pcol.shape}; the model expects {n} ROIs")
+    """Raise InputError, naming the subjects, unless x and pcol hold one
+    hyper.n_rois-ROI input per id."""
+    n, b = hyper.n_rois, len(subj.ids)
+    if subj.x.shape != (b, n, n) or subj.pcol.shape != (b, n, 1):
+        raise InputError(f"subject {', '.join(map(repr, subj.ids))} has X {subj.x.shape[1:]} "
+                         f"and lesion column {subj.pcol.shape[1:]}; the model expects {n} ROIs")
 
 
-def stack_subjects(prepared: list[PreparedSubject], hyper: HyperParams) -> PreparedBatch:
-    """Stack subjects for one tape. An InputError names the first subject
-    that does not fit `hyper.n_rois`. Entries are not checked: the records
-    were checked when they were built."""
+def stack_subjects(prepared: list[PreparedSubject], hyper: HyperParams) -> PreparedSubject:
+    """Join batches on the batch axis, for one tape. An InputError says the
+    batch is empty or names the first that does not fit `hyper.n_rois`.
+    Entries are not checked: records are checked when they are built."""
+    if not prepared:
+        raise InputError("empty batch")
     for subj in prepared:
         _check_fits(subj, hyper)
 
-    def stack(name):
-        data = np.stack([getattr(subj, name).data for subj in prepared])
+    def join(name):
+        data = np.concatenate([getattr(subj, name).data for subj in prepared])
         return Tensor(data, requires_grad=False)
 
-    return PreparedBatch(stack("x"), stack("pcol"), stack("target"))
+    ids = tuple(i for subj in prepared for i in subj.ids)
+    return PreparedSubject(ids, join("x"), join("pcol"), join("target"))
 
 
 def _edge_module(tape: Tape, x: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -245,7 +236,8 @@ def _edge_module(tape: Tape, x: Tensor, params: dict[str, Tensor]) -> Tensor:
                         tape.matmul(tape.transpose(x), params["c"]), params["g"], params["b1"])
 
 
-def _two_channel_edge_module(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
+def _two_channel_edge_module(tape: Tape, subj: PreparedSubject,
+                             params: dict[str, Tensor]) -> Tensor:
     """The edge module on X and B = p p^T, with B r2 = p (p^T r2)."""
     xt, pt = tape.transpose(subj.x), tape.transpose(subj.pcol)
     row = tape.add(tape.matmul(subj.x, params["r"]),
@@ -260,11 +252,12 @@ def _subgraph_module(tape: Tape, h1: Tensor, pcol: Tensor, params: dict[str, Ten
     return subgraph_conv(tape, h1, subgraph_filters(tape, s, params["theta2"], params["b2"]))
 
 
-def _legnet_features(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
+def _legnet_features(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor]) -> Tensor:
     return _subgraph_module(tape, _edge_module(tape, subj.x, params), subj.pcol, params)
 
 
-def _braingnn_dagger_features(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
+def _braingnn_dagger_features(tape: Tape, subj: PreparedSubject,
+                              params: dict[str, Tensor]) -> Tensor:
     """Linear per-row node embedding of X, then the subgraph module with p = 1."""
     h1 = tape.add_relu(tape.matmul(subj.x, tape.transpose(params["node_w"])),
                        params["node_b"])
@@ -272,7 +265,7 @@ def _braingnn_dagger_features(tape: Tape, subj: Prepared, params: dict[str, Tens
     return _subgraph_module(tape, h1, spared, params)
 
 
-def _bnc_mask_features(tape: Tape, subj: Prepared, params: dict[str, Tensor]) -> Tensor:
+def _bnc_mask_features(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor]) -> Tensor:
     """The edge module on X with ROIs of p < 0.3 masked, a tape constant."""
     keep = subj.pcol.data >= BNC_MASK_THRESHOLD
     x = Tensor(subj.x.data * (keep & np.swapaxes(keep, -1, -2)), requires_grad=False)
@@ -285,7 +278,7 @@ class ModelKind:
     param_spec; the head's follow) and its feature stack."""
 
     modules: tuple[str, ...]
-    features: Callable[[Tape, Prepared, dict[str, Tensor]], Tensor]
+    features: Callable[[Tape, PreparedSubject, dict[str, Tensor]], Tensor]
 
 
 KINDS = {
@@ -304,14 +297,11 @@ def _kind(kind: str) -> ModelKind:
 
 
 def prepare_subject(record: SubjectRecord, kind: str) -> PreparedSubject:
-    """One record's input tensors, the same for every kind; records are checked when built."""
+    """One record as a batch of one, the same for every kind: x and pcol view
+    the record's read-only arrays, which were checked when it was built."""
     _kind(kind)  # an unknown kind is an InputError
-    return PreparedSubject(
-        id=record.id,
-        x=Tensor(record.x, requires_grad=False),
-        pcol=Tensor(record.lesion.p[:, None], requires_grad=False),
-        target=Tensor(np.array([float(record.y)]), requires_grad=False),
-    )
+    arrays = record.x[None], record.lesion.p[None, :, None], np.array([[float(record.y)]])
+    return PreparedSubject((record.id,), *(Tensor(a, requires_grad=False) for a in arrays))
 
 
 def prepare_dataset(records: list[SubjectRecord], kind: str) -> list[PreparedSubject]:
@@ -319,7 +309,7 @@ def prepare_dataset(records: list[SubjectRecord], kind: str) -> list[PreparedSub
 
 
 def _with_head(features):
-    def forward(tape: Tape, subj: Prepared, params: dict[str, Tensor],
+    def forward(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
                 hyper: HyperParams) -> Tensor:
         return predict_head(tape, features(tape, subj, params), params["head_w1"],
                             params["head_b1"], params["head_w2"], params["head_b2"])
@@ -379,7 +369,7 @@ def predict(record: SubjectRecord, params: dict[str, np.ndarray], hyper: HyperPa
     subj = prepare_subject(record, kind)
     _check_fits(subj, hyper)
     out = FORWARDS[kind](Tape(), subj, as_tensors(params, requires_grad=False), hyper)
-    return float(out.data[0])
+    return float(out.data[0, 0])
 
 
 def _ridge(tape: Tape, params_t: dict[str, Tensor], lam: float) -> Tensor:
@@ -392,7 +382,7 @@ def _ridge(tape: Tape, params_t: dict[str, Tensor], lam: float) -> Tensor:
     return tape.scale(total, lam)
 
 
-def _chunk_objective(tape: Tape, batch: PreparedBatch, params_t: dict[str, Tensor],
+def _chunk_objective(tape: Tape, batch: PreparedSubject, params_t: dict[str, Tensor],
                      hyper: HyperParams, kind: str, weight: float,
                      lam: float) -> tuple[Tensor, Tensor]:
     """weight * (the chunk's mean squared error), plus the ridge term when
@@ -429,6 +419,10 @@ def batch_loss_and_grads(
     if not prepared:
         raise InputError("empty batch")
     check_params(kind, hyper, params_t)
+    for name, t in params_t.items():
+        if not (isinstance(t, Tensor) and (t.requires_grad or not want_grads)):
+            raise InputError(f"parameter tensor {name!r} is not a Tensor"
+                             f"{' that requires gradients' if want_grads else ''} (see as_tensors)")
     check_number("lam", lam, 0)
     m = len(prepared)
     chunk = chunk_subjects(hyper)
@@ -454,6 +448,8 @@ def single_tape_batch_loss(tape: Tape, prepared: list[PreparedSubject],
                            kind: str, lam: float) -> Tensor:
     """The whole objective as one tape node graph, one forward per subject:
     the per-subject reference that batch_loss_and_grads is tested against."""
+    if not prepared:
+        raise InputError("empty batch")
     forward = FORWARDS[kind]
     total = None
     for subj in prepared:

@@ -62,6 +62,18 @@ _TWO_32 = 1 << 32
 _LOW_32 = _TWO_32 - 1
 
 
+def _check_range(name: str, pair, floor: float = -np.inf, ceiling: float = np.inf) -> None:
+    """InputError unless `pair` is two finite numbers floor <= low <= high <= ceiling."""
+    try:
+        low, high = pair
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a (low, high) pair, got {pair!r}") from None
+    for value in (low, high):
+        check_number(name, value)
+    if not floor <= low <= high <= ceiling:
+        raise InputError(f"{name} {pair} must be ordered and inside [{floor}, {ceiling}]")
+
+
 @dataclass(frozen=True)
 class LesionSpec:
     territory: int
@@ -104,11 +116,7 @@ class CohortParams:
             check_number(name, getattr(self, name), 0)
         for name in ("score_mu", "score_beta"):
             check_number(name, getattr(self, name))
-        low, high = self.coherence_range
-        for value in (low, high):
-            check_number("coherence_range", value)
-        if low > high:
-            raise InputError(f"coherence_range {self.coherence_range} is inverted")
+        _check_range("coherence_range", self.coherence_range)
 
 
 @dataclass(frozen=True)
@@ -122,10 +130,7 @@ class LesionPolicy:
     def __post_init__(self):
         if self.score_mu is not None:
             check_number("score_mu", self.score_mu)
-        low, high = self.fraction_range
-        if not FRACTION_MIN <= low <= high <= FRACTION_MAX:
-            raise InputError(f"fraction_range {self.fraction_range} must be ordered and "
-                             f"inside [{FRACTION_MIN}, {FRACTION_MAX}]")
+        _check_range("fraction_range", self.fraction_range, FRACTION_MIN, FRACTION_MAX)
 
 
 POLICIES = {
@@ -495,6 +500,8 @@ def generate_cohort(
     check_number("cohort size", n, 1, integral=True)
     check_seed("master_seed", master_seed)
     policy = policy or POLICIES["hcp-sl"]
+    if not isinstance(policy, LesionPolicy):
+        raise InputError(f"policy must be a LesionPolicy (see policy_by_name), got {policy!r}")
     params = cohort_params or CohortParams()
     if policy.score_mu is not None:
         params = replace(params, score_mu=policy.score_mu)

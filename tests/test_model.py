@@ -301,17 +301,18 @@ class TestSubgraphConv:
 
 
 class TestPredictHead:
+    # the head reads a batch: one subject's (N, d) features are a (1, N, d) batch
     def test_bias_passthrough(self):
-        out = predict_head(Tape(), t(np.zeros((3, 2))), t(np.zeros((4, 6))),
+        out = predict_head(Tape(), t(np.zeros((1, 3, 2))), t(np.zeros((4, 6))),
                            t(np.zeros(4)), t(np.zeros((1, 4))), t([50.0]))
-        assert out.data[0] == 50.0
+        assert out.data[0, 0] == 50.0
 
     def test_zero_features(self):
         rng = np.random.default_rng(6)
         w1, b1 = rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, 4)
         w2, b2 = rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, 1)
-        out = predict_head(Tape(), t(np.zeros((3, 2))), t(w1), t(b1), t(w2), t(b2))
-        assert out.data[0] == pytest.approx(float((w2 @ np.maximum(b1, 0.0) + b2)[0]))
+        out = predict_head(Tape(), t(np.zeros((1, 3, 2))), t(w1), t(b1), t(w2), t(b2))
+        assert out.data[0, 0] == pytest.approx(float((w2 @ np.maximum(b1, 0.0) + b2)[0]))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_independent_evaluation(self, seed):
@@ -319,8 +320,8 @@ class TestPredictHead:
         h2 = rng.uniform(-1, 1, (3, 2))
         w1, b1 = rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, 4)
         w2, b2 = rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, 1)
-        out = predict_head(Tape(), t(h2), t(w1), t(b1), t(w2), t(b2))
-        assert out.data[0] == pytest.approx(oracle_head(h2, w1, b1, w2, b2), abs=1e-12)
+        out = predict_head(Tape(), t(h2[None]), t(w1), t(b1), t(w2), t(b2))
+        assert out.data[0, 0] == pytest.approx(oracle_head(h2, w1, b1, w2, b2), abs=1e-12)
 
 
 def ones(*shape):
@@ -363,6 +364,31 @@ class TestFullForward:
         tape = Tape()
         FORWARDS[kind](tape, subj, as_tensors(init_params(kind, hyper, 0)), hyper)
         assert len(tape.nodes) == nodes
+
+    def test_prepare_subject_is_a_batch_of_one_viewing_the_record(self):
+        rng = np.random.default_rng(0)
+        first, second = random_subject(rng, 5), random_subject(rng, 5)
+        subj = prepare_subject(first, MODEL_LEGNET)
+        assert subj.ids == ("t",)
+        assert (subj.x.shape, subj.pcol.shape, subj.target.shape) == ((1, 5, 5), (1, 5, 1), (1, 1))
+        assert np.shares_memory(subj.x.data, first.x)
+        assert np.shares_memory(subj.pcol.data, first.lesion.p)
+        assert subj.target.data[0, 0] == first.y
+        second = dataclasses.replace(second, id="u")
+        both = stack_subjects([subj, prepare_subject(second, MODEL_LEGNET)], self.hyper(5))
+        assert both.ids == ("t", "u") and both.x.shape == (2, 5, 5)
+        assert np.array_equal(both.x.data[1], second.x)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_predict_equals_a_one_subject_batch_as_bytes(self, kind):
+        # one forward layout: predict runs the batch forward on a batch of one
+        hyper = HyperParams(n_rois=12)
+        rng = np.random.default_rng(21)
+        params = init_params(kind, hyper, 7)
+        for rec in [random_subject(rng, 12) for _ in range(3)]:
+            preds = batch_loss_and_grads([prepare_subject(rec, kind)], as_tensors(params), hyper,
+                                         kind, hyper.lam, want_grads=False)[2]
+            assert np.float64(predict(rec, params, hyper, kind)).tobytes() == preds.tobytes()
 
     def test_zero_weights_bias_head_is_constant(self):
         rng = np.random.default_rng(7)
@@ -422,10 +448,18 @@ class TestLoss:
         rec = dataclasses.replace(random_subject(np.random.default_rng(11), 6), y=0.0)
         assert loss([rec], params, hyper) == pytest.approx(0.24, abs=1e-12)
 
-    def test_empty_batch_rejected(self):
+    @pytest.mark.parametrize("entry", [
+        lambda hyper, params: loss([], params, hyper),
+        # a ZeroDivisionError before
+        lambda hyper, params: single_tape_batch_loss(Tape(), [], as_tensors(params), hyper,
+                                                     MODEL_LEGNET, hyper.lam),
+        # numpy's "need at least one array to stack" before
+        lambda hyper, params: stack_subjects([], hyper),
+    ], ids=["batch_loss_and_grads", "single_tape_batch_loss", "stack_subjects"])
+    def test_empty_batch_rejected(self, entry):
         hyper = HyperParams(n_rois=4)
         with pytest.raises(InputError, match="empty batch"):
-            loss([], init_params(MODEL_LEGNET, hyper, 0), hyper)
+            entry(hyper, init_params(MODEL_LEGNET, hyper, 0))
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_accumulated_grads_match_single_tape(self, kind):
@@ -437,6 +471,22 @@ class TestLoss:
         monkeypatch.setattr(model, "CHUNK_BYTES", 2 * 5 * 5 * 2 * 8)
         assert chunk_subjects(HyperParams(n_rois=5, d0=2)) == 2
         self.check_batch_against_references(kind, n_subjects=5)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_one_subject_single_tape_equals_the_batch_as_bytes(self, kind):
+        # both run the one batch layout, so even the signs of zero gradients
+        # agree (an unbatched head gave -0.0 where the batch sums to +0.0)
+        hyper = HyperParams(n_rois=7, lam=0.01)
+        params = init_params(kind, hyper, 3)
+        rng = np.random.default_rng(5)
+        batch = prepare_dataset([random_subject(rng, 7)], kind)
+        value, grads, _ = batch_loss_and_grads(batch, as_tensors(params), hyper, kind, hyper.lam)
+        tape, params_t = Tape(), as_tensors(params)
+        out = single_tape_batch_loss(tape, batch, params_t, hyper, kind, hyper.lam)
+        backward(tape, out)
+        assert np.float64(value).tobytes() == out.data.tobytes()
+        assert {name: g.tobytes() for name, g in grads.items()} == \
+            {name: t.grad.tobytes() for name, t in params_t.items()}
 
     @pytest.mark.parametrize("want_grads, backwards", [(True, 3), (False, 0)])
     def test_one_backward_per_chunk_and_none_without_grads(self, monkeypatch, want_grads,
@@ -704,7 +754,7 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
     check("subgraph", build_subgraph,
           [rng.uniform(-1, 1, size=(k, n)), rng.uniform(-1, 1, size=(d2 * d1, k)),
            rng.uniform(-1, 1, size=(d2 * d1,))])
-    h2_fixed = Tensor(rng.uniform(0.1, 2.0, size=(n, d2)), requires_grad=False)
+    h2_fixed = Tensor(rng.uniform(0.1, 2.0, size=(1, n, d2)), requires_grad=False)
     check("head", lambda tape, ts: tape.l2_norm_sq(predict_head(tape, h2_fixed, *ts)),
           [rng.uniform(-1, 1, size=(d3, n * d2)), rng.uniform(-1, 1, size=(d3,)),
            rng.uniform(-1, 1, size=(1, d3)), rng.uniform(-1, 1, size=(1,))])
@@ -1038,6 +1088,20 @@ class TestInputsCheckedWhereTheyEnter:
         params["r"][0, 0] = np.inf
         with pytest.raises(InputError, match="'r' has non-finite"):
             predict(random_subject(np.random.default_rng(0), 6), params, hyper)
+
+    @pytest.mark.parametrize("wrap, message", [
+        # AttributeError: 'numpy.ndarray' object has no attribute 'requires_grad' before
+        (dict, "parameter tensor 'r' is not a Tensor"),
+        # numpy's UFuncTypeError from adding a None gradient before
+        (lambda p: as_tensors(p, requires_grad=False),
+         "parameter tensor 'r' is not a Tensor that requires gradients"),
+    ], ids=["ndarrays", "frozen-tensors"])
+    def test_batch_loss_names_a_tensor_it_cannot_use(self, wrap, message):
+        hyper = HyperParams(n_rois=12, k=3)
+        batch = prepare_dataset([random_subject(np.random.default_rng(0), 12)], MODEL_LEGNET)
+        params = wrap(init_params(MODEL_LEGNET, hyper, 0))
+        with pytest.raises(InputError, match=message):
+            batch_loss_and_grads(batch, params, hyper, MODEL_LEGNET, hyper.lam)
 
     @pytest.mark.parametrize("lam", [float("nan"), -1.0, True])
     def test_batch_loss_rejects_a_bad_ridge_weight(self, lam):

@@ -592,15 +592,21 @@ class TestGenerateCohort:
         with pytest.raises(InputError, match="cohort size"):
             generate_cohort(n, atlas, master_seed=0)
 
+    def test_policy_must_be_a_lesion_policy(self, atlas):
+        # an AttributeError: 'str' object has no attribute 'score_mu' before
+        with pytest.raises(InputError, match="policy must be a LesionPolicy"):
+            generate_cohort(1, atlas, master_seed=0, policy="hcp-sl")
+
     def test_unknown_policy_rejected(self):
         from legnet.connectome import InputError
         with pytest.raises(InputError):
             policy_by_name("nope")
 
     @pytest.mark.parametrize("fraction_range", [
-        (0.3, 0.5), (0.15, 0.10), (FRACTION_MIN - 0.01, FRACTION_MAX)])
+        (0.3, 0.5), (0.15, 0.10), (FRACTION_MIN - 0.01, FRACTION_MAX), ("a", "b"), (0.1,)])
     def test_policy_checks_its_fraction_range(self, fraction_range):
-        # (0.3, 0.5) used to construct, then fail to grow a lesion in generate_cohort
+        # (0.3, 0.5) used to construct, then fail to grow a lesion in
+        # generate_cohort; ("a", "b") raised TypeError and (0.1,) ValueError
         with pytest.raises(InputError, match="fraction_range"):
             LesionPolicy("x", fraction_range)
         LesionPolicy("x", (FRACTION_MIN, FRACTION_MIN))
@@ -706,13 +712,14 @@ class TestCohortParams:
         {"language_territory": 2.0},
         {"corruption_sigma_rel": float("inf")},
         {"corruption_sigma_rel": -0.1},
+        {"coherence_range": (0.1, 0.2, 0.3)},
     ])
     def test_rejected(self, bad):
         # n_communities 1 and 0 used to raise IndexError and an inverted
         # coherence range numpy's "high - low < 0", inside the simulation;
         # a NaN sigma gave X = 1 for every subject, other NaNs surfaced only
         # in save_cohort, a NaN coherence bound raised OverflowError and a
-        # fractional t_len TypeError
+        # fractional t_len TypeError; a three-number range raised ValueError
         with pytest.raises(InputError):
             CohortParams(**bad)
 
