@@ -58,9 +58,32 @@ def check_seed(name: str, seed, sequence: bool = False) -> None:
         check_number(name, seed, 0, integral=True)
 
 
+def _grid_dims(value) -> tuple[int, int, int]:
+    """`value` as three Python ints; InputError unless it holds three integers >= 1."""
+    dims = value.tolist() if isinstance(value, np.ndarray) else value
+    if not isinstance(dims, (tuple, list)) or len(dims) != 3:
+        raise InputError(f"grid_dims must hold three sizes, got {value!r}")
+    for size in dims:
+        check_number("grid size", size, 1, integral=True)
+    return tuple(map(int, dims))
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """A read-only float64 copy of `value`, an array of bools, integers or
+    real floats. Ragged nesting or any other dtype (complex, str, object) is
+    an InputError naming the array."""
+    try:
+        a = np.asarray(value)
+    except ValueError:
+        raise InputError(f"{name} is not a rectangular array") from None
+    if a.dtype.kind not in "biuf":
+        raise InputError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    return _read_only(a.astype(np.float64))
 
 
 # ----------------------------------------------------------------------
@@ -179,12 +202,6 @@ def _bounding_boxes(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndar
     return present.any(axis=1), np.stack(lo, axis=1), np.stack(hi, axis=1)
 
 
-def _split_counts(total: int, parts: int) -> list[int]:
-    """Near-equal integer split, larger shares first."""
-    base, extra = divmod(total, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
-
-
 def _range_chunks(extent: int, parts: int) -> list[tuple[int, int]]:
     """`parts` near-equal ranges tiling [0, extent), none empty when parts <=
     extent: np.linspace's bounds i * (extent / parts), rounded half to even."""
@@ -204,10 +221,8 @@ def build_toy_atlas(
     territory. ROI counts are distributed across territories proportionally
     to territory volume. Sizes and counts must be integers, checked first.
     """
-    if not isinstance(grid_dims, (tuple, list, np.ndarray)) or len(grid_dims) != 3:
-        raise InputError(f"grid_dims must hold three sizes, got {grid_dims!r}")
-    for name, value in zip(("n_rois", "n_territories") + ("grid size",) * 3,
-                           (n_rois, n_territories, *grid_dims)):
+    grid_dims = _grid_dims(grid_dims)
+    for name, value in (("n_rois", n_rois), ("n_territories", n_territories)):
         check_number(name, value, 1, integral=True)
     if n_territories % 2:
         raise InputError(f"n_territories must be even, got {n_territories}")
@@ -229,7 +244,7 @@ def build_toy_atlas(
             raise InputError("every territory needs at least one ROI")
         sz = z1 - z0
         stripes = min(gy, max(1, math.isqrt(quota - 1) + 1))
-        stripe_counts = _split_counts(quota, stripes)
+        stripe_counts = _largest_remainder_quotas(quota, [1] * stripes)
         if max(stripe_counts) > sz:
             raise InputError(f"cannot fit {quota} ROIs into a {x1 - x0}x{gy}x{sz} territory")
         # stripes <= gy and count <= sz, so no stripe or chunk is empty
@@ -322,15 +337,17 @@ def fill_cavities(box: np.ndarray) -> np.ndarray | None:
 
 @dataclass(frozen=True, eq=False)
 class LesionMask:
-    """Damaged voxels of a `grid_dims` grid as `flat`, a read-only intp copy
-    of their sorted, distinct C-order flat indices, given as integers. Valid
-    masks are non-empty, face-connected, hole-free, inside the atlas's ROIs,
-    entirely left-hemisphere, and confined to one arterial territory."""
+    """Damaged voxels of a `grid_dims` grid (three integers >= 1, kept as a
+    tuple) as `flat`, a read-only intp copy of their sorted, distinct C-order
+    flat indices, given as integers. Valid masks are non-empty,
+    face-connected, hole-free, inside the atlas's ROIs, entirely
+    left-hemisphere, and confined to one arterial territory."""
 
     flat: np.ndarray
     grid_dims: tuple[int, int, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "grid_dims", _grid_dims(self.grid_dims))
         flat = np.asarray(self.flat)
         # a cast would truncate fractional indices or read booleans as 0/1
         if not np.issubdtype(flat.dtype, np.integer):
@@ -430,10 +447,12 @@ def exponentiate(corr: np.ndarray) -> np.ndarray:
 
 
 def validate_connectivity(x: np.ndarray) -> None:
-    """Assert the connectivity-matrix invariants: square, finite, symmetric
-    and in [1/e, e], each to within CONNECTIVITY_ATOL entrywise."""
+    """Assert the connectivity-matrix invariants: square with N >= 1, finite,
+    symmetric and in [1/e, e], each to within CONNECTIVITY_ATOL entrywise."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InputError(f"connectivity must be square, got {x.shape}")
+    if x.shape[0] < 1:
+        raise InputError("connectivity has no ROIs")
     if not np.isfinite(x).all():
         raise InputError("connectivity has non-finite entries")
     asymmetry = float(np.abs(x - x.T).max())
@@ -453,12 +472,12 @@ def validate_connectivity(x: np.ndarray) -> None:
 class LesionEncoding:
     """Per-ROI spared gray matter fractions p_i in [0, 1]. An intact ROI has
     p_i = 1, a fully lesioned one p_i = 0. Construction keeps a read-only
-    float64 copy of p and runs `validate`."""
+    float64 copy of p (see `_real_array`) and runs `validate`."""
 
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _read_only(np.array(self.p, dtype=np.float64)))
+        object.__setattr__(self, "p", _real_array("spared fractions", self.p))
         self.validate()
 
     def validate(self) -> None:
@@ -482,7 +501,8 @@ def spared_fractions(atlas: ToyAtlas, lesion: LesionMask) -> LesionEncoding:
 @dataclass(frozen=True, eq=False)
 class SubjectRecord:
     """One subject: connectivity matrix X, lesion encoding, and score y.
-    Construction keeps a read-only float64 copy of X and runs `validate`."""
+    Construction keeps a read-only float64 copy of X (see `_real_array`) and
+    runs `validate`; an InputError from either names the subject."""
 
     id: str
     x: np.ndarray
@@ -490,7 +510,10 @@ class SubjectRecord:
     y: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _read_only(np.array(self.x, dtype=np.float64)))
+        try:
+            object.__setattr__(self, "x", _real_array("X", self.x))
+        except InputError as exc:
+            raise InputError(f"subject {self.id!r}: {exc}") from None
         self.validate()
 
     def validate(self) -> None:
@@ -518,18 +541,24 @@ class SubjectRecord:
 
 
 class _ExactReader:
-    """Exact-length reads over the bytes of one file.
+    """Exact-length reads over the bytes of one file, which must start with
+    `magic` and the uint32 `version`.
 
     Every read must find all its bytes and `finish` requires the file to end
     there, so a truncated or overlong file is an InputError whatever field
     it cuts, even when a corrupt header asks for more bytes than exist.
     """
 
-    def __init__(self, path, kind: str):
+    def __init__(self, path, kind: str, magic: bytes, version: int):
         with open(path, "rb") as fh:
             self._data = memoryview(fh.read())
         self._pos = 0
         self._kind = kind
+        head = bytes(self.take(len(magic)))
+        if head != magic:
+            raise InputError(f"not a {kind} file (magic {head!r})")
+        if (found := self.unpack("<I")[0]) != version:
+            raise InputError(f"unsupported {kind} version {found}")
 
     def take(self, size: int) -> memoryview:
         end = self._pos + size
@@ -558,7 +587,7 @@ def save_cohort(path, records: list[SubjectRecord]) -> None:
     Per subject: uint16 id length, utf-8 id, float64 y, float64 p[N],
     float64 X[N*N] row-major. Round trips are lossless. Records are checked
     when built, so this checks, before writing, only what the format needs:
-    some records, one N, and ids of at most 65535 UTF-8 bytes.
+    some records, one N, and ids that UTF-8 encodes in at most 65535 bytes.
     """
     if not records:
         raise InputError("refusing to write an empty cohort")
@@ -567,7 +596,10 @@ def save_cohort(path, records: list[SubjectRecord]) -> None:
     for rec in records:
         if rec.x.shape != (n, n):
             raise InputError("all subjects in a cohort must share N")
-        idents.append(rec.id.encode("utf-8"))
+        try:
+            idents.append(rec.id.encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            raise InputError(f"subject {rec.id!r}: id is not UTF-8 encodable: {exc}") from None
         if len(idents[-1]) > 0xFFFF:
             raise InputError(f"subject id of {len(idents[-1])} UTF-8 bytes exceeds 65535")
     with open(path, "wb") as fh:
@@ -584,13 +616,8 @@ def save_cohort(path, records: list[SubjectRecord]) -> None:
 def load_cohort(path) -> list[SubjectRecord]:
     """Read a cohort file. Each record is checked as it is built; an
     InputError names the subject."""
-    reader = _ExactReader(path, "cohort")
-    magic = bytes(reader.take(4))
-    if magic != _COHORT_MAGIC:
-        raise InputError(f"not a cohort file (magic {magic!r})")
-    version, count, n = reader.unpack("<III")
-    if version != _FORMAT_VERSION:
-        raise InputError(f"unsupported cohort format version {version}")
+    reader = _ExactReader(path, "cohort", _COHORT_MAGIC, _FORMAT_VERSION)
+    count, n = reader.unpack("<II")
     if n < 1:
         raise InputError("cohort header gives no ROIs")
     records = []

@@ -296,16 +296,18 @@ def _kind(kind: str) -> ModelKind:
     return KINDS[kind]
 
 
-def prepare_subject(record: SubjectRecord, kind: str) -> PreparedSubject:
-    """One record as a batch of one, the same for every kind: x and pcol view
+def prepare_subject(record: SubjectRecord) -> PreparedSubject:
+    """One record as a batch of one, which every kind reads: x and pcol view
     the record's read-only arrays, which were checked when it was built."""
-    _kind(kind)  # an unknown kind is an InputError
     arrays = record.x[None], record.lesion.p[None, :, None], np.array([[float(record.y)]])
     return PreparedSubject((record.id,), *(Tensor(a, requires_grad=False) for a in arrays))
 
 
 def prepare_dataset(records: list[SubjectRecord], kind: str) -> list[PreparedSubject]:
-    return [prepare_subject(r, kind) for r in records]
+    """`prepare_subject` of each record. Preparation is the same for every
+    kind; `kind` is only checked, and an unknown one is an InputError."""
+    _kind(kind)
+    return [prepare_subject(r) for r in records]
 
 
 def _with_head(features):
@@ -366,7 +368,7 @@ def as_tensors(params: dict[str, np.ndarray], requires_grad: bool = True) -> dic
 def predict(record: SubjectRecord, params: dict[str, np.ndarray], hyper: HyperParams,
             kind: str = MODEL_LEGNET) -> float:
     check_params(kind, hyper, params)
-    subj = prepare_subject(record, kind)
+    subj = prepare_subject(record)
     _check_fits(subj, hyper)
     out = FORWARDS[kind](Tape(), subj, as_tensors(params, requires_grad=False), hyper)
     return float(out.data[0, 0])
@@ -496,13 +498,8 @@ def load_checkpoint(path) -> tuple[str, HyperParams, dict[str, np.ndarray]]:
     hyper)` byte for byte, for the kind and hyperparameters it names, so
     load refuses what save refuses. A file that is cut or overlong, a
     header that differs, and a non-finite entry are each an InputError."""
-    reader = _ExactReader(path, "checkpoint")
-    magic = bytes(reader.take(4))
-    if magic != _CHECKPOINT_MAGIC:
-        raise InputError(f"not a checkpoint file (magic {magic!r})")
-    version, header_len = reader.unpack("<II")
-    if version != _CHECKPOINT_VERSION:
-        raise InputError(f"unsupported checkpoint version {version}")
+    reader = _ExactReader(path, "checkpoint", _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION)
+    (header_len,) = reader.unpack("<I")
     raw = bytes(reader.take(header_len))
     try:
         header = json.loads(raw.decode("utf-8"))

@@ -34,7 +34,7 @@ language score by the territory's spared fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -143,7 +143,7 @@ POLICIES = {
 def policy_by_name(name: str) -> LesionPolicy:
     try:
         return POLICIES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise InputError(f"unknown lesion policy {name!r}; choices: {sorted(POLICIES)}")
 
 
@@ -499,10 +499,12 @@ def generate_cohort(
     """
     check_number("cohort size", n, 1, integral=True)
     check_seed("master_seed", master_seed)
-    policy = policy or POLICIES["hcp-sl"]
-    if not isinstance(policy, LesionPolicy):
-        raise InputError(f"policy must be a LesionPolicy (see policy_by_name), got {policy!r}")
-    params = cohort_params or CohortParams()
+    policy = POLICIES["hcp-sl"] if policy is None else policy
+    params = CohortParams() if cohort_params is None else cohort_params
+    for name, value, cls in (("atlas", atlas, ToyAtlas), ("cohort_params", params, CohortParams),
+                             ("policy", policy, LesionPolicy)):
+        if not isinstance(value, cls):
+            raise InputError(f"{name} must be a {cls.__name__}, got {value!r}")
     if policy.score_mu is not None:
         params = replace(params, score_mu=policy.score_mu)
 
@@ -544,8 +546,7 @@ def generate_cohort(
             "fraction_range": list(policy.fraction_range),
             "score_mu": policy.score_mu,
         },
-        "cohort_params": {f.name: getattr(params, f.name)
-                          for f in params.__dataclass_fields__.values()},
+        "cohort_params": asdict(params),
         "atlas": {
             "grid_dims": list(atlas.grid_dims),
             "n_rois": atlas.n_rois,

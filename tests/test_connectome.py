@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import re
@@ -239,6 +240,21 @@ class TestToyAtlas:
         with pytest.raises(InputError, match=message):
             build_toy_atlas(**kwargs)
 
+    @pytest.mark.parametrize("grid_dims, n_rois, digest", [
+        ((32, 32, 32), 90, "2348979af45892b0146539d21e887ec06e11fb509b5586fa7c147bf3e35a9d90"),
+        ((16, 16, 16), 90, "57cefe26716be63a51edd6ee542a2a3a2b97113dc040ea36ebdd57fab07aac47"),
+        ((12, 10, 9), 17, "1609b44f1550887ae0785edef2f5260e004e4867aa6592127f2d4422d3b9614a"),
+        ((20, 7, 13), 40, "512c2fdae5ce19efe18a0ac3454a6f14d048b8397bd5b14a3a1fa8ba123b7019"),
+    ], ids=["90 ROIs, 32^3", "90 ROIs, 16^3", "17 ROIs, 12x10x9", "40 ROIs, 20x7x13"])
+    def test_labels_hash_as_pinned(self, grid_dims, n_rois, digest):
+        # the ROI, territory and hemisphere labels as little-endian int64:
+        # the split of ROIs into stripes and slabs shows here
+        atlas = build_toy_atlas(n_rois=n_rois, grid_dims=grid_dims)
+        sha = hashlib.sha256()
+        for labels in (atlas.roi_of_voxel, atlas.territory_of_roi, atlas.hemisphere_of_roi):
+            sha.update(labels.astype("<i8").tobytes())
+        assert sha.hexdigest() == digest
+
     def test_range_chunks_are_never_empty(self):
         # build_toy_atlas splits an extent into at most that many parts and
         # relies on every part holding a voxel: the parts tile [0, extent)
@@ -306,6 +322,22 @@ class TestLesionMask:
         with pytest.raises(ValueError):
             lesion.flat[0] = 1
         assert np.flatnonzero(lesion.to_dense()).tolist() == [3, 17, 40]
+
+    @pytest.mark.parametrize("grid_dims, message", [
+        (None, "grid_dims must hold three sizes, got None"),
+        ((4, 4), r"grid_dims must hold three sizes, got \(4, 4\)"),
+        ((2.5, 3, 4), "grid size must be an integer >= 1, got 2.5"),
+        ((0, 3, 4), "grid size must be an integer >= 1, got 0"),
+    ], ids=["None", "two sizes", "fractional", "zero"])
+    def test_grid_dims_must_be_three_positive_integers(self, grid_dims, message):
+        # None raised a TypeError from math.prod, and (2.5, 3, 4) was accepted
+        with pytest.raises(InputError, match=message):
+            LesionMask(np.array([0]), grid_dims)
+
+    def test_grid_dims_are_kept_as_a_tuple(self, small_atlas):
+        lesion = LesionMask(np.array([3]), np.array([16, 16, 16]))
+        assert lesion.grid_dims == small_atlas.grid_dims == (16, 16, 16)
+        assert lesion.rois(small_atlas).size == 1
 
     @pytest.mark.parametrize("grid_dims", [(16, 16, 17), (32, 16, 8)])
     def test_mask_on_another_grid_rejected(self, small_atlas, grid_dims):
@@ -614,6 +646,11 @@ class TestValidateConnectivity:
         with pytest.raises(InputError, match=r"outside \[1/e, e\]"):
             validate_connectivity(x)
 
+    def test_matrix_without_rois_is_rejected(self):
+        # the range check's max() used to raise numpy's zero-size ValueError
+        with pytest.raises(InputError, match="connectivity has no ROIs"):
+            validate_connectivity(np.zeros((0, 0)))
+
     def test_range_ends_are_inside(self):
         x = np.full((2, 2), math.exp(1.0))
         x[0, 1] = x[1, 0] = math.exp(-1.0)
@@ -717,6 +754,15 @@ class TestSubjectIO:
         save_cohort(tmp_path / "cohort.bin", records)
         assert load_cohort(tmp_path / "cohort.bin")[0].id == records[0].id
 
+    def test_save_rejects_an_id_utf8_cannot_encode(self, tmp_path):
+        # a lone surrogate used to raise UnicodeEncodeError; load turns
+        # undecodable id bytes into an InputError already
+        rec = dataclasses.replace(self.make_records(n=1)[0], id="s\ud800")
+        path = tmp_path / "cohort.bin"
+        with pytest.raises(InputError, match=r"subject 's\\ud800': id is not UTF-8 encodable"):
+            save_cohort(path, [rec])
+        assert not path.exists()
+
     def test_subject_validation(self):
         rec = self.make_records(n=1)[0]
         with pytest.raises(InputError, match=r"subject 's000': score 150.0 outside \[0, 100\]"):
@@ -744,7 +790,7 @@ class TestSubjectIO:
             load_cohort(path)
 
     @pytest.mark.parametrize("offset, patch, message", [
-        (4, struct.pack("<I", 2), "unsupported cohort format version 2"),
+        (4, struct.pack("<I", 2), "unsupported cohort version 2"),
         (18, b"\xff", "subject id is not utf-8"),  # first byte of record 's000's id
     ], ids=["version-2", "id-not-utf8"])
     def test_load_rejects_a_bad_version_or_id(self, tmp_path, offset, patch, message):
@@ -865,10 +911,38 @@ class TestRecordsCheckedAtConstruction:
         (np.ones((4, 5)), "connectivity must be square"),
         (np.ones(4), "connectivity must be square"),
         (np.full((4, 4), 3.0), r"connectivity entries outside \[1/e, e\]"),
-    ], ids=["4x5", "1-D", "out of range"])
+        # the next raised numpy's ValueError or lost an imaginary part with a
+        # ComplexWarning
+        (np.zeros((0, 0)), "connectivity has no ROIs"),
+        (np.ones((4, 4)) + 0.5j, "X must hold real numbers, got dtype complex128"),
+        (np.ones((4, 4), dtype=complex), "X must hold real numbers, got dtype complex128"),
+        (np.full((4, 4), "1.0"), "X must hold real numbers, got dtype <U3"),
+        ([[1.0] * 4, [1.0] * 3, [1.0] * 4, [1.0] * 4], "X is not a rectangular array"),
+    ], ids=["4x5", "1-D", "out of range", "0 ROIs", "complex", "complex, zero imaginary part",
+            "str", "ragged"])
     def test_bad_x_names_the_subject(self, x, message):
         with pytest.raises(InputError, match=f"subject 's007': {message}"):
             self.make_record(x=x)
+
+    @pytest.mark.parametrize("p, message", [
+        (np.array([1.0, 0.5j, 0.0, 1.0]), "must hold real numbers, got dtype complex128"),
+        (np.array(["1", "0", "1", "1"]), "must hold real numbers, got dtype <U1"),
+        ([[1.0], [0.5, 0.0]], "is not a rectangular array"),
+    ], ids=["complex", "str", "ragged"])
+    def test_spared_fractions_that_are_not_a_real_array_are_rejected(self, p, message):
+        # a ComplexWarning or numpy's ValueError before
+        with pytest.raises(InputError, match=f"spared fractions {message}"):
+            LesionEncoding(p=p)
+
+    def test_bool_integer_float_and_list_inputs_are_kept(self):
+        x = np.ones((4, 4), dtype=np.int32)
+        rec = self.make_record(x=x, lesion=LesionEncoding(p=np.array([True, False, True, True])))
+        assert rec.x.dtype == rec.lesion.p.dtype == np.float64
+        assert rec.lesion.p.tolist() == [1.0, 0.0, 1.0, 1.0] and (rec.x == 1.0).all()
+        rec = self.make_record(x=x.astype(bool).tolist(), lesion=LesionEncoding(p=[1, 0.5, 0, 1]))
+        assert rec.x.tolist() == x.tolist() and rec.lesion.p.tolist() == [1.0, 0.5, 0.0, 1.0]
+        x32 = self.make_record().x.astype(np.float32)
+        assert np.array_equal(self.make_record(x=x32).x, x32.astype(np.float64))
 
     def test_lesion_that_is_not_an_encoding_names_the_subject(self):
         with pytest.raises(InputError, match="subject 's007': lesion must be a LesionEncoding"):

@@ -360,7 +360,7 @@ class TestFullForward:
     def test_forward_tape_node_count_is_pinned(self, kind, nodes):
         # a reshape or transpose round trip between stages shows here
         hyper = self.hyper(5)
-        subj = prepare_subject(random_subject(np.random.default_rng(0), 5), kind)
+        subj = prepare_subject(random_subject(np.random.default_rng(0), 5))
         tape = Tape()
         FORWARDS[kind](tape, subj, as_tensors(init_params(kind, hyper, 0)), hyper)
         assert len(tape.nodes) == nodes
@@ -368,14 +368,14 @@ class TestFullForward:
     def test_prepare_subject_is_a_batch_of_one_viewing_the_record(self):
         rng = np.random.default_rng(0)
         first, second = random_subject(rng, 5), random_subject(rng, 5)
-        subj = prepare_subject(first, MODEL_LEGNET)
+        subj = prepare_subject(first)
         assert subj.ids == ("t",)
         assert (subj.x.shape, subj.pcol.shape, subj.target.shape) == ((1, 5, 5), (1, 5, 1), (1, 1))
         assert np.shares_memory(subj.x.data, first.x)
         assert np.shares_memory(subj.pcol.data, first.lesion.p)
         assert subj.target.data[0, 0] == first.y
         second = dataclasses.replace(second, id="u")
-        both = stack_subjects([subj, prepare_subject(second, MODEL_LEGNET)], self.hyper(5))
+        both = stack_subjects([subj, prepare_subject(second)], self.hyper(5))
         assert both.ids == ("t", "u") and both.x.shape == (2, 5, 5)
         assert np.array_equal(both.x.data[1], second.x)
 
@@ -386,9 +386,26 @@ class TestFullForward:
         rng = np.random.default_rng(21)
         params = init_params(kind, hyper, 7)
         for rec in [random_subject(rng, 12) for _ in range(3)]:
-            preds = batch_loss_and_grads([prepare_subject(rec, kind)], as_tensors(params), hyper,
+            preds = batch_loss_and_grads([prepare_subject(rec)], as_tensors(params), hyper,
                                          kind, hyper.lam, want_grads=False)[2]
             assert np.float64(predict(rec, params, hyper, kind)).tobytes() == preds.tobytes()
+
+    def test_one_prepared_list_scores_every_kind_as_predict_does(self):
+        # preparation is kind-free: one prepare_dataset list serves all kinds
+        hyper = HyperParams(n_rois=12)
+        rng = np.random.default_rng(22)
+        records = [random_subject(rng, 12) for _ in range(3)]
+        prepared = prepare_dataset(records, MODEL_LEGNET)
+        for kind in MODEL_KINDS:
+            params = init_params(kind, hyper, 7)
+            preds = [batch_loss_and_grads([subj], as_tensors(params), hyper, kind, hyper.lam,
+                                          want_grads=False)[2] for subj in prepared]
+            want = [predict(rec, params, hyper, kind) for rec in records]
+            assert np.concatenate(preds).tobytes() == np.array(want).tobytes(), kind
+
+    def test_prepare_dataset_rejects_an_unknown_kind(self):
+        with pytest.raises(InputError, match="unknown model kind 'nope'"):
+            prepare_dataset([random_subject(np.random.default_rng(0), 5)], "nope")
 
     def test_zero_weights_bias_head_is_constant(self):
         rng = np.random.default_rng(7)
@@ -537,7 +554,7 @@ class TestLoss:
         rng = np.random.default_rng(1)
         batch = prepare_dataset([random_subject(rng, 6) for _ in range(3)], MODEL_LEGNET)
         if wrong == "x":
-            batch[1] = prepare_subject(random_subject(rng, 5), MODEL_LEGNET)
+            batch[1] = prepare_subject(random_subject(rng, 5))
         elif wrong == "pcol":
             batch[1].pcol = t(np.ones((5, 1)), requires_grad=False)
         else:

@@ -597,10 +597,27 @@ class TestGenerateCohort:
         with pytest.raises(InputError, match="policy must be a LesionPolicy"):
             generate_cohort(1, atlas, master_seed=0, policy="hcp-sl")
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"cohort_params": {"t_len": 5}}, "cohort_params must be a CohortParams"),
+        ({"cohort_params": {}}, "cohort_params must be a CohortParams"),
+        ({"policy": ""}, "policy must be a LesionPolicy"),
+        ({"atlas": None}, "atlas must be a ToyAtlas"),
+    ], ids=["dict params", "empty dict params", "empty policy", "no atlas"])
+    def test_arguments_of_the_wrong_type_are_rejected(self, atlas, kwargs, message):
+        # a dict or None raised AttributeError; an empty dict and "" used to
+        # stand for the defaults
+        with pytest.raises(InputError, match=message):
+            generate_cohort(**{"n": 1, "atlas": atlas, "master_seed": 0, **kwargs})
+
     def test_unknown_policy_rejected(self):
         from legnet.connectome import InputError
         with pytest.raises(InputError):
             policy_by_name("nope")
+
+    def test_unhashable_policy_name_lists_the_choices(self):
+        # a list used to raise TypeError (unhashable) from the dict lookup
+        with pytest.raises(InputError, match=r"unknown lesion policy \['hcp-sl'\]; choices: \["):
+            policy_by_name(["hcp-sl"])
 
     @pytest.mark.parametrize("fraction_range", [
         (0.3, 0.5), (0.15, 0.10), (FRACTION_MIN - 0.01, FRACTION_MAX), ("a", "b"), (0.1,)])
