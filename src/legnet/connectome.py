@@ -73,17 +73,32 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _rectangular(name: str, value) -> np.ndarray:
+    """np.asarray(value); ragged nesting is an InputError naming the array."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        raise InputError(f"{name} is not a rectangular array") from None
+
+
 def _real_array(name: str, value) -> np.ndarray:
     """A read-only float64 copy of `value`, an array of bools, integers or
     real floats. Ragged nesting or any other dtype (complex, str, object) is
     an InputError naming the array."""
-    try:
-        a = np.asarray(value)
-    except ValueError:
-        raise InputError(f"{name} is not a rectangular array") from None
+    a = _rectangular(name, value)
     if a.dtype.kind not in "biuf":
         raise InputError(f"{name} must hold real numbers, got dtype {a.dtype}")
     return _read_only(a.astype(np.float64))
+
+
+def _int_array(name: str, value, dtype=None) -> np.ndarray:
+    """A read-only C-order copy of `value`, an array of integers, as `dtype`
+    if given. Ragged nesting or any other dtype (bool, float, str, object)
+    is an InputError naming the array."""
+    a = _rectangular(name, value)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise InputError(f"{name} must have an integer dtype, got {a.dtype}")
+    return _read_only(a.astype(dtype or a.dtype, order="C"))
 
 
 # ----------------------------------------------------------------------
@@ -111,10 +126,7 @@ class ToyAtlas:
 
     def __post_init__(self):
         for name in ("roi_of_voxel", "territory_of_roi", "hemisphere_of_roi"):
-            labels = np.array(getattr(self, name), order="C")
-            if not np.issubdtype(labels.dtype, np.integer):
-                raise InputError(f"{name} must have an integer dtype, got {labels.dtype}")
-            object.__setattr__(self, name, _read_only(labels))
+            object.__setattr__(self, name, _int_array(name, getattr(self, name)))
         self.validate()
         sizes = np.bincount(self.roi_of_voxel.reshape(-1), minlength=self.n_rois + 1)[1:]
         object.__setattr__(self, "_roi_sizes", _read_only(sizes))
@@ -348,18 +360,15 @@ class LesionMask:
 
     def __post_init__(self):
         object.__setattr__(self, "grid_dims", _grid_dims(self.grid_dims))
-        flat = np.asarray(self.flat)
         # a cast would truncate fractional indices or read booleans as 0/1
-        if not np.issubdtype(flat.dtype, np.integer):
-            raise InputError(f"lesion indices must have an integer dtype, got {flat.dtype}")
-        flat = flat.astype(np.intp)
+        flat = _int_array("lesion indices", self.flat, np.intp)
         if flat.ndim != 1:
             raise InputError(f"lesion indices must be 1-D, got shape {flat.shape}")
         if np.any(flat[1:] <= flat[:-1]):
             raise InputError("lesion indices must be sorted and distinct")
         if flat.size and (flat[0] < 0 or flat[-1] >= math.prod(self.grid_dims)):
             raise InputError(f"lesion indices {flat[0]}..{flat[-1]} outside grid {self.grid_dims}")
-        object.__setattr__(self, "flat", _read_only(flat))
+        object.__setattr__(self, "flat", flat)
 
     @property
     def size(self) -> int:
@@ -510,10 +519,7 @@ class SubjectRecord:
     y: float
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "x", _real_array("X", self.x))
-        except InputError as exc:
-            raise InputError(f"subject {self.id!r}: {exc}") from None
+        object.__setattr__(self, "x", _real_array(f"subject {self.id!r}: X", self.x))
         self.validate()
 
     def validate(self) -> None:

@@ -5,10 +5,10 @@ recorded on a :class:`Tape`; calling :func:`backward` on a scalar output
 propagates gradients to every leaf in reverse recording order. The primitive
 set is intentionally small: exactly what a dense edge-based graph network
 needs. Besides the elementwise, product and shape primitives, two fused
-ones save passes over the largest arrays: `add_relu`, relu(a + b), and
-`outer_add_relu_matmul`, which writes the edge tensor of such a network,
-every relu(row_i + col_j) of two (..., N, d) operands, with one product and
-contracts it with a weight matrix; neither it nor its gradient is on the tape.
+ones save passes over the largest arrays: `add_relu`, relu(a + b), the one
+relu, and `outer_add_relu_matmul`, which writes the edge tensor of such a
+network, every relu(row_i + col_j) of two (..., N, d) operands, with one
+product and contracts it with a weight matrix, keeping it off the tape.
 
 Every primitive accepts leading batch axes: elementwise operations broadcast
 by numpy's rules and `matmul`, whose operands have two or more axes, by
@@ -196,18 +196,10 @@ class Tape:
 
         return self._emit(a.data * s, (a,), backward)
 
-    def relu(self, a: Tensor) -> Tensor:
-        """max(x, 0); the derivative at exactly 0 is defined as 0."""
-        out = np.maximum(a.data, 0.0)
-
-        def backward(g):
-            return (g * (a.data > 0.0),)
-
-        return self._emit(out, (a,), backward)
-
     def add_relu(self, a: Tensor, b: Tensor) -> Tensor:
         """relu(a + b) as one node with add's broadcasting; keeps only its
-        output, whose positive entries are where the gradient passes."""
+        output, whose positive entries are where the gradient passes, so the
+        derivative at exactly 0 is 0."""
         try:
             out = a.data + b.data
         except ValueError as exc:

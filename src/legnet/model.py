@@ -15,7 +15,8 @@ modules and ends in one dense head (predict_head):
 
   legnet           edge module, then the subgraph module driven by p.
   braingnn-dagger  node embedding relu(X node_w^T + node_b), then the subgraph
-                   module with p = 1: no edge module and no lesion input.
+                   module with p = 1, S = softmax(theta1^T), which the batch
+                   shares: no edge module and no lesion input.
   bnc-mask         edge module on X with the rows and columns of ROIs with
                    p < 0.3 zeroed; no subgraph module.
   bnc-2channel     edge module on two channels, X and the rank-one lesion
@@ -163,17 +164,16 @@ def subgraph_filters(tape: Tape, s: Tensor, theta2: Tensor, b2: Tensor) -> Tenso
 def subgraph_conv(tape: Tape, h1: Tensor, v: Tensor) -> Tensor:
     """h2_i = relu(sum_j W_j h1_j) from V's rows vec(W_j), shape (..., N, d2).
 
-    The sum is one product, vec(h1)^T times V read as (N d1, d2). With the
-    complete-graph neighborhood it is the same for every i; the per-node
-    output layout is kept anyway.
+    The sum is one product, vec(h1)^T times V read as (N d1, d2); a V without
+    batch axes is shared by h1's batch. With the complete-graph neighborhood
+    the sum is the same for every i: add_relu with an (N, d2) zero copies it.
     """
     lead, (n, d1) = h1.shape[:-2], h1.shape[-2:]
-    if v.shape[:-1] != lead + (n,) or not d1 or v.shape[-1] % d1:
+    if v.shape[:-1] not in (lead + (n,), (n,)) or not d1 or v.shape[-1] % d1:
         raise InputError(f"subgraph_conv shapes disagree: h1 {h1.shape}, V {v.shape}")
     pooled = tape.matmul(tape.reshape(h1, lead + (1, n * d1)),
-                         tape.reshape(v, lead + (n * d1, v.shape[-1] // d1)))
-    ones = Tensor(np.ones((n, 1)), requires_grad=False)
-    return tape.relu(tape.matmul(ones, pooled))
+                         tape.reshape(v, v.shape[:-2] + (n * d1, v.shape[-1] // d1)))
+    return tape.add_relu(pooled, Tensor(np.zeros((n, pooled.shape[-1])), requires_grad=False))
 
 
 def predict_head(tape: Tape, features: Tensor, w1: Tensor, b1: Tensor,
@@ -206,18 +206,21 @@ class PreparedSubject:
 
 
 def _check_fits(subj: PreparedSubject, hyper: HyperParams) -> None:
-    """Raise InputError, naming the subjects, unless x and pcol hold one
-    hyper.n_rois-ROI input per id."""
-    n, b = hyper.n_rois, len(subj.ids)
-    if subj.x.shape != (b, n, n) or subj.pcol.shape != (b, n, 1):
-        raise InputError(f"subject {', '.join(map(repr, subj.ids))} has X {subj.x.shape[1:]} "
-                         f"and lesion column {subj.pcol.shape[1:]}; the model expects {n} ROIs")
+    """Raise InputError, naming the subjects, unless `subj` is one subject
+    whose x and pcol hold a hyper.n_rois-ROI input."""
+    n, names = hyper.n_rois, ", ".join(map(repr, subj.ids))
+    if len(subj.ids) != 1:
+        raise InputError(f"a batch entry holds one subject, got {len(subj.ids)}: {names}")
+    if subj.x.shape != (1, n, n) or subj.pcol.shape != (1, n, 1):
+        raise InputError(f"subject {names} has X {subj.x.shape[1:]} and lesion column "
+                         f"{subj.pcol.shape[1:]}; the model expects {n} ROIs")
 
 
 def stack_subjects(prepared: list[PreparedSubject], hyper: HyperParams) -> PreparedSubject:
-    """Join batches on the batch axis, for one tape. An InputError says the
-    batch is empty or names the first that does not fit `hyper.n_rois`.
-    Entries are not checked: records are checked when they are built."""
+    """Join one-subject batches on the batch axis, for one tape. An
+    InputError says the list is empty or names the first entry that is not
+    one subject fitting `hyper.n_rois`. Entries are not checked: records
+    are checked when they are built."""
     if not prepared:
         raise InputError("empty batch")
     for subj in prepared:
@@ -247,13 +250,13 @@ def _two_channel_edge_module(tape: Tape, subj: PreparedSubject,
     return edge_to_node(tape, row, col, params["g"], params["b1"])
 
 
-def _subgraph_module(tape: Tape, h1: Tensor, pcol: Tensor, params: dict[str, Tensor]) -> Tensor:
-    s = assignment_scores(tape, pcol, params["theta1"])
+def _subgraph_module(tape: Tape, h1: Tensor, s: Tensor, params: dict[str, Tensor]) -> Tensor:
     return subgraph_conv(tape, h1, subgraph_filters(tape, s, params["theta2"], params["b2"]))
 
 
 def _legnet_features(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor]) -> Tensor:
-    return _subgraph_module(tape, _edge_module(tape, subj.x, params), subj.pcol, params)
+    return _subgraph_module(tape, _edge_module(tape, subj.x, params),
+                            assignment_scores(tape, subj.pcol, params["theta1"]), params)
 
 
 def _braingnn_dagger_features(tape: Tape, subj: PreparedSubject,
@@ -261,8 +264,8 @@ def _braingnn_dagger_features(tape: Tape, subj: PreparedSubject,
     """Linear per-row node embedding of X, then the subgraph module with p = 1."""
     h1 = tape.add_relu(tape.matmul(subj.x, tape.transpose(params["node_w"])),
                        params["node_b"])
-    spared = Tensor(np.ones(subj.pcol.shape), requires_grad=False)
-    return _subgraph_module(tape, h1, spared, params)
+    s = tape.softmax_lastaxis(tape.transpose(params["theta1"]))
+    return _subgraph_module(tape, h1, s, params)
 
 
 def _bnc_mask_features(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor]) -> Tensor:
@@ -449,12 +452,14 @@ def single_tape_batch_loss(tape: Tape, prepared: list[PreparedSubject],
                            params_t: dict[str, Tensor], hyper: HyperParams,
                            kind: str, lam: float) -> Tensor:
     """The whole objective as one tape node graph, one forward per subject:
-    the per-subject reference that batch_loss_and_grads is tested against."""
+    the per-subject reference that batch_loss_and_grads is tested against.
+    An InputError names an entry that is not one subject fitting the model."""
     if not prepared:
         raise InputError("empty batch")
     forward = FORWARDS[kind]
     total = None
     for subj in prepared:
+        _check_fits(subj, hyper)
         sq = tape.mse(forward(tape, subj, params_t, hyper), subj.target)
         total = sq if total is None else tape.add(total, sq)
     out = tape.scale(total, 1.0 / len(prepared))

@@ -140,6 +140,14 @@ POLICIES = {
 }
 
 
+def _check_types(*checks) -> None:
+    """InputError, naming the argument, unless each (name, value, cls) has
+    `value` an instance of `cls`."""
+    for name, value, cls in checks:
+        if not isinstance(value, cls):
+            raise InputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def policy_by_name(name: str) -> LesionPolicy:
     try:
         return POLICIES[name]
@@ -205,6 +213,7 @@ def generate_healthy_subject(
     within-language-network connectivity measured through the same ROI-mean
     pipeline the model inputs use.
     """
+    _check_types(("atlas", atlas, ToyAtlas), ("cohort_params", cohort_params, CohortParams))
     check_seed("seed", seed, sequence=True)
     cp = cohort_params
     rng = np.random.default_rng(seed)
@@ -228,6 +237,8 @@ def lesioned_roi_series(healthy: HealthySubject, atlas: ToyAtlas, lesion: Lesion
     `seed` stream and subtracted. ROIs the lesion misses keep their healthy
     mean exactly; ROIs it covers whole get an all-zero row.
     """
+    _check_types(("healthy", healthy, HealthySubject), ("atlas", atlas, ToyAtlas),
+                 ("lesion", lesion, LesionMask))
     check_seed("seed", seed, sequence=True)
     sums = healthy.roi_sums
     if sums.shape[0] != atlas.n_rois:
@@ -337,6 +348,7 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
     the filled size rises by exactly one. Near the target every step adds
     one voxel, so most of those steps skip it.
     """
+    _check_types(("atlas", atlas, ToyAtlas), ("spec", spec, LesionSpec))
     if spec.territory not in atlas.left_territories():
         raise InputError(f"territory {spec.territory} is not a left-hemisphere territory")
     # C order, as np.argwhere gives; one byte per padded voxel, 1 where in territory
@@ -425,15 +437,16 @@ def corrupt_connectivity(x: np.ndarray, p: np.ndarray, params: CohortParams, see
     lesioned ROI (p = 0) goes to X = 1 plus noise. Intact pairs and the
     diagonal are untouched.
     """
-    n = x.shape[0]
-    if x.shape != (n, n) or p.shape != (n,):
-        raise InputError(f"shape mismatch: X {x.shape}, p {p.shape}")
+    _check_types(("X", x, np.ndarray), ("p", p, np.ndarray), ("params", params, CohortParams))
+    n = x.shape[0] if x.ndim == 2 else 0
+    if not n or x.shape != (n, n) or p.shape != (n,):
+        raise InputError(f"need X (N, N) and p (N,) with N >= 1, got X {x.shape}, p {p.shape}")
+    if x.dtype.kind not in "biuf" or p.dtype.kind not in "biuf":
+        raise InputError(f"X and p must hold real numbers, got dtypes {x.dtype} and {p.dtype}")
     check_seed("seed", seed)
     pmin = np.minimum.outer(p, p)
     modified = pmin < 1.0
     np.fill_diagonal(modified, False)
-    if not modified.any():
-        return x.copy()
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     noise = rng.standard_normal((n, n))
@@ -501,10 +514,8 @@ def generate_cohort(
     check_seed("master_seed", master_seed)
     policy = POLICIES["hcp-sl"] if policy is None else policy
     params = CohortParams() if cohort_params is None else cohort_params
-    for name, value, cls in (("atlas", atlas, ToyAtlas), ("cohort_params", params, CohortParams),
-                             ("policy", policy, LesionPolicy)):
-        if not isinstance(value, cls):
-            raise InputError(f"{name} must be a {cls.__name__}, got {value!r}")
+    _check_types(("atlas", atlas, ToyAtlas), ("cohort_params", params, CohortParams),
+                 ("policy", policy, LesionPolicy))
     if policy.score_mu is not None:
         params = replace(params, score_mu=policy.score_mu)
 

@@ -169,6 +169,12 @@ class TestToyAtlas:
         with pytest.raises(InputError, match=f"{name} must have an integer dtype"):
             dataclasses.replace(small_atlas, **{name: labels})
 
+    @pytest.mark.parametrize("name", ["roi_of_voxel", "territory_of_roi", "hemisphere_of_roi"])
+    def test_ragged_labels_are_named(self, small_atlas, name):
+        # numpy's "setting an array element with a sequence" ValueError before
+        with pytest.raises(InputError, match=f"{name} is not a rectangular array"):
+            dataclasses.replace(small_atlas, **{name: [[1], [1, 2]]})
+
     @pytest.mark.parametrize("changes, message", [
         (lambda a: {"roi_of_voxel": a.roi_of_voxel[0]}, r"3-D roi_of_voxel .* \(16, 16\), "),
         (lambda a: {"territory_of_roi": a.territory_of_roi[:-1]}, r"per ROI.* \(23,\), \(24,\)"),
@@ -313,6 +319,11 @@ class TestLesionMask:
     def test_construction_rejects(self, flat, message):
         with pytest.raises(InputError, match=message):
             LesionMask(np.array(flat), (16, 16, 16))
+
+    def test_ragged_indices_are_named(self):
+        # numpy's "setting an array element with a sequence" ValueError before
+        with pytest.raises(InputError, match="lesion indices is not a rectangular array"):
+            LesionMask([[1], [2, 3]], (16, 16, 16))
 
     def test_flat_is_a_read_only_copy(self):
         flat = np.array([3, 17, 40])

@@ -1,7 +1,8 @@
 """Every name a `legnet` module imports is used somewhere in that module,
 every module-level private name is read somewhere in the package, every
-package attribute the benchmark's workloads read exists, and the runtime
-needs no module beyond numpy."""
+public tape primitive has a caller in the model, every package attribute
+the benchmark's workloads read exists, and the runtime needs no module
+beyond numpy."""
 
 import ast
 import os
@@ -15,6 +16,7 @@ import legnet
 from legnet import connectome, diffmath, model, synthgen
 
 MODULES = sorted(Path(legnet.__file__).parent.glob("*.py"))
+MODEL = Path(model.__file__)
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 RUNTIME_SMOKE = Path(__file__).with_name("runtime_smoke.py")
 PACKAGE = {m.__name__.rsplit(".", 1)[1]: m for m in (connectome, diffmath, model, synthgen)}
@@ -55,6 +57,16 @@ def unused_private_names(sources: list[str]) -> list[str]:
     return sorted(private - read)
 
 
+def uncalled_tape_methods(source: str) -> list[str]:
+    """Public `Tape` methods that the source never calls as `tape.<name>(...)`."""
+    called = {node.func.attr for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "tape"}
+    public = {name for name, value in vars(diffmath.Tape).items()
+              if callable(value) and not name.startswith("_")}
+    return sorted(public - called)
+
+
 def missing_attributes(source: str, modules: dict) -> list[str]:
     """`module.name` reads in the source, for the given module names, that
     the module does not define."""
@@ -75,6 +87,11 @@ def test_checker_finds_an_unused_private_name():
     assert unused_private_names([defines, reads]) == ["_B", "_G"]
 
 
+def test_checker_finds_an_uncalled_tape_method():
+    source = MODEL.read_text().replace("tape.mse(", "tape.other(")
+    assert uncalled_tape_methods(source) == ["mse"]
+
+
 def test_checker_finds_a_missing_attribute():
     source = ("atlas = connectome.build_toy_atlas()\nconnectome.no_such_function(atlas)\n"
               "model.MODEL_KINDS\nmodel.FORWARDS.gone\nother.anything\n")
@@ -88,6 +105,11 @@ def test_module_uses_every_import(path):
 
 def test_package_reads_every_private_name():
     assert unused_private_names([path.read_text() for path in MODULES]) == []
+
+
+def test_model_calls_every_tape_primitive():
+    # a primitive that no model stage calls is dead code in the tape
+    assert uncalled_tape_methods(MODEL.read_text()) == []
 
 
 def test_benchmark_workloads_read_only_defined_names():

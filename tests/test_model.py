@@ -299,6 +299,21 @@ class TestSubgraphConv:
         out = subgraph_conv(Tape(), t(h1), t(vec_rows(w)))
         assert np.allclose(out.data, oracle_conv(h1, w), atol=1e-12)
 
+    def test_unbatched_v_equals_v_broadcast_to_the_batch_as_bytes(self):
+        # braingnn-dagger's V is one (N, d1 d2) tensor that the batch shares
+        rng = np.random.default_rng(35)
+        h1, v = rng.uniform(-1, 1, (3, 4, 3)), rng.uniform(-1, 1, (4, 6))
+        target = t(rng.uniform(0, 1, (3, 4, 2)), requires_grad=False)
+        runs = []
+        for v_in in (v, np.broadcast_to(v, (3, 4, 6)).copy()):
+            tape, th1, tv = Tape(), t(h1), t(v_in)
+            out = subgraph_conv(tape, th1, tv)
+            backward(tape, tape.mse(out, target))
+            runs.append((out.data, th1.grad, tv.grad))
+        (out, gh1, gv), (out_b, gh1_b, gv_b) = runs
+        assert out.tobytes() == out_b.tobytes() and gh1.tobytes() == gh1_b.tobytes()
+        assert gv.tobytes() == gv_b.sum(axis=0).tobytes()
+
 
 class TestPredictHead:
     # the head reads a batch: one subject's (N, d) features are a (1, N, d) batch
@@ -338,13 +353,11 @@ class TestStageShapeChecks:
                                               ones(5))),
         ("lesion column", lambda: assignment_scores(Tape(), ones(4, 1), ones(2, 3))),
         ("subgraph_filters", lambda: subgraph_filters(Tape(), ones(3, 2), ones(6, 3), ones(6))),
-        # one subject's V does not broadcast over h1's batch
-        ("subgraph_conv", lambda: subgraph_conv(Tape(), ones(2, 3, 4), ones(3, 8))),
         ("subgraph_conv", lambda: subgraph_conv(Tape(), ones(3, 4), ones(3, 6))),
         ("head expects", lambda: predict_head(Tape(), ones(3, 2), ones(4, 5), ones(4),
                                               ones(1, 4), ones(1))),
     ], ids=["edge_to_node-g", "edge_to_node-b1", "edge_to_node-col", "assignment_scores",
-            "subgraph_filters", "subgraph_conv-batched-h1-unbatched-V", "subgraph_conv-width",
+            "subgraph_filters", "subgraph_conv-width",
             "predict_head"])
     def test_stage_rejects_shapes_that_disagree(self, stage, call):
         with pytest.raises(InputError, match=stage):
@@ -355,7 +368,7 @@ class TestFullForward:
     def hyper(self, n):
         return HyperParams(n_rois=n, k=3, d0=2, d1=4, d2=2, d3=4)
 
-    @pytest.mark.parametrize("kind, nodes", [(MODEL_LEGNET, 24), (MODEL_BRAINGNN_DAGGER, 21),
+    @pytest.mark.parametrize("kind, nodes", [(MODEL_LEGNET, 23), (MODEL_BRAINGNN_DAGGER, 19),
                                              (MODEL_BNC_MASK, 13), (MODEL_BNC_2CHANNEL, 19)])
     def test_forward_tape_node_count_is_pinned(self, kind, nodes):
         # a reshape or transpose round trip between stages shows here
@@ -477,6 +490,25 @@ class TestLoss:
         hyper = HyperParams(n_rois=4)
         with pytest.raises(InputError, match="empty batch"):
             entry(hyper, init_params(MODEL_LEGNET, hyper, 0))
+
+    @pytest.mark.parametrize("entry", [
+        # numpy's "could not broadcast" ValueError before
+        lambda batch, params_t, hyper: batch_loss_and_grads(batch, params_t, hyper,
+                                                            MODEL_LEGNET, 0.0),
+        # a mean of chunk means before, with no error
+        lambda batch, params_t, hyper: single_tape_batch_loss(Tape(), batch, params_t, hyper,
+                                                              MODEL_LEGNET, 0.0),
+        lambda batch, params_t, hyper: stack_subjects(batch, hyper),
+    ], ids=["batch_loss_and_grads", "single_tape_batch_loss", "stack_subjects"])
+    def test_an_entry_of_several_subjects_is_named(self, entry):
+        hyper = HyperParams(n_rois=5, k=3, d0=2, d1=3, d2=2, d3=3)
+        rng = np.random.default_rng(3)
+        records = [dataclasses.replace(random_subject(rng, 5), id=f"s{i}") for i in range(4)]
+        prepared = prepare_dataset(records, MODEL_LEGNET)
+        batch = [stack_subjects(prepared[:3], hyper), prepared[3]]
+        params_t = as_tensors(init_params(MODEL_LEGNET, hyper, 0))
+        with pytest.raises(InputError, match=r"one subject, got 3: 's0', 's1', 's2'"):
+            entry(batch, params_t, hyper)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_accumulated_grads_match_single_tape(self, kind):

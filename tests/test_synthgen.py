@@ -515,6 +515,54 @@ class TestSeedsChecked:
         assert json.loads(json.dumps(manifest))["master_seed"] == 5
 
 
+class TestStageArgumentTypes:
+    """Each generator stage checks its argument types as `generate_cohort`
+    does. A dict, a list or None in their place raised AttributeError, and
+    a complex X passed `corrupt_connectivity`."""
+
+    @pytest.fixture(scope="class")
+    def subject(self, atlas, cohort_params):
+        healthy = generate_healthy_subject(atlas, 0, cohort_params)
+        return healthy, grow_lesion(atlas, LesionSpec(territory=1, target_fraction=0.1, seed=0))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda atlas, cp, subj: generate_healthy_subject(atlas, 0, {"t_len": 5}),
+         "cohort_params must be a CohortParams, got dict"),
+        (lambda atlas, cp, subj: generate_healthy_subject(None, 0, cp),
+         "atlas must be a ToyAtlas, got NoneType"),
+        (lambda atlas, cp, subj: grow_lesion(None, LesionSpec(1, 0.1, 0)),
+         "atlas must be a ToyAtlas"),
+        (lambda atlas, cp, subj: grow_lesion(atlas, {"territory": 1}),
+         "spec must be a LesionSpec"),
+        (lambda atlas, cp, subj: lesioned_roi_series(None, atlas, subj[1], 0),
+         "healthy must be a HealthySubject"),
+        (lambda atlas, cp, subj: lesioned_roi_series(subj[0], None, subj[1], 0),
+         "atlas must be a ToyAtlas"),
+        (lambda atlas, cp, subj: lesioned_roi_series(subj[0], atlas, subj[1].flat, 0),
+         "lesion must be a LesionMask, got ndarray"),
+        (lambda atlas, cp, subj: corrupt_connectivity(np.ones((2, 2)), np.zeros(2), {}, 0),
+         "params must be a CohortParams"),
+        (lambda atlas, cp, subj: corrupt_connectivity([[1.0] * 2] * 2, np.zeros(2), cp, 0),
+         "X must be a ndarray, got list"),
+        (lambda atlas, cp, subj: corrupt_connectivity(np.ones((2, 2)), [0.0, 0.0], cp, 0),
+         "p must be a ndarray, got list"),
+        (lambda atlas, cp, subj: corrupt_connectivity(np.ones((2, 2), complex), np.zeros(2),
+                                                      cp, 0),
+         "X and p must hold real numbers, got dtypes complex128 and float64"),
+        (lambda atlas, cp, subj: corrupt_connectivity(np.ones((2, 2)), np.zeros(2, complex),
+                                                      cp, 0),
+         "X and p must hold real numbers, got dtypes float64 and complex128"),
+        # no ROIs: nothing to corrupt, and an empty X has no range to clip to
+        (lambda atlas, cp, subj: corrupt_connectivity(np.ones((0, 0)), np.ones(0), cp, 0),
+         r"N >= 1, got X \(0, 0\), p \(0,\)"),
+    ], ids=["healthy-params", "healthy-atlas", "grow-atlas", "grow-spec", "series-healthy",
+            "series-atlas", "series-lesion", "corrupt-params", "corrupt-list-X", "corrupt-list-p",
+            "corrupt-complex-X", "corrupt-complex-p", "corrupt-no-ROIs"])
+    def test_rejected(self, atlas, cohort_params, subject, call, message):
+        with pytest.raises(InputError, match=message):
+            call(atlas, cohort_params, subject)
+
+
 class TestBackgroundVoxels:
     """In an atlas inside a background margin, a lesion voxel outside every
     ROI is an InputError that names it."""
