@@ -51,6 +51,24 @@ def check_number(name: str, value, low: float = -math.inf, integral: bool = Fals
                          f"{floor}, got {value!r}")
 
 
+def check_types(*checks) -> None:
+    """InputError, naming the argument, unless each (name, value, cls) has
+    `value` an instance of `cls`."""
+    for name, value, cls in checks:
+        if not isinstance(value, cls):
+            raise InputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
+def keep_python_scalars(obj) -> None:
+    """Replace each numpy scalar in a frozen dataclass's fields, and in its
+    tuple or list fields, with the equal Python scalar, which JSON can write."""
+    def plain(v):
+        return v.item() if isinstance(v, np.generic) else v
+    for name, value in vars(obj).items():
+        pair = isinstance(value, (tuple, list))
+        object.__setattr__(obj, name, type(value)(map(plain, value)) if pair else plain(value))
+
+
 def check_seed(name: str, seed, sequence: bool = False) -> None:
     """InputError unless `seed` is an integer >= 0, or a SeedSequence if
     `sequence`. None is rejected: numpy would seed it from OS entropy."""
@@ -114,9 +132,10 @@ class ToyAtlas:
     `roi_of_voxel` is a 3-D grid, 0 for background and 1..N for the ROIs;
     entry i of `territory_of_roi` (1..T) and of `hemisphere_of_roi`
     (HEMI_LEFT or HEMI_RIGHT) belongs to ROI i + 1. Construction keeps
-    read-only copies of the three integer arrays and runs `validate`, so
-    every atlas has non-empty, face-connected ROIs and territories. It then
-    computes its ROI sizes and padded territories once.
+    read-only copies of the three integer arrays and a Python int
+    n_territories, and runs `validate`, so every atlas has non-empty,
+    face-connected ROIs and territories. It then computes its ROI sizes and
+    padded territories once.
     """
 
     roi_of_voxel: np.ndarray
@@ -125,6 +144,7 @@ class ToyAtlas:
     n_territories: int
 
     def __post_init__(self):
+        keep_python_scalars(self)
         for name in ("roi_of_voxel", "territory_of_roi", "hemisphere_of_roi"):
             object.__setattr__(self, name, _int_array(name, getattr(self, name)))
         self.validate()

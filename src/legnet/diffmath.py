@@ -3,12 +3,13 @@
 Tensors are 64-bit float arrays with at most four axes. Operations are
 recorded on a :class:`Tape`; calling :func:`backward` on a scalar output
 propagates gradients to every leaf in reverse recording order. The primitive
-set is intentionally small: exactly what a dense edge-based graph network
-needs. Besides the elementwise, product and shape primitives, two fused
-ones save passes over the largest arrays: `add_relu`, relu(a + b), the one
-relu, and `outer_add_relu_matmul`, which writes the edge tensor of such a
-network, every relu(row_i + col_j) of two (..., N, d) operands, with one
-product and contracts it with a weight matrix, keeping it off the tape.
+set is intentionally small, nine primitives: `matmul`, `add`, `mul` (a
+constant factor is a 0-d constant), `softmax_lastaxis`, `l2_norm_sq` (a
+loss's sums of squares), `reshape`, `transpose`, and two fused ones that
+save passes over the largest arrays: `add_relu`, relu(a + b), the one relu,
+and `outer_add_relu_matmul`, which writes the edge tensor of an edge-based
+graph network, every relu(row_i + col_j) of two (..., N, d) operands, with
+one product and contracts it with a weight matrix, keeping it off the tape.
 
 Every primitive accepts leading batch axes: elementwise operations broadcast
 by numpy's rules and `matmul`, whose operands have two or more axes, by
@@ -176,25 +177,17 @@ class Tape:
         return self._emit(out, (a, b), backward)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        """Elementwise product with numpy broadcasting."""
+        """Elementwise product with numpy broadcasting; a constant operand gets no gradient."""
         try:
             out = a.data * b.data
         except ValueError as exc:
             raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}") from exc
 
         def backward(g):
-            return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+            return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                    _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
         return self._emit(out, (a, b), backward)
-
-    def scale(self, a: Tensor, s: float) -> Tensor:
-        """Multiply by a python float constant."""
-        s = float(s)
-
-        def backward(g):
-            return (g * s,)
-
-        return self._emit(a.data * s, (a,), backward)
 
     def add_relu(self, a: Tensor, b: Tensor) -> Tensor:
         """relu(a + b) as one node with add's broadcasting; keeps only its
@@ -255,20 +248,6 @@ class Tape:
             return (out * (g - dot),)
 
         return self._emit(out, (a,), backward)
-
-    def mse(self, a: Tensor, b: Tensor) -> Tensor:
-        """Mean squared difference over all entries, a 0-d scalar."""
-        if a.data.shape != b.data.shape:
-            raise ShapeError(f"mse shape mismatch: {a.shape} vs {b.shape}")
-        diff = a.data - b.data
-        out = np.asarray(np.mean(diff * diff))
-        n = diff.size
-
-        def backward(g):
-            d = (2.0 * float(g) / n) * diff
-            return d, -d
-
-        return self._emit(out, (a, b), backward)
 
     def l2_norm_sq(self, a: Tensor) -> Tensor:
         """Sum of squared entries, a 0-d scalar."""

@@ -49,7 +49,8 @@ from typing import Callable
 
 import numpy as np
 
-from .connectome import InputError, SubjectRecord, _ExactReader, check_number, check_seed
+from .connectome import (InputError, SubjectRecord, _ExactReader, check_number, check_seed,
+                         check_types, keep_python_scalars)
 from .diffmath import Tape, Tensor, backward
 
 MODEL_LEGNET = "legnet"
@@ -81,9 +82,7 @@ class HyperParams:
     lam: float = 0.005
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, np.generic):
-                object.__setattr__(self, name, value.item())
+        keep_python_scalars(self)
         for name in ("n_rois", "k", "d0", "d1", "d2", "d3"):
             check_number(f"hyperparameter {name}", getattr(self, name), 1, integral=True)
         check_number("lam", self.lam, 0)
@@ -92,6 +91,7 @@ class HyperParams:
 def param_spec(kind: str, hyper: HyperParams) -> list[tuple[str, tuple[int, ...], int, int]]:
     """Ordered (name, shape, fan_in, fan_out) table for one model kind: the
     tensors of its modules, then the head's."""
+    check_types(("hyper", hyper, HyperParams))
     modules = _kind(kind).modules
     n, k = hyper.n_rois, hyper.k
     d0, d1, d2, d3 = hyper.d0, hyper.d1, hyper.d2, hyper.d3
@@ -206,14 +206,19 @@ class PreparedSubject:
 
 
 def _check_fits(subj: PreparedSubject, hyper: HyperParams) -> None:
-    """Raise InputError, naming the subjects, unless `subj` is one subject
-    whose x and pcol hold a hyper.n_rois-ROI input."""
+    """Raise InputError, naming the subjects, unless `subj` is a
+    PreparedSubject of one subject whose x and pcol hold a hyper.n_rois-ROI
+    input and whose target is (1, 1): a target of another shape would
+    broadcast against the (B, 1) predictions in the loss."""
+    check_types(("a batch entry", subj, PreparedSubject))
     n, names = hyper.n_rois, ", ".join(map(repr, subj.ids))
     if len(subj.ids) != 1:
         raise InputError(f"a batch entry holds one subject, got {len(subj.ids)}: {names}")
     if subj.x.shape != (1, n, n) or subj.pcol.shape != (1, n, 1):
         raise InputError(f"subject {names} has X {subj.x.shape[1:]} and lesion column "
                          f"{subj.pcol.shape[1:]}; the model expects {n} ROIs")
+    if subj.target.shape != (1, 1):
+        raise InputError(f"subject {names} has target {subj.target.shape}, not (1, 1)")
 
 
 def stack_subjects(prepared: list[PreparedSubject], hyper: HyperParams) -> PreparedSubject:
@@ -294,14 +299,16 @@ MODEL_KINDS = tuple(KINDS)
 
 
 def _kind(kind: str) -> ModelKind:
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise InputError(f"unknown model kind {kind!r}")
     return KINDS[kind]
 
 
 def prepare_subject(record: SubjectRecord) -> PreparedSubject:
     """One record as a batch of one, which every kind reads: x and pcol view
-    the record's read-only arrays, which were checked when it was built."""
+    the record's read-only arrays, which were checked when it was built. A
+    record that is not a SubjectRecord is an InputError."""
+    check_types(("record", record, SubjectRecord))
     arrays = record.x[None], record.lesion.p[None, :, None], np.array([[float(record.y)]])
     return PreparedSubject((record.id,), *(Tensor(a, requires_grad=False) for a in arrays))
 
@@ -333,7 +340,10 @@ def _shape_table(kind: str, hyper: HyperParams) -> MappingProxyType:
 def check_params(kind: str, hyper: HyperParams, params: dict) -> None:
     """Raise InputError, naming the tensor, unless `params` maps tensor names
     to ndarrays or Tensors with exactly the names and shapes of the kind's
-    tensor table. Entries are not read."""
+    tensor table. Entries are not read. The kind and `hyper` are checked
+    first, so an unhashable one never reaches the cached table."""
+    _kind(kind)
+    check_types(("hyper", hyper, HyperParams))
     spec = _shape_table(kind, hyper)
     shapes = {name: t.shape if isinstance(t, (np.ndarray, Tensor)) else None
               for name, t in params.items()}
@@ -354,8 +364,13 @@ def check_params(kind: str, hyper: HyperParams, params: dict) -> None:
 
 
 def _check_finite(params: dict[str, np.ndarray]) -> None:
-    """Raise InputError naming the first tensor with a non-finite entry."""
+    """Raise InputError naming the first tensor that is not an ndarray of
+    real numbers (integer or float) or has a non-finite entry."""
     for name, arr in params.items():
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):
+            what = f"{arr.dtype} ndarray" if isinstance(arr, np.ndarray) else type(arr).__name__
+            raise InputError(f"parameter tensor {name!r} is a {what}, not an ndarray of "
+                             f"real numbers")
         if not np.isfinite(arr).all():
             raise InputError(f"parameter tensor {name!r} has non-finite entries")
 
@@ -384,16 +399,17 @@ def _ridge(tape: Tape, params_t: dict[str, Tensor], lam: float) -> Tensor:
         if not name.startswith("head_"):
             term = tape.l2_norm_sq(params_t[name])
             total = term if total is None else tape.add(total, term)
-    return tape.scale(total, lam)
+    return tape.mul(total, Tensor(lam, requires_grad=False))
 
 
 def _chunk_objective(tape: Tape, batch: PreparedSubject, params_t: dict[str, Tensor],
-                     hyper: HyperParams, kind: str, weight: float,
+                     hyper: HyperParams, kind: str, m: int,
                      lam: float) -> tuple[Tensor, Tensor]:
-    """weight * (the chunk's mean squared error), plus the ridge term when
-    lam != 0; returns (objective, predictions)."""
+    """The chunk's share of the objective over m subjects, (1/m) sum (yhat - y)^2,
+    plus the ridge term when lam != 0; returns (objective, predictions)."""
     yhat = FORWARDS[kind](tape, batch, params_t, hyper)
-    out = tape.scale(tape.mse(yhat, batch.target), weight)
+    err = tape.add(yhat, Tensor(-batch.target.data, requires_grad=False))
+    out = tape.mul(tape.l2_norm_sq(err), Tensor(1.0 / m, requires_grad=False))
     if lam != 0.0:
         out = tape.add(out, _ridge(tape, params_t, lam))
     return out, yhat
@@ -417,9 +433,11 @@ def batch_loss_and_grads(
 
     Returns (loss, grads or None, predictions). Gradients are averaged over
     the batch exactly as the loss is. Each chunk of `chunk_subjects(hyper)`
-    subjects runs as one tape holding its share of the objective: the first
-    chunk's also holds the ridge term. With `want_grads`, each chunk's tape
-    gets one backward; without, none runs.
+    subjects runs as one tape holding its share of the objective
+    (`_chunk_objective`): the first chunk's also holds the ridge term. With
+    `want_grads`, each chunk's tape gets one backward; without, none runs.
+    An entry of `prepared` that is not a one-subject PreparedSubject fitting
+    `hyper` is an InputError (see `_check_fits`).
     """
     if not prepared:
         raise InputError("empty batch")
@@ -437,8 +455,8 @@ def batch_loss_and_grads(
     for start in range(0, m, chunk):
         batch = stack_subjects(prepared[start:start + chunk], hyper)
         tape = Tape()
-        objective, yhat = _chunk_objective(tape, batch, params_t, hyper, kind,
-                                           len(batch.target.data) / m, lam if start == 0 else 0.0)
+        objective, yhat = _chunk_objective(tape, batch, params_t, hyper, kind, m,
+                                           lam if start == 0 else 0.0)
         preds[start:start + chunk] = yhat.data[:, 0]
         loss += float(objective.data)
         if want_grads:
@@ -451,21 +469,17 @@ def batch_loss_and_grads(
 def single_tape_batch_loss(tape: Tape, prepared: list[PreparedSubject],
                            params_t: dict[str, Tensor], hyper: HyperParams,
                            kind: str, lam: float) -> Tensor:
-    """The whole objective as one tape node graph, one forward per subject:
-    the per-subject reference that batch_loss_and_grads is tested against.
-    An InputError names an entry that is not one subject fitting the model."""
+    """The sum of each subject's `_chunk_objective` on one tape, the first's
+    with the ridge term: the per-subject reference batch_loss_and_grads is
+    tested against. An InputError names an entry not one subject fitting it."""
     if not prepared:
         raise InputError("empty batch")
-    forward = FORWARDS[kind]
-    total = None
-    for subj in prepared:
+    total, m = None, len(prepared)
+    for i, subj in enumerate(prepared):
         _check_fits(subj, hyper)
-        sq = tape.mse(forward(tape, subj, params_t, hyper), subj.target)
-        total = sq if total is None else tape.add(total, sq)
-    out = tape.scale(total, 1.0 / len(prepared))
-    if lam != 0.0:
-        out = tape.add(out, _ridge(tape, params_t, lam))
-    return out
+        term, _ = _chunk_objective(tape, subj, params_t, hyper, kind, m, lam if i == 0 else 0.0)
+        total = term if total is None else tape.add(total, term)
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -512,7 +526,7 @@ def load_checkpoint(path) -> tuple[str, HyperParams, dict[str, np.ndarray]]:
     except (ValueError, TypeError, KeyError, RecursionError) as exc:  # and HyperParams' InputError
         raise InputError("checkpoint header is not UTF-8 JSON naming a model kind and "
                          f"valid hyperparameters: {exc}") from exc
-    if not isinstance(kind, str) or raw != _checkpoint_header(kind, hyper):
+    if raw != _checkpoint_header(kind, hyper):
         raise InputError(f"checkpoint header is not the one save_checkpoint writes for "
                          f"a {kind!r} model with {hyper}")
     params = {name: reader.array("<f8", math.prod(shape)).astype(np.float64).reshape(shape)

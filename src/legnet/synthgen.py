@@ -46,9 +46,11 @@ from .connectome import (
     ToyAtlas,
     check_number,
     check_seed,
+    check_types,
     correlation_matrix,
     exponentiate,
     fill_cavities,
+    keep_python_scalars,
     lesioned_counts,
     spared_fractions,
 )
@@ -93,7 +95,8 @@ class LesionSpec:
 
 @dataclass(frozen=True)
 class CohortParams:
-    """Healthy-signal model and score model for one synthetic cohort."""
+    """Healthy-signal model and score model for one synthetic cohort. Numpy
+    scalars are kept as the equal Python scalars, which JSON can write."""
 
     t_len: int = 100
     n_communities: int = 8
@@ -108,6 +111,7 @@ class CohortParams:
     corruption_sigma_rel: float = 0.1
 
     def __post_init__(self):
+        keep_python_scalars(self)
         # community 0 is the language network; the others need at least one
         for name, low in (("t_len", 2), ("n_communities", 2), ("language_territory", 1)):
             check_number(name, getattr(self, name), low, integral=True)
@@ -121,13 +125,15 @@ class CohortParams:
 
 @dataclass(frozen=True)
 class LesionPolicy:
-    """Cohort flavor: lesion-size distribution and score offset."""
+    """Cohort flavor: lesion-size distribution and score offset. Numpy
+    scalars are kept as the equal Python scalars, which JSON can write."""
 
     name: str
     fraction_range: tuple[float, float] = (FRACTION_MIN, FRACTION_MAX)
     score_mu: float | None = None  # overrides CohortParams.score_mu when set
 
     def __post_init__(self):
+        keep_python_scalars(self)
         if self.score_mu is not None:
             check_number("score_mu", self.score_mu)
         _check_range("fraction_range", self.fraction_range, FRACTION_MIN, FRACTION_MAX)
@@ -138,14 +144,6 @@ POLICIES = {
     "ds1-like": LesionPolicy(name="ds1-like"),
     "ds2-like": LesionPolicy(name="ds2-like", fraction_range=(0.08, 0.20), score_mu=27.0),
 }
-
-
-def _check_types(*checks) -> None:
-    """InputError, naming the argument, unless each (name, value, cls) has
-    `value` an instance of `cls`."""
-    for name, value, cls in checks:
-        if not isinstance(value, cls):
-            raise InputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def policy_by_name(name: str) -> LesionPolicy:
@@ -213,7 +211,7 @@ def generate_healthy_subject(
     within-language-network connectivity measured through the same ROI-mean
     pipeline the model inputs use.
     """
-    _check_types(("atlas", atlas, ToyAtlas), ("cohort_params", cohort_params, CohortParams))
+    check_types(("atlas", atlas, ToyAtlas), ("cohort_params", cohort_params, CohortParams))
     check_seed("seed", seed, sequence=True)
     cp = cohort_params
     rng = np.random.default_rng(seed)
@@ -237,8 +235,8 @@ def lesioned_roi_series(healthy: HealthySubject, atlas: ToyAtlas, lesion: Lesion
     `seed` stream and subtracted. ROIs the lesion misses keep their healthy
     mean exactly; ROIs it covers whole get an all-zero row.
     """
-    _check_types(("healthy", healthy, HealthySubject), ("atlas", atlas, ToyAtlas),
-                 ("lesion", lesion, LesionMask))
+    check_types(("healthy", healthy, HealthySubject), ("atlas", atlas, ToyAtlas),
+                ("lesion", lesion, LesionMask))
     check_seed("seed", seed, sequence=True)
     sums = healthy.roi_sums
     if sums.shape[0] != atlas.n_rois:
@@ -348,7 +346,7 @@ def grow_lesion(atlas: ToyAtlas, spec: LesionSpec) -> LesionMask:
     the filled size rises by exactly one. Near the target every step adds
     one voxel, so most of those steps skip it.
     """
-    _check_types(("atlas", atlas, ToyAtlas), ("spec", spec, LesionSpec))
+    check_types(("atlas", atlas, ToyAtlas), ("spec", spec, LesionSpec))
     if spec.territory not in atlas.left_territories():
         raise InputError(f"territory {spec.territory} is not a left-hemisphere territory")
     # C order, as np.argwhere gives; one byte per padded voxel, 1 where in territory
@@ -437,7 +435,7 @@ def corrupt_connectivity(x: np.ndarray, p: np.ndarray, params: CohortParams, see
     lesioned ROI (p = 0) goes to X = 1 plus noise. Intact pairs and the
     diagonal are untouched.
     """
-    _check_types(("X", x, np.ndarray), ("p", p, np.ndarray), ("params", params, CohortParams))
+    check_types(("X", x, np.ndarray), ("p", p, np.ndarray), ("params", params, CohortParams))
     n = x.shape[0] if x.ndim == 2 else 0
     if not n or x.shape != (n, n) or p.shape != (n,):
         raise InputError(f"need X (N, N) and p (N,) with N >= 1, got X {x.shape}, p {p.shape}")
@@ -514,8 +512,8 @@ def generate_cohort(
     check_seed("master_seed", master_seed)
     policy = POLICIES["hcp-sl"] if policy is None else policy
     params = CohortParams() if cohort_params is None else cohort_params
-    _check_types(("atlas", atlas, ToyAtlas), ("cohort_params", params, CohortParams),
-                 ("policy", policy, LesionPolicy))
+    check_types(("atlas", atlas, ToyAtlas), ("cohort_params", params, CohortParams),
+                ("policy", policy, LesionPolicy))
     if policy.score_mu is not None:
         params = replace(params, score_mu=policy.score_mu)
 
@@ -551,7 +549,7 @@ def generate_cohort(
 
     manifest = {
         "master_seed": int(master_seed),
-        "n": n,
+        "n": int(n),
         "policy": {
             "name": policy.name,
             "fraction_range": list(policy.fraction_range),

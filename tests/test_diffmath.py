@@ -17,6 +17,17 @@ from gradcheck import GradientCheckError, gradient_check
 ZERO = Tensor(0.0, requires_grad=False)
 
 
+def const(value):
+    return Tensor(value, requires_grad=False)
+
+
+def mean_sq(tape, a, b):
+    """The mean of (a - b)^2 over a's entries, for a constant array b, as
+    mul(l2_norm_sq(add(a, -b)), 1/n)."""
+    diff = tape.add(a, const(-np.asarray(b, dtype=float)))
+    return tape.mul(tape.l2_norm_sq(diff), const(1.0 / diff.data.size))
+
+
 def finite(shape, seed, low=-2.0, high=2.0):
     rng = np.random.default_rng(seed)
     return rng.uniform(low, high, size=shape)
@@ -30,10 +41,6 @@ class TestPrimitives:
     def test_softmax_uniform_on_equal_logits(self):
         out = Tape().softmax_lastaxis(Tensor([0.0, 0.0, 0.0, 0.0]))
         assert np.allclose(out.data, 0.25, atol=1e-15)
-
-    def test_mse_identity_case(self):
-        out = Tape().mse(Tensor([1.0, 2.0]), Tensor([1.0, 2.0]))
-        assert out.data == 0.0
 
     def test_matmul_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
@@ -107,7 +114,7 @@ class TestOuterAddReluMatmul:
         for op in (Tape.outer_add_relu_matmul, three_op_chain):
             tape = Tape()
             leaves = [Tensor(row), Tensor(col), Tensor(w)]
-            loss = tape.mse(op(tape, *leaves), Tensor(target, requires_grad=False))
+            loss = mean_sq(tape, op(tape, *leaves), target)
             backward(tape, loss)
             grads.append([t.grad.tobytes() for t in leaves])
         assert grads[0] == grads[1]
@@ -169,7 +176,6 @@ class TestShapeErrors:
     @pytest.mark.parametrize("op, message", [
         (lambda tape: tape.add(Tensor(np.ones((2, 3))), Tensor(np.ones(4))), "add shape mismatch"),
         (lambda tape: tape.mul(Tensor(np.ones((2, 3))), Tensor(np.ones(4))), "mul shape mismatch"),
-        (lambda tape: tape.mse(Tensor(np.ones(2)), Tensor(np.ones(3))), "mse shape mismatch"),
         (lambda tape: tape.reshape(Tensor(np.ones(32)), (2, 2, 2, 2, 2)), "at most 4 axes"),
         (lambda tape: tape.reshape(Tensor(np.ones(6)), (4,)), r"cannot reshape \(6,\) to \(4,\)"),
         # a vector is a (1, n) row or an (n, 1) column: np.matmul's promotion is not kept
@@ -179,7 +185,7 @@ class TestShapeErrors:
          r"at least two axes, got \(2, 3\) @ \(3,\)"),
         (lambda tape: tape.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones(3))),
          "at least two axes"),
-    ], ids=["add", "mul", "mse", "reshape-too-many-axes", "reshape-bad-shape", "matmul-1-D-left",
+    ], ids=["add", "mul", "reshape-too-many-axes", "reshape-bad-shape", "matmul-1-D-left",
             "matmul-1-D-right", "matmul-batched-at-1-D"])
     def test_incompatible_shapes_raise_shape_error(self, op, message):
         with pytest.raises(ShapeError, match=message):
@@ -198,7 +204,7 @@ class TestBackward:
     def test_mse_gradient_matches_quadratic(self):
         tape = Tape()
         x = Tensor([3.0])
-        backward(tape, tape.mse(x, Tensor([0.0], requires_grad=False)))
+        backward(tape, mean_sq(tape, x, [0.0]))
         assert np.allclose(x.grad, [6.0])
 
     def test_unused_leaf_gets_zero_gradient(self):
@@ -216,13 +222,13 @@ class TestBackward:
         first = Tape()
         backward(first, first.l2_norm_sq(x))  # 2x
         second = Tape()
-        backward(second, second.mse(x, Tensor([0.0, 0.0], requires_grad=False)))
-        assert np.array_equal(x.grad, x.data)  # mse over 2 entries: x, not 2x + x
+        backward(second, mean_sq(second, x, [0.0, 0.0]))
+        assert np.array_equal(x.grad, x.data)  # mean over 2 entries: x, not 2x + x
 
     def test_output_of_another_tape_is_a_leaf_there(self):
         x = Tensor([1.0, 2.0])
         first = Tape()
-        h, u = first.scale(x, 3.0), first.scale(x, -1.0)
+        h, u = first.mul(x, const(3.0)), first.mul(x, const(-1.0))
         backward(first, first.add(first.l2_norm_sq(h), first.l2_norm_sq(u)))
         second = Tape()
         loss = second.l2_norm_sq(h)
@@ -243,7 +249,7 @@ class TestBackward:
         tape = Tape()
         x, w, unused = Tensor([[1.0], [-2.0]]), Tensor([[0.5, 1.0], [2.0, -1.0]]), Tensor([7.0])
         h = tape.add_relu(tape.matmul(w, x), ZERO)
-        loss = tape.add(tape.l2_norm_sq(h), tape.l2_norm_sq(tape.scale(x, 2.0)))
+        loss = tape.add(tape.l2_norm_sq(h), tape.l2_norm_sq(tape.mul(x, const(2.0))))
         tape.l2_norm_sq(unused)  # recorded but not feeding the loss
         backward(tape, loss)
         assert len(tape.nodes) == 7
@@ -277,7 +283,7 @@ class TestBackward:
             a, b, v = ts
             h = tape.add_relu(tape.matmul(a, v), ZERO)
             h2 = tape.add_relu(tape.matmul(b, h), ZERO)
-            return tape.mse(h2, Tensor(np.array([[0.3], [-0.1]]), requires_grad=False))
+            return mean_sq(tape, h2, np.array([[0.3], [-0.1]]))
 
         assert gradient_check(build, [w1, w2, x], step=1e-5) <= 1e-6
 
@@ -303,9 +309,9 @@ class TestGradientCheck:
 
     def test_reports_non_finite_with_coordinate(self):
         def build(tape, ts):
-            # log-free recipe for a NaN: 0 * inf via mse against huge values
-            big = tape.scale(ts[0], 1e200)
-            return tape.mse(tape.mul(big, big), Tensor(np.zeros(2), requires_grad=False))
+            # log-free recipe for a NaN: 0 * inf via a mean square of huge values
+            big = tape.mul(ts[0], const(1e200))
+            return mean_sq(tape, tape.mul(big, big), np.zeros(2))
 
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(GradientCheckError, match="coordinate"):
@@ -344,8 +350,8 @@ def test_every_primitive_matches_central_differences(seed):
         t = tape.transpose(tape.reshape(mixed, (4, 3)))
         t = tape.mul(t, weight)                      # (3, 4)
         total = tape.add(tape.l2_norm_sq(s), tape.l2_norm_sq(t))
-        total = tape.add(total, tape.scale(tape.l2_norm_sq(tv), 0.3))
-        total = tape.add(total, tape.mse(tv, Tensor(np.zeros((3, 4)), requires_grad=False)))
+        total = tape.add(total, tape.mul(tape.l2_norm_sq(tv), const(0.3)))
+        total = tape.add(total, mean_sq(tape, tv, np.zeros((3, 4))))
         # leading batch axes: 3-D @ 2-D (also strided), 2-D @ 3-D
         wide = tape.transpose(tbatch)                                     # (2, 4, 3)
         for x, y in ((tbatch, tb), (wide, ta), (ta, wide)):
@@ -353,13 +359,13 @@ def test_every_primitive_matches_central_differences(seed):
         # 4-D reshape and transpose, then the fused add + relu and outer sum
         four = tape.transpose(tape.reshape(tbatch, (2, 3, 4, 1)))         # (2, 3, 1, 4)
         total = tape.add(total, tape.l2_norm_sq(tape.mul(four, four)))
-        # mse against ones: its gradient is nonzero where relu outputs 0
+        # a mean square against ones: its gradient is nonzero where relu outputs 0
         fused = tape.add_relu(trow, tcol)
-        total = tape.add(total, tape.mse(fused, Tensor(np.ones(fused.shape), requires_grad=False)))
+        total = tape.add(total, mean_sq(tape, fused, np.ones(fused.shape)))
         # the outer sum of every pair of rows, batched, times a shared w; no
         # pair sum lies within 0.1 of 0
         outer = tape.outer_add_relu_matmul(tape.reshape(trow, (2, 3, 2)),
                                            tape.reshape(tcol, (2, 3, 2)), tw)
-        return tape.add(total, tape.mse(outer, Tensor(np.ones(outer.shape), requires_grad=False)))
+        return tape.add(total, mean_sq(tape, outer, np.ones(outer.shape)))
 
     assert gradient_check(build, [a, b, v, batched, row, col, edge_w], step=1e-5) <= 1e-4

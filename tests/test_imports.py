@@ -1,8 +1,8 @@
 """Every name a `legnet` module imports is used somewhere in that module,
 every module-level private name is read somewhere in the package, every
-public tape primitive has a caller in the model, every package attribute
-the benchmark's workloads read exists, and the runtime needs no module
-beyond numpy."""
+public tape primitive has a caller in the model and in the gradient check
+of every primitive, every package attribute the benchmark's workloads read
+exists, and the runtime needs no module beyond numpy."""
 
 import ast
 import os
@@ -19,6 +19,7 @@ MODULES = sorted(Path(legnet.__file__).parent.glob("*.py"))
 MODEL = Path(model.__file__)
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 RUNTIME_SMOKE = Path(__file__).with_name("runtime_smoke.py")
+DIFFMATH_TESTS = Path(__file__).with_name("test_diffmath.py")
 PACKAGE = {m.__name__.rsplit(".", 1)[1]: m for m in (connectome, diffmath, model, synthgen)}
 
 
@@ -67,6 +68,13 @@ def uncalled_tape_methods(source: str) -> list[str]:
     return sorted(public - called)
 
 
+def function_source(source: str, name: str) -> str:
+    """The source of the module-level function `name`."""
+    node = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    return ast.get_source_segment(source, node)
+
+
 def missing_attributes(source: str, modules: dict) -> list[str]:
     """`module.name` reads in the source, for the given module names, that
     the module does not define."""
@@ -88,8 +96,8 @@ def test_checker_finds_an_unused_private_name():
 
 
 def test_checker_finds_an_uncalled_tape_method():
-    source = MODEL.read_text().replace("tape.mse(", "tape.other(")
-    assert uncalled_tape_methods(source) == ["mse"]
+    source = MODEL.read_text().replace("tape.softmax_lastaxis(", "tape.other(")
+    assert uncalled_tape_methods(source) == ["softmax_lastaxis"]
 
 
 def test_checker_finds_a_missing_attribute():
@@ -110,6 +118,14 @@ def test_package_reads_every_private_name():
 def test_model_calls_every_tape_primitive():
     # a primitive that no model stage calls is dead code in the tape
     assert uncalled_tape_methods(MODEL.read_text()) == []
+
+
+def test_every_primitive_has_a_gradient_check():
+    # the central-difference check calls each primitive inside its build();
+    # a primitive added without a call there has an unchecked backward
+    source = function_source(DIFFMATH_TESTS.read_text(),
+                             "test_every_primitive_matches_central_differences")
+    assert uncalled_tape_methods(source) == []
 
 
 def test_benchmark_workloads_read_only_defined_names():

@@ -303,12 +303,13 @@ class TestSubgraphConv:
         # braingnn-dagger's V is one (N, d1 d2) tensor that the batch shares
         rng = np.random.default_rng(35)
         h1, v = rng.uniform(-1, 1, (3, 4, 3)), rng.uniform(-1, 1, (4, 6))
-        target = t(rng.uniform(0, 1, (3, 4, 2)), requires_grad=False)
+        target = rng.uniform(0, 1, (3, 4, 2))
         runs = []
         for v_in in (v, np.broadcast_to(v, (3, 4, 6)).copy()):
             tape, th1, tv = Tape(), t(h1), t(v_in)
             out = subgraph_conv(tape, th1, tv)
-            backward(tape, tape.mse(out, target))
+            sq = tape.l2_norm_sq(tape.add(out, t(-target, requires_grad=False)))
+            backward(tape, tape.mul(sq, t(1.0 / target.size, requires_grad=False)))
             runs.append((out.data, th1.grad, tv.grad))
         (out, gh1, gv), (out_b, gh1_b, gv_b) = runs
         assert out.tobytes() == out_b.tobytes() and gh1.tobytes() == gh1_b.tobytes()
@@ -815,7 +816,8 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
 
         def build_loss(tape, ts, kind=kind, names=names, batch=batch):
             params_t = dict(zip(names, ts))
-            return model._chunk_objective(tape, batch, params_t, hyper, kind, 1.0, hyper.lam)[0]
+            return model._chunk_objective(tape, batch, params_t, hyper, kind, len(records),
+                                          hyper.lam)[0]
 
         check("loss" if kind == MODEL_LEGNET else f"loss-{kind}", build_loss,
               [init[name] for name in names])
@@ -1159,3 +1161,74 @@ class TestInputsCheckedWhereTheyEnter:
         params_t = as_tensors(init_params(MODEL_LEGNET, hyper, 0))
         with pytest.raises(InputError, match="lam must be"):
             batch_loss_and_grads(batch, params_t, hyper, MODEL_LEGNET, lam)
+
+    @pytest.mark.parametrize("use", ["predict", "save_checkpoint", "as_tensors"])
+    @pytest.mark.parametrize("bad", ["tensors", "complex", "str", "object"])
+    def test_parameter_values_must_be_real_ndarrays(self, tmp_path, use, bad):
+        # Tensors, str and object arrays raised numpy's "ufunc 'isfinite' not
+        # supported"; a complex array was scored and saved as its real part
+        hyper = HyperParams(n_rois=12)
+        params = init_params(MODEL_LEGNET, hyper, 0)
+        if bad == "tensors":
+            name, params = "r", {n: Tensor(a) for n, a in params.items()}
+        else:
+            name = "g"
+            params["g"] = {"complex": params["g"] + 0j, "str": np.full(params["g"].shape, "a"),
+                           "object": params["g"].astype(object)}[bad]
+        with pytest.raises(InputError, match=f"parameter tensor '{name}' is a .*, not an "
+                                             f"ndarray of real numbers"):
+            if use == "predict":
+                predict(random_subject(np.random.default_rng(0), 12), params, hyper)
+            elif use == "save_checkpoint":
+                save_checkpoint(tmp_path / "a.ckpt", MODEL_LEGNET, hyper, params)
+            else:
+                as_tensors(params)
+        assert not (tmp_path / "a.ckpt").exists()
+
+    @pytest.mark.parametrize("call, message", [
+        # TypeError: unhashable type: 'list', from the cached tensor table
+        (lambda rec, params, hyper: predict(rec, params, hyper, ["legnet"]),
+         r"unknown model kind \['legnet'\]"),
+        # the same TypeError, from the kind lookup
+        (lambda rec, params, hyper: init_params(["legnet"], hyper, 0),
+         r"unknown model kind \['legnet'\]"),
+        # TypeError: unhashable type: 'dict'
+        (lambda rec, params, hyper: predict(rec, params, {"n_rois": 12}, MODEL_LEGNET),
+         "hyper must be a HyperParams, got dict"),
+        # AttributeError: 'dict' object has no attribute 'n_rois'
+        (lambda rec, params, hyper: init_params(MODEL_LEGNET, {"n_rois": 12}, 0),
+         "hyper must be a HyperParams, got dict"),
+        # AttributeError: no attribute 'ids'
+        (lambda rec, params, hyper: batch_loss_and_grads([rec], as_tensors(params), hyper,
+                                                         MODEL_LEGNET, 0.0),
+         "a batch entry must be a PreparedSubject, got SubjectRecord"),
+        # AttributeError from the record's fields
+        (lambda rec, params, hyper: predict(None, params, hyper),
+         "record must be a SubjectRecord, got NoneType"),
+    ], ids=["predict-kind", "init_params-kind", "predict-hyper", "init_params-hyper",
+            "batch-records", "predict-none"])
+    def test_entry_points_name_a_wrong_argument_type(self, call, message):
+        hyper = HyperParams(n_rois=12)
+        rec = random_subject(np.random.default_rng(0), 12)
+        with pytest.raises(InputError, match=message):
+            call(rec, init_params(MODEL_LEGNET, hyper, 0), hyper)
+
+    @pytest.mark.parametrize("entry", [
+        lambda batch, params_t, hyper: batch_loss_and_grads(batch, params_t, hyper,
+                                                            MODEL_LEGNET, 0.0),
+        lambda batch, params_t, hyper: single_tape_batch_loss(Tape(), batch, params_t, hyper,
+                                                              MODEL_LEGNET, 0.0),
+        lambda batch, params_t, hyper: stack_subjects(batch, hyper),
+    ], ids=["batch_loss_and_grads", "single_tape_batch_loss", "stack_subjects"])
+    def test_a_target_that_is_not_one_by_one_is_named(self, entry):
+        # a (1,) target made numpy's concatenate raise ValueError and the
+        # per-subject loss a ShapeError; a (B,) target would broadcast against
+        # the (B, 1) predictions
+        hyper = HyperParams(n_rois=5, k=3, d0=2, d1=3, d2=2, d3=3)
+        rng = np.random.default_rng(4)
+        records = [dataclasses.replace(random_subject(rng, 5), id=f"s{i}") for i in range(3)]
+        batch = prepare_dataset(records, MODEL_LEGNET)
+        batch[1] = dataclasses.replace(batch[1], target=t([records[1].y], requires_grad=False))
+        params_t = as_tensors(init_params(MODEL_LEGNET, hyper, 0))
+        with pytest.raises(InputError, match=r"subject 's1' has target \(1,\), not \(1, 1\)"):
+            entry(batch, params_t, hyper)

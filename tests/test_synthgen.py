@@ -515,6 +515,33 @@ class TestSeedsChecked:
         assert json.loads(json.dumps(manifest))["master_seed"] == 5
 
 
+class TestManifestIsJson:
+    def test_numpy_scalar_inputs_give_the_python_scalar_manifest(self, atlas):
+        # json.dumps raised "Object of type int64 is not JSON serializable" for
+        # the cohort size, t_len and the atlas' n_territories, and the same
+        # for float32 in the policy
+        plain = generate_cohort(2, atlas, 5, CohortParams(t_len=20, coherence_range=(0.75, 1.5)),
+                                LesionPolicy("x", fraction_range=(0.125, 0.2), score_mu=27.0))
+        numpy = generate_cohort(
+            np.int64(2),
+            build_toy_atlas(n_rois=np.int64(24), grid_dims=(16, 16, 12),
+                            n_territories=np.int64(6)),
+            np.int64(5),
+            CohortParams(t_len=np.int64(20), coherence_range=(np.float32(0.75), 1.5)),
+            LesionPolicy("x", fraction_range=(np.float32(0.125), 0.2),
+                         score_mu=np.float32(27.0)))
+        assert json.dumps(numpy[1], allow_nan=False) == json.dumps(plain[1], allow_nan=False)
+        assert numpy[1] == plain[1]
+        assert cohort_bytes(numpy[0]) == cohort_bytes(plain[0])
+
+    def test_range_pairs_keep_python_scalars_and_their_container(self):
+        params = CohortParams(coherence_range=[np.float32(0.75), np.int64(2)])
+        assert params.coherence_range == [0.75, 2]
+        assert [type(v) for v in params.coherence_range] == [float, int]
+        policy = LesionPolicy(np.str_("x"), fraction_range=(np.float32(0.125), 0.2))
+        assert type(policy.name) is str and type(policy.fraction_range[0]) is float
+
+
 class TestStageArgumentTypes:
     """Each generator stage checks its argument types as `generate_cohort`
     does. A dict, a list or None in their place raised AttributeError, and
