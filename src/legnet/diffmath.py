@@ -9,7 +9,8 @@ loss's sums of squares), `reshape`, `transpose`, and two fused ones that
 save passes over the largest arrays: `add_relu`, relu(a + b), the one relu,
 and `outer_add_relu_matmul`, which writes the edge tensor of an edge-based
 graph network, every relu(row_i + col_j) of two (..., N, d) operands, with
-one product and contracts it with a weight matrix, keeping it off the tape.
+one product and contracts it with a weight matrix, keeping it off the tape;
+its backward writes the edge tensor's gradient over the edge tensor.
 
 Every primitive accepts leading batch axes: elementwise operations broadcast
 by numpy's rules and `matmul`, whose operands have two or more axes, by
@@ -42,8 +43,8 @@ def _keep_freed_tape_memory() -> None:
     """Let glibc reuse one tape's freed arrays for the next tape.
 
     A minibatch tape at N = 90 allocates and frees its (B, N, N, d0) arrays:
-    a legnet loss and its gradients peak at ~0.8 MB for one subject, ~2.6 MB
-    for the 4 that `model` puts in one chunk and ~5.1 MB for 8 (tracemalloc).
+    a legnet loss and its gradients peak at ~0.6 MB for one subject and
+    ~3.4 MB for the 8 that `model` puts in one chunk (tracemalloc).
     Under glibc's adaptive defaults, unless the process has already freed a
     multi-megabyte block, each freed heap top goes back to the OS and the
     next tape faults it in again: a four-kind training step at B = 8 then
@@ -119,7 +120,8 @@ class Tape:
 
     Recording order is topological by construction, so the backward pass
     visits nodes in reverse recording order exactly once. A tape is a
-    single-threaded object; build a fresh one per forward pass.
+    single-threaded object; build a fresh one per forward pass and run
+    backward on it once.
     """
 
     __slots__ = ("nodes",)
@@ -165,14 +167,16 @@ class Tape:
         return self._emit(out, (a, b), backward)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        """Elementwise sum; the smaller operand may broadcast (numpy rules)."""
+        """Elementwise sum; the smaller operand may broadcast (numpy rules). A
+        constant operand gets no gradient."""
         try:
             out = a.data + b.data
         except ValueError as exc:
             raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}") from exc
 
         def backward(g):
-            return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+            return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                    _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
         return self._emit(out, (a, b), backward)
 
@@ -190,9 +194,9 @@ class Tape:
         return self._emit(out, (a, b), backward)
 
     def add_relu(self, a: Tensor, b: Tensor) -> Tensor:
-        """relu(a + b) as one node with add's broadcasting; keeps only its
-        output, whose positive entries are where the gradient passes, so the
-        derivative at exactly 0 is 0."""
+        """relu(a + b) as one node with add's broadcasting and constant
+        operands; keeps only its output, whose positive entries are where the
+        gradient passes, so the derivative at exactly 0 is 0."""
         try:
             out = a.data + b.data
         except ValueError as exc:
@@ -201,7 +205,8 @@ class Tape:
 
         def backward(g):
             g = g * (out > 0.0)
-            return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+            return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                    _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
         return self._emit(out, (a, b), backward)
 
@@ -211,8 +216,10 @@ class Tape:
         [row | 1] @ [T ; vec(col)], with T = [I I ... I] (d, N d), writes H
         and the relu runs in place; every other term of a sum is an exact 0,
         so each entry is row + col rounded once, as `add` rounds it. H stays
-        in the node: backward zeroes H's one gradient, g @ w^T, in place
-        where H is not positive."""
+        in the node until backward writes H's gradient, g @ w^T zeroed where
+        H is not positive, over H: backward adds half of H's one-byte mask,
+        not a second H. A second backward through the node raises
+        RuntimeError."""
         if row.shape != col.shape or len(row.shape) < 2 or len(w.shape) != 2 \
                 or w.shape[0] != row.shape[-2] * row.shape[-1]:
             raise ShapeError(f"outer_add_relu_matmul needs two (..., N, d) operands of one "
@@ -230,9 +237,21 @@ class Tape:
         out = np.matmul(h, w.data)
 
         def backward(g):
-            gw = _unbroadcast(np.swapaxes(h, -1, -2) @ g, w.data.shape)
-            gh = g @ np.swapaxes(w.data, -1, -2)
-            gh *= h > 0.0
+            nonlocal h
+            if h is None:
+                raise RuntimeError("outer_add_relu_matmul ran its backward once already: "
+                                   "its edge tensor now holds that gradient")
+            gh, h = h, None
+            gw = _unbroadcast(np.swapaxes(gh, -1, -2) @ g, w.data.shape)
+            # one half of the first axis at a time; each half's mask is
+            # freed before the next is made
+            half = (len(gh) + 1) // 2
+            for part in (slice(half), slice(half, None)):
+                gh_part = gh[part]
+                positive = gh_part > 0.0
+                np.matmul(g[part], np.swapaxes(w.data, -1, -2), out=gh_part)
+                gh_part *= positive
+                del positive
             return gh @ tile.T, gh.sum(axis=-2).reshape(col.data.shape), gw
 
         return self._emit(out, (row, col, w), backward)
@@ -300,7 +319,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     tape did. After the call every leaf has `.grad` set, a zero gradient if
     it does not influence the loss. An output's `.grad` is dropped once its
     node has run, so none is left set. Constants are left alone. Returns
-    the leaf gradients keyed by tensor.
+    the leaf gradients keyed by tensor. Run it once per tape: an
+    `outer_add_relu_matmul` node spends its edge tensor on its gradient, so
+    a second call through one raises RuntimeError.
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"loss must be a scalar, got shape {loss.shape}")

@@ -8,7 +8,8 @@ modules and ends in one dense head (predict_head):
                    tensor H_ij = relu(sum_n r_n X_in + sum_n c_n X_nj). The
                    row terms X r and column terms X^T c are tape products;
                    one tape op, `outer_add_relu_matmul`, writes H from them
-                   and contracts it with g, and H never leaves that op.
+                   and contracts it with g; H never leaves that op, whose
+                   backward writes H's gradient over H.
   subgraph module  assignment_scores, row j = softmax(p_j theta1[:, j]) (the
                    lesion encoding); subgraph_filters, row j of V is vec(W_j)
                    = theta2 S_j + b2; subgraph_conv, h2_i = relu(sum_j W_j h1_j).
@@ -33,8 +34,9 @@ Every forward runs on a batch, and one subject is a batch of one: X as x
 (B, N, d1), S (B, N, k), V (B, N, d1 d2), h2 (B, N, d2) and scores (B, 1).
 The stages before the head broadcast over any leading axes, written "...".
 `predict` runs a batch of one; `batch_loss_and_grads` stacks a minibatch
-into chunks of `chunk_subjects(hyper)` subjects and runs each chunk through
-the same forward as one tape that holds the chunk's share of the objective.
+into chunks of `chunk_subjects(hyper)` subjects, 8 at N = 90, and runs each
+chunk through the same forward as one tape that holds the chunk's share of
+the objective.
 """
 
 from __future__ import annotations
@@ -60,9 +62,12 @@ MODEL_BNC_2CHANNEL = "bnc-2channel"
 
 BNC_MASK_THRESHOLD = 0.3  # spared fraction below which bnc-mask drops an ROI
 
-# a chunk's (C, N, N, d0) edge tensor: 4 subjects at N = 90, far inside the
-# heap threshold (see diffmath), and steps as fast as with 8 or 16 per tape
-CHUNK_BYTES = 1 << 20
+# a chunk's (C, N, N, d0) edge tensor: 8 subjects at N = 90, so a minibatch
+# of 8 is one tape. The edge op writes H's gradient over H, so the chunk's
+# heap peak stays inside the heap threshold (see diffmath). One tape of 8
+# steps 11-15% faster than two of 4 (cv-train call_ms_p90, 2-core VM, see
+# CHANGES.md)
+CHUNK_BYTES = 2 << 20
 
 _CHECKPOINT_MAGIC = b"LEGP"
 _CHECKPOINT_VERSION = 1
@@ -365,7 +370,12 @@ def check_params(kind: str, hyper: HyperParams, params: dict) -> None:
 
 def _check_finite(params: dict[str, np.ndarray]) -> None:
     """Raise InputError naming the first tensor that is not an ndarray of
-    real numbers (integer or float) or has a non-finite entry."""
+    real numbers (integer or float) or has a non-finite entry. One pass
+    reads every entry; the loop that names the offender runs only if it fails."""
+    arrays = params.values()
+    if all(isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf" for arr in arrays) and \
+            (not arrays or np.isfinite(np.concatenate([arr.ravel() for arr in arrays])).all()):
+        return
     for name, arr in params.items():
         if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):
             what = f"{arr.dtype} ndarray" if isinstance(arr, np.ndarray) else type(arr).__name__
@@ -417,7 +427,7 @@ def _chunk_objective(tape: Tape, batch: PreparedSubject, params_t: dict[str, Ten
 
 def chunk_subjects(hyper: HyperParams) -> int:
     """Subjects per tape: as many as keep one (C, N, N, d0) array within
-    CHUNK_BYTES (4 at N = 90 and d0 = 4)."""
+    CHUNK_BYTES (8 at N = 90 and d0 = 4)."""
     return max(1, CHUNK_BYTES // (hyper.n_rois ** 2 * hyper.d0 * 8))
 
 
@@ -451,7 +461,7 @@ def batch_loss_and_grads(
     chunk = chunk_subjects(hyper)
     preds = np.empty(m)
     loss = 0.0
-    grads = {name: np.zeros_like(t.data) for name, t in params_t.items()} if want_grads else None
+    grads = None
     for start in range(0, m, chunk):
         batch = stack_subjects(prepared[start:start + chunk], hyper)
         tape = Tape()
@@ -461,8 +471,8 @@ def batch_loss_and_grads(
         loss += float(objective.data)
         if want_grads:
             backward(tape, objective)
-            for name, t in params_t.items():
-                grads[name] += t.grad
+            grads = {name: t.grad if grads is None else grads[name] + t.grad
+                     for name, t in params_t.items()}
     return loss, grads, preds
 
 

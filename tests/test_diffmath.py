@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,44 @@ class TestOuterAddReluMatmul:
         with pytest.raises(ShapeError):
             Tape().outer_add_relu_matmul(Tensor(np.ones(row)), Tensor(np.ones(col)),
                                          Tensor(np.ones(w)))
+
+    @staticmethod
+    def edge_loss(shape, seed):
+        row, col = (Tensor(finite(shape, seed + i)) for i in range(2))
+        w = Tensor(finite((shape[-2] * shape[-1], 8), seed + 2))
+        tape = Tape()
+        return tape, tape.l2_norm_sq(tape.outer_add_relu_matmul(row, col, w))
+
+    def test_backward_writes_h_gradient_over_h(self):
+        # a minibatch of 8 at N = 90 and d = 4: H is (8, 90, 360), 2.1 MB; its
+        # gradient takes its place and half of its one-byte mask is held at once
+        tape, loss = self.edge_loss((8, 90, 4), seed=30)
+        h_bytes = 8 * 90 * 90 * 4 * 8
+        tracemalloc.start()
+        try:
+            backward(tape, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < h_bytes / 2
+
+    def test_a_second_backward_raises(self):
+        tape, loss = self.edge_loss((2, 5, 3), seed=31)
+        backward(tape, loss)
+        with pytest.raises(RuntimeError, match="backward once"):
+            backward(tape, loss)
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("op", [Tape.add, Tape.add_relu, Tape.mul])
+    @pytest.mark.parametrize("const_first", [False, True], ids=["const-right", "const-left"])
+    def test_a_constant_operand_gets_no_gradient(self, op, const_first):
+        tape, x, c = Tape(), Tensor(finite((3, 2), seed=40)), const(finite((2,), seed=41))
+        op(tape, *((c, x) if const_first else (x, c)))
+        (_, inputs, backward_fn), = tape.nodes
+        grads = dict(zip(map(id, inputs), backward_fn(np.ones((3, 2)))))
+        assert grads[id(c)] is None
+        assert grads[id(x)].shape == x.shape
 
 
 class TestTranspose:

@@ -597,10 +597,10 @@ class TestLoss:
             batch_loss_and_grads(batch, params_t, hyper, MODEL_LEGNET, lam=0.0)
 
     def test_full_chunk_stays_within_the_allocator_thresholds(self):
-        # at N = 90 a chunk is 4 subjects; its (4, 90, 90, 4) H is 1.0 MB
+        # at N = 90 a chunk is 8 subjects; its (8, 90, 90, 4) H is 2.1 MB
         hyper = HyperParams(n_rois=90)
         c = chunk_subjects(hyper)
-        assert c == 4
+        assert c == 8
         h_bytes = 90 * 90 * hyper.d0 * 8
         assert c * h_bytes <= model.CHUNK_BYTES < (c + 1) * h_bytes
         assert model.CHUNK_BYTES <= MMAP_THRESHOLD
@@ -614,8 +614,8 @@ class TestLoss:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # two chunks of 4: ~2.9 MB, against ~7.9 MB when one chunk of 8 kept
-        # H, H's gradient and a float copy of its mask on the tape
+        # one chunk of 8: ~3.4 MB, because H's gradient is written over H; a
+        # second H-sized gradient array would take it to ~5.7 MB
         assert peak <= 3.5e6 < TRIM_THRESHOLD
 
         # H and its gradient stay inside the edge op: no tape tensor holds
@@ -731,7 +731,7 @@ class TestEdgeTensorPinned:
         records = [random_subject(rng, 90) for _ in range(9)]
         prepared = prepare_dataset(records[:8], kind)
         params = init_params(kind, hyper, 5)
-        default_chunk, one_chunk = model.CHUNK_BYTES, 8 * 90 * 90 * hyper.d0 * 8
+        h_bytes = 90 * 90 * hyper.d0 * 8
         runs, ties = [], []
         for edge_op in (Tape.outer_add_relu_matmul, reference_edge_op):
             outs = []
@@ -744,10 +744,10 @@ class TestEdgeTensorPinned:
                 return out
 
             monkeypatch.setattr(Tape, "outer_add_relu_matmul", recording)
-            monkeypatch.setattr(model, "CHUNK_BYTES", one_chunk)
+            monkeypatch.setattr(model, "CHUNK_BYTES", 8 * h_bytes)  # one tape of 8
             value, grads, preds = batch_loss_and_grads(prepared, as_tensors(params), hyper, kind,
                                                        hyper.lam)
-            monkeypatch.setattr(model, "CHUNK_BYTES", default_chunk)  # two tapes of 4
+            monkeypatch.setattr(model, "CHUNK_BYTES", 4 * h_bytes)  # two tapes of 4
             chunked = batch_loss_and_grads(prepared, as_tensors(params), hyper, kind, hyper.lam,
                                            want_grads=False)[2]
             assert chunked.tobytes() == preds.tobytes()
@@ -1184,6 +1184,24 @@ class TestInputsCheckedWhereTheyEnter:
             else:
                 as_tensors(params)
         assert not (tmp_path / "a.ckpt").exists()
+
+    @pytest.mark.parametrize("use", ["predict", "save_checkpoint", "as_tensors"])
+    def test_the_first_tensor_at_fault_is_named(self, tmp_path, use):
+        # a NaN in an early tensor is named before a str array in a later one
+        hyper = HyperParams(n_rois=12)
+        params = init_params(MODEL_LEGNET, hyper, 0)
+        params["r"][1, 2] = np.nan
+        params["head_w1"] = np.full(params["head_w1"].shape, "a")
+        with pytest.raises(InputError, match="parameter tensor 'r' has non-finite entries"):
+            if use == "predict":
+                predict(random_subject(np.random.default_rng(0), 12), params, hyper)
+            elif use == "save_checkpoint":
+                save_checkpoint(tmp_path / "a.ckpt", MODEL_LEGNET, hyper, params)
+            else:
+                as_tensors(params)
+
+    def test_an_empty_parameter_dict_has_nothing_to_check(self):
+        assert as_tensors({}) == {}
 
     @pytest.mark.parametrize("call, message", [
         # TypeError: unhashable type: 'list', from the cached tensor table
