@@ -24,10 +24,12 @@ modules and ends in one dense head (predict_head):
                    channel B = p p^T, filters summed over channels; B r2 is
                    computed as p (p^T r2), so B is never built.
 
-`KINDS` defines each kind once: its modules fix its tensor table, and the
-ridge term covers every tensor but the head's. The neighbourhood is the
-complete node set including self. All stages are tape operations, so the
-loss is differentiable end to end.
+`KINDS` gives each kind one row: its node stage, its subgraph choice (S
+from p, a shared S, or none) and the node stage's tensor groups. One
+forward composes the row, `param_spec` reads it, and the ridge term covers
+every tensor but the head's. The neighbourhood is the complete node set
+including self. Every stage is a tape operation, so the loss is
+differentiable end to end.
 
 Every forward runs on a batch, and one subject is a batch of one: X as x
 (B, N, N) and p as pcol (B, N, 1) give row and column terms (B, N, d0), h1
@@ -45,7 +47,7 @@ import functools
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from types import MappingProxyType
 from typing import Callable
 
@@ -95,9 +97,10 @@ class HyperParams:
 
 def param_spec(kind: str, hyper: HyperParams) -> list[tuple[str, tuple[int, ...], int, int]]:
     """Ordered (name, shape, fan_in, fan_out) table for one model kind: the
-    tensors of its modules, then the head's."""
+    tensors of its node stage, then its subgraph module's, then the head's."""
     check_types(("hyper", hyper, HyperParams))
-    modules = _kind(kind).modules
+    spec = _kind(kind)
+    modules = spec.modules + (("subgraph",) if spec.subgraph else ())
     n, k = hyper.n_rois, hyper.k
     d0, d1, d2, d3 = hyper.d0, hyper.d1, hyper.d2, hyper.d3
     tensors = {
@@ -111,7 +114,7 @@ def param_spec(kind: str, hyper: HyperParams) -> list[tuple[str, tuple[int, ...]
             ("b2", (d2 * d1,), d2 * d1, d2 * d1),
         ],
     }
-    width = n * (d2 if "subgraph" in modules else d1)
+    width = n * (d2 if spec.subgraph else d1)
     return [row for module in modules for row in tensors[module]] + [
         ("head_w1", (d3, width), width, d3),
         ("head_b1", (d3,), d3, d3),
@@ -226,13 +229,21 @@ def _check_fits(subj: PreparedSubject, hyper: HyperParams) -> None:
         raise InputError(f"subject {names} has target {subj.target.shape}, not (1, 1)")
 
 
+def _check_batch(name: str, batch, empty_ok: bool = False) -> None:
+    """InputError unless `batch` is a list or tuple, non-empty unless
+    `empty_ok`: a generator or None would fail late, or read as empty."""
+    if not isinstance(batch, (list, tuple)):
+        raise InputError(f"{name} must be a list or tuple, got {type(batch).__name__}")
+    if not (batch or empty_ok):
+        raise InputError("empty batch")
+
+
 def stack_subjects(prepared: list[PreparedSubject], hyper: HyperParams) -> PreparedSubject:
     """Join one-subject batches on the batch axis, for one tape. An
-    InputError says the list is empty or names the first entry that is not
-    one subject fitting `hyper.n_rois`. Entries are not checked: records
-    are checked when they are built."""
-    if not prepared:
-        raise InputError("empty batch")
+    InputError says the list is empty or not a list or tuple, or names the
+    first entry that is not one subject fitting `hyper.n_rois`. Entries are
+    not checked: records are checked when they are built."""
+    _check_batch("prepared", prepared)
     for subj in prepared:
         _check_fits(subj, hyper)
 
@@ -244,9 +255,16 @@ def stack_subjects(prepared: list[PreparedSubject], hyper: HyperParams) -> Prepa
     return PreparedSubject(ids, join("x"), join("pcol"), join("target"))
 
 
-def _edge_module(tape: Tape, x: Tensor, params: dict[str, Tensor]) -> Tensor:
-    return edge_to_node(tape, tape.matmul(x, params["r"]),
-                        tape.matmul(tape.transpose(x), params["c"]), params["g"], params["b1"])
+def _edge_module(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor]) -> Tensor:
+    row, col = tape.matmul(subj.x, params["r"]), tape.matmul(tape.transpose(subj.x), params["c"])
+    return edge_to_node(tape, row, col, params["g"], params["b1"])
+
+
+def _masked_edge_module(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor]) -> Tensor:
+    """The edge module on X with ROIs of p < 0.3 masked, a tape constant."""
+    keep = subj.pcol.data >= BNC_MASK_THRESHOLD
+    x = Tensor(subj.x.data * (keep & np.swapaxes(keep, -1, -2)), requires_grad=False)
+    return _edge_module(tape, replace(subj, x=x), params)
 
 
 def _two_channel_edge_module(tape: Tape, subj: PreparedSubject,
@@ -260,44 +278,27 @@ def _two_channel_edge_module(tape: Tape, subj: PreparedSubject,
     return edge_to_node(tape, row, col, params["g"], params["b1"])
 
 
-def _subgraph_module(tape: Tape, h1: Tensor, s: Tensor, params: dict[str, Tensor]) -> Tensor:
-    return subgraph_conv(tape, h1, subgraph_filters(tape, s, params["theta2"], params["b2"]))
-
-
-def _legnet_features(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor]) -> Tensor:
-    return _subgraph_module(tape, _edge_module(tape, subj.x, params),
-                            assignment_scores(tape, subj.pcol, params["theta1"]), params)
-
-
-def _braingnn_dagger_features(tape: Tape, subj: PreparedSubject,
-                              params: dict[str, Tensor]) -> Tensor:
-    """Linear per-row node embedding of X, then the subgraph module with p = 1."""
-    h1 = tape.add_relu(tape.matmul(subj.x, tape.transpose(params["node_w"])),
-                       params["node_b"])
-    s = tape.softmax_lastaxis(tape.transpose(params["theta1"]))
-    return _subgraph_module(tape, h1, s, params)
-
-
-def _bnc_mask_features(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor]) -> Tensor:
-    """The edge module on X with ROIs of p < 0.3 masked, a tape constant."""
-    keep = subj.pcol.data >= BNC_MASK_THRESHOLD
-    x = Tensor(subj.x.data * (keep & np.swapaxes(keep, -1, -2)), requires_grad=False)
-    return _edge_module(tape, x, params)
+def _node_embedding(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor]) -> Tensor:
+    """Linear per-row node embedding of X: relu(X node_w^T + node_b)."""
+    return tape.add_relu(tape.matmul(subj.x, tape.transpose(params["node_w"])),
+                         params["node_b"])
 
 
 @dataclass(frozen=True)
 class ModelKind:
-    """One model kind: the tensor groups of its modules in table order (see
-    param_spec; the head's follow) and its feature stack."""
+    """One kind as a row of stage choices: its node stage's tensor groups in
+    table order (see param_spec), the node stage, and the subgraph module's
+    S: "lesion" (from p), "shared" (softmax(theta1^T)) or None (no module)."""
 
     modules: tuple[str, ...]
-    features: Callable[[Tape, PreparedSubject, dict[str, Tensor]], Tensor]
+    nodes: Callable[[Tape, PreparedSubject, dict[str, Tensor]], Tensor]
+    subgraph: str | None = None
 
 
 KINDS = {
-    MODEL_LEGNET: ModelKind(("edge", "node", "subgraph"), _legnet_features),
-    MODEL_BRAINGNN_DAGGER: ModelKind(("embed", "subgraph"), _braingnn_dagger_features),
-    MODEL_BNC_MASK: ModelKind(("edge", "node"), _bnc_mask_features),
+    MODEL_LEGNET: ModelKind(("edge", "node"), _edge_module, "lesion"),
+    MODEL_BRAINGNN_DAGGER: ModelKind(("embed",), _node_embedding, "shared"),
+    MODEL_BNC_MASK: ModelKind(("edge", "node"), _masked_edge_module),
     MODEL_BNC_2CHANNEL: ModelKind(("edge", "lesion_edge", "node"), _two_channel_edge_module),
 }
 MODEL_KINDS = tuple(KINDS)
@@ -320,20 +321,29 @@ def prepare_subject(record: SubjectRecord) -> PreparedSubject:
 
 def prepare_dataset(records: list[SubjectRecord], kind: str) -> list[PreparedSubject]:
     """`prepare_subject` of each record. Preparation is the same for every
-    kind; `kind` is only checked, and an unknown one is an InputError."""
+    kind; `kind` is only checked, and an unknown one is an InputError, as
+    are `records` that are not a list or tuple."""
     _kind(kind)
+    _check_batch("records", records, empty_ok=True)
     return [prepare_subject(r) for r in records]
 
 
-def _with_head(features):
+def _forward(spec: ModelKind):
+    """The kind's forward: its node stage, its subgraph module if it has
+    one, then the head. Stages are looked up in this module when called."""
     def forward(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
                 hyper: HyperParams) -> Tensor:
-        return predict_head(tape, features(tape, subj, params), params["head_w1"],
-                            params["head_b1"], params["head_w2"], params["head_b2"])
+        h = spec.nodes(tape, subj, params)
+        if spec.subgraph is not None:
+            s = (assignment_scores(tape, subj.pcol, params["theta1"]) if spec.subgraph == "lesion"
+                 else tape.softmax_lastaxis(tape.transpose(params["theta1"])))
+            h = subgraph_conv(tape, h, subgraph_filters(tape, s, params["theta2"], params["b2"]))
+        return predict_head(tape, h, params["head_w1"], params["head_b1"],
+                            params["head_w2"], params["head_b2"])
     return forward
 
 
-FORWARDS = {kind: _with_head(spec.features) for kind, spec in KINDS.items()}
+FORWARDS = {kind: _forward(spec) for kind, spec in KINDS.items()}
 
 
 @functools.lru_cache(maxsize=32)
@@ -343,12 +353,12 @@ def _shape_table(kind: str, hyper: HyperParams) -> MappingProxyType:
 
 
 def check_params(kind: str, hyper: HyperParams, params: dict) -> None:
-    """Raise InputError, naming the tensor, unless `params` maps tensor names
-    to ndarrays or Tensors with exactly the names and shapes of the kind's
-    tensor table. Entries are not read. The kind and `hyper` are checked
-    first, so an unhashable one never reaches the cached table."""
+    """Raise InputError, naming the tensor, unless `params` is a dict mapping
+    tensor names to ndarrays or Tensors with exactly the names and shapes of
+    the kind's tensor table. Entries are not read. The kind and `hyper` are
+    checked first, so an unhashable one never reaches the cached table."""
     _kind(kind)
-    check_types(("hyper", hyper, HyperParams))
+    check_types(("hyper", hyper, HyperParams), ("params", params, dict))
     spec = _shape_table(kind, hyper)
     shapes = {name: t.shape if isinstance(t, (np.ndarray, Tensor)) else None
               for name, t in params.items()}
@@ -388,7 +398,8 @@ def _check_finite(params: dict[str, np.ndarray]) -> None:
 def as_tensors(params: dict[str, np.ndarray], requires_grad: bool = True) -> dict[str, Tensor]:
     """Wrap parameter arrays as leaves. Arrays are shared, not copied, so
     in-place optimizer updates stay visible. An InputError names a tensor
-    with a non-finite entry."""
+    with a non-finite entry, or `params` if it is not a dict."""
+    check_types(("params", params, dict))
     _check_finite(params)
     return {name: Tensor(arr, requires_grad=requires_grad) for name, arr in params.items()}
 
@@ -447,10 +458,10 @@ def batch_loss_and_grads(
     (`_chunk_objective`): the first chunk's also holds the ridge term. With
     `want_grads`, each chunk's tape gets one backward; without, none runs.
     An entry of `prepared` that is not a one-subject PreparedSubject fitting
-    `hyper` is an InputError (see `_check_fits`).
+    `hyper` is an InputError (see `_check_fits`), as is a `prepared` that is
+    empty or not a list or tuple.
     """
-    if not prepared:
-        raise InputError("empty batch")
+    _check_batch("prepared", prepared)
     check_params(kind, hyper, params_t)
     for name, t in params_t.items():
         if not (isinstance(t, Tensor) and (t.requires_grad or not want_grads)):
@@ -481,9 +492,9 @@ def single_tape_batch_loss(tape: Tape, prepared: list[PreparedSubject],
                            kind: str, lam: float) -> Tensor:
     """The sum of each subject's `_chunk_objective` on one tape, the first's
     with the ridge term: the per-subject reference batch_loss_and_grads is
-    tested against. An InputError names an entry not one subject fitting it."""
-    if not prepared:
-        raise InputError("empty batch")
+    tested against. An InputError names an entry not one subject fitting it,
+    or says `prepared` is empty or not a list or tuple."""
+    _check_batch("prepared", prepared)
     total, m = None, len(prepared)
     for i, subj in enumerate(prepared):
         _check_fits(subj, hyper)

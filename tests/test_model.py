@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 import tracemalloc
 
@@ -150,8 +151,8 @@ def t(arr, **kw):
 def edge_stage(tape, x, r, c, g, b1):
     """The edge module on a constant X: row terms X r, column terms X^T c,
     then edge_to_node."""
-    return model._edge_module(tape, t(x, requires_grad=False),
-                              {"r": t(r), "c": t(c), "g": t(g), "b1": t(b1)})
+    subj = model.PreparedSubject(("t",), t(x, requires_grad=False), None, None)
+    return model._edge_module(tape, subj, {"r": t(r), "c": t(c), "g": t(g), "b1": t(b1)})
 
 
 class TestEdgeToNode:
@@ -417,6 +418,54 @@ class TestFullForward:
             want = [predict(rec, params, hyper, kind) for rec in records]
             assert np.concatenate(preds).tobytes() == np.array(want).tobytes(), kind
 
+    # each stage perfbench's tracer patches, and the kinds whose forward reaches it
+    STAGES = {
+        "edge_to_node": {MODEL_LEGNET, MODEL_BNC_MASK, MODEL_BNC_2CHANNEL},
+        "assignment_scores": {MODEL_LEGNET},
+        "subgraph_filters": {MODEL_LEGNET, MODEL_BRAINGNN_DAGGER},
+        "subgraph_conv": {MODEL_LEGNET, MODEL_BRAINGNN_DAGGER},
+        "predict_head": set(MODEL_KINDS),
+    }
+
+    def test_every_stage_is_reached_through_the_model_module(self, monkeypatch):
+        # the tracer times a stage by replacing model's attribute: a forward
+        # that held the function object would leave the stage's span at 0
+        reached = {name: set() for name in self.STAGES}
+        running = [None]
+
+        def counting(name, stage):
+            def wrapper(*args):
+                reached[name].add(running[0])
+                return stage(*args)
+            return wrapper
+
+        for name in self.STAGES:
+            monkeypatch.setattr(model, name, counting(name, getattr(model, name)))
+        hyper = self.hyper(5)
+        rec = random_subject(np.random.default_rng(3), 5)
+        for kind in MODEL_KINDS:
+            running[0] = kind
+            params = init_params(kind, hyper, 0)
+            predict(rec, params, hyper, kind)
+            batch_loss_and_grads([prepare_subject(rec)], as_tensors(params), hyper, kind, 0.0)
+        assert reached == self.STAGES
+
+    def test_a_tuple_batch_scores_as_a_list_does(self):
+        hyper = self.hyper(5)
+        rng = np.random.default_rng(23)
+        records = [dataclasses.replace(random_subject(rng, 5), id=f"s{i}") for i in range(3)]
+        params = init_params(MODEL_LEGNET, hyper, 1)
+        as_list = prepare_dataset(records, MODEL_LEGNET)
+        as_tuple = tuple(prepare_dataset(tuple(records), MODEL_LEGNET))
+        runs = [batch_loss_and_grads(batch, as_tensors(params), hyper, MODEL_LEGNET, 0.01)
+                for batch in (as_list, as_tuple)]
+        assert runs[0][0] == runs[1][0] and runs[0][2].tobytes() == runs[1][2].tobytes()
+        for name, grad in runs[0][1].items():
+            assert grad.tobytes() == runs[1][1][name].tobytes(), name
+        single = [single_tape_batch_loss(Tape(), batch, as_tensors(params), hyper, MODEL_LEGNET,
+                                         0.01).data for batch in (as_list, as_tuple)]
+        assert single[0] == single[1]
+
     def test_prepare_dataset_rejects_an_unknown_kind(self):
         with pytest.raises(InputError, match="unknown model kind 'nope'"):
             prepare_dataset([random_subject(np.random.default_rng(0), 5)], "nope")
@@ -618,12 +667,13 @@ class TestLoss:
         # second H-sized gradient array would take it to ~5.7 MB
         assert peak <= 3.5e6 < TRIM_THRESHOLD
 
-        # H and its gradient stay inside the edge op: no tape tensor holds
-        # even one subject's share of it
-        tape = Tape()
+        # H and its gradient stay inside the edge op: in no kind that has
+        # one does a tape tensor hold even one subject's share of H
         stacked = stack_subjects(batch[:c], hyper)
-        FORWARDS[MODEL_LEGNET](tape, stacked, params_t, hyper)
-        assert max(out.data.nbytes for out, _, _ in tape.nodes) < h_bytes
+        for kind in (MODEL_LEGNET, MODEL_BNC_MASK, MODEL_BNC_2CHANNEL):
+            tape = Tape()
+            FORWARDS[kind](tape, stacked, as_tensors(init_params(kind, hyper, 0)), hyper)
+            assert max(out.data.nbytes for out, _, _ in tape.nodes) < h_bytes, kind
 
 
 class TestBaselines:
@@ -790,8 +840,9 @@ def run_gradient_checks(module: str = "all", seed: int = 0,
         if module in ("all", name):
             checks[name] = gradient_check(build, inputs, step=step)
 
+    subj_const = model.PreparedSubject((record.id,), x_const, pcol_const, None)
     check("edge", lambda tape, ts: tape.l2_norm_sq(
-              model._edge_module(tape, x_const, dict(zip(("r", "c", "g", "b1"), ts)))),
+              model._edge_module(tape, subj_const, dict(zip(("r", "c", "g", "b1"), ts)))),
           [rng.uniform(-1, 1, size=(n, d0)), rng.uniform(-1, 1, size=(n, d0)),
            rng.uniform(-1, 1, size=(n, d1, d0)), rng.uniform(-1, 1, size=(d1,))])
     h1_fixed = Tensor(rng.uniform(0.1, 2.0, size=(n, d1)), requires_grad=False)
@@ -1223,8 +1274,41 @@ class TestInputsCheckedWhereTheyEnter:
         # AttributeError from the record's fields
         (lambda rec, params, hyper: predict(None, params, hyper),
          "record must be a SubjectRecord, got NoneType"),
+        # AttributeError: 'list' object has no attribute 'items'
+        (lambda rec, params, hyper: predict(rec, list(params.values()), hyper),
+         "params must be a dict, got list"),
+        # AttributeError: 'NoneType' object has no attribute 'items'
+        (lambda rec, params, hyper: predict(rec, None, hyper),
+         "params must be a dict, got NoneType"),
+        (lambda rec, params, hyper: model.check_params(MODEL_LEGNET, hyper, [1]),
+         "params must be a dict, got list"),
+        # the same AttributeError, before the file was opened
+        (lambda rec, params, hyper: save_checkpoint(os.devnull, MODEL_LEGNET, hyper, [1]),
+         "params must be a dict, got list"),
+        # AttributeError: 'list' object has no attribute 'values'
+        (lambda rec, params, hyper: as_tensors([1]), "params must be a dict, got list"),
+        # TypeError: object of type 'generator' has no len()
+        (lambda rec, params, hyper: batch_loss_and_grads(
+            (prepare_subject(rec) for _ in range(2)), as_tensors(params), hyper, MODEL_LEGNET,
+            0.0), "prepared must be a list or tuple, got generator"),
+        # TypeError: 'NoneType' object is not iterable
+        (lambda rec, params, hyper: prepare_dataset(None, MODEL_LEGNET),
+         "records must be a list or tuple, got NoneType"),
+        # InputError: empty batch
+        (lambda rec, params, hyper: stack_subjects(None, hyper),
+         "prepared must be a list or tuple, got NoneType"),
+        # ValueError: need at least one array to concatenate
+        (lambda rec, params, hyper: stack_subjects(iter([prepare_subject(rec)]), hyper),
+         "prepared must be a list or tuple, got list_iterator"),
+        # TypeError: object of type 'generator' has no len()
+        (lambda rec, params, hyper: single_tape_batch_loss(
+            Tape(), (prepare_subject(rec) for _ in range(2)), as_tensors(params), hyper,
+            MODEL_LEGNET, 0.0), "prepared must be a list or tuple, got generator"),
     ], ids=["predict-kind", "init_params-kind", "predict-hyper", "init_params-hyper",
-            "batch-records", "predict-none"])
+            "batch-records", "predict-none", "predict-params-list", "predict-params-none",
+            "check_params-list", "save_checkpoint-list", "as_tensors-list",
+            "batch_loss_and_grads-generator", "prepare_dataset-none", "stack_subjects-none",
+            "stack_subjects-iterator", "single_tape_batch_loss-generator"])
     def test_entry_points_name_a_wrong_argument_type(self, call, message):
         hyper = HyperParams(n_rois=12)
         rec = random_subject(np.random.default_rng(0), 12)
