@@ -442,7 +442,9 @@ class LesionMask:
 def correlation_matrix(data: np.ndarray) -> np.ndarray:
     """Pearson correlation between the rows of an (N, Tlen) ROI series; 0
     wherever a row has zero variance (the no-information convention for
-    fully lesioned ROIs). A row holding NaN or inf is an InputError."""
+    fully lesioned ROIs). A row holding NaN or inf, or a series that is not
+    an ndarray, is an InputError."""
+    check_types(("ROI series", data, np.ndarray))
     if data.ndim != 2 or data.shape[1] < 2:
         raise InputError(f"correlations need an (N, Tlen >= 2) series, got {data.shape}")
     finite = np.isfinite(data).all(axis=1)
@@ -477,7 +479,9 @@ def exponentiate(corr: np.ndarray) -> np.ndarray:
 
 def validate_connectivity(x: np.ndarray) -> None:
     """Assert the connectivity-matrix invariants: square with N >= 1, finite,
-    symmetric and in [1/e, e], each to within CONNECTIVITY_ATOL entrywise."""
+    symmetric and in [1/e, e], each to within CONNECTIVITY_ATOL entrywise.
+    A non-ndarray is an InputError too."""
+    check_types(("connectivity", x, np.ndarray))
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InputError(f"connectivity must be square, got {x.shape}")
     if x.shape[0] < 1:

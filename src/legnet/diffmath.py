@@ -47,11 +47,15 @@ def _keep_freed_tape_memory() -> None:
     ~3.4 MB for the 8 that `model` puts in one chunk (tracemalloc).
     Under glibc's adaptive defaults, unless the process has already freed a
     multi-megabyte block, each freed heap top goes back to the OS and the
-    next tape faults it in again: a four-kind training step at B = 8 then
-    takes ~1,600 minor faults and up to twice the time (21 against 10-16 ms
-    on a 2-core VM). This serves blocks up to MMAP_THRESHOLD (4 MiB) from
-    the heap and keeps up to TRIM_THRESHOLD (32 MiB, far above a chunk's
-    peak) of free heap. A C library without mallopt is left as it is.
+    next tape faults it in again. Without this call, a four-kind training
+    step at B = 8 and N = 90 takes ~94 minor faults against ~0.5 with it,
+    and its median time is 5.7-8.3 ms against 5.5-6.6 ms (200 steps, three
+    runs each, 2-core VM); perfbench's `predict-single` `call_ms_p90` read
+    0.559 ms against 0.519 ms (medians of five alternating 10 s pairs). The
+    call stays because it costs two library calls at import and nothing per
+    tape. It serves blocks up to MMAP_THRESHOLD (4 MiB) from the heap and
+    keeps up to TRIM_THRESHOLD (32 MiB, far above a chunk's peak) of free
+    heap. A C library without mallopt is left as it is.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

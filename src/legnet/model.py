@@ -24,11 +24,12 @@ modules and ends in one dense head (predict_head):
                    channel B = p p^T, filters summed over channels; B r2 is
                    computed as p (p^T r2), so B is never built.
 
-`KINDS` gives each kind one row: its node stage, its subgraph choice (S
-from p, a shared S, or none) and the node stage's tensor groups. One
-forward composes the row, `param_spec` reads it, and the ridge term covers
-every tensor but the head's. The neighbourhood is the complete node set
-including self. Every stage is a tape operation, so the loss is
+`KINDS` gives each kind one row: its node stage and its subgraph choice
+(S from p, a shared S, or none). A row is its own forward: calling it
+composes those stages and the head. `param_spec` reads the row, taking the
+node stage's tensors from one table keyed by the stage, and the ridge term
+covers every tensor but the head's. The neighbourhood is the complete node
+set including self. Every stage is a tape operation, so the loss is
 differentiable end to end.
 
 Every forward runs on a batch, and one subject is a batch of one: X as x
@@ -100,22 +101,21 @@ def param_spec(kind: str, hyper: HyperParams) -> list[tuple[str, tuple[int, ...]
     tensors of its node stage, then its subgraph module's, then the head's."""
     check_types(("hyper", hyper, HyperParams))
     spec = _kind(kind)
-    modules = spec.modules + (("subgraph",) if spec.subgraph else ())
     n, k = hyper.n_rois, hyper.k
     d0, d1, d2, d3 = hyper.d0, hyper.d1, hyper.d2, hyper.d3
+    edge = [("r", (n, d0), n, d0), ("c", (n, d0), n, d0)]
+    node = [("g", (n, d1, d0), n * d0, d1), ("b1", (d1,), d1, d1)]
     tensors = {
-        "edge": [("r", (n, d0), n, d0), ("c", (n, d0), n, d0)],
-        "lesion_edge": [("r2", (n, d0), n, d0), ("c2", (n, d0), n, d0)],
-        "node": [("g", (n, d1, d0), n * d0, d1), ("b1", (d1,), d1, d1)],
-        "embed": [("node_w", (d1, n), n, d1), ("node_b", (d1,), d1, d1)],
-        "subgraph": [
-            ("theta1", (k, n), n, k),
-            ("theta2", (d2 * d1, k), k, d2 * d1),
-            ("b2", (d2 * d1,), d2 * d1, d2 * d1),
-        ],
-    }
+        _edge_module: edge + node,
+        _masked_edge_module: edge + node,
+        _two_channel_edge_module: edge + [("r2", (n, d0), n, d0), ("c2", (n, d0), n, d0)] + node,
+        _node_embedding: [("node_w", (d1, n), n, d1), ("node_b", (d1,), d1, d1)],
+    }[spec.nodes]
+    if spec.subgraph:
+        tensors += [("theta1", (k, n), n, k), ("theta2", (d2 * d1, k), k, d2 * d1),
+                    ("b2", (d2 * d1,), d2 * d1, d2 * d1)]
     width = n * (d2 if spec.subgraph else d1)
-    return [row for module in modules for row in tensors[module]] + [
+    return tensors + [
         ("head_w1", (d3, width), width, d3),
         ("head_b1", (d3,), d3, d3),
         ("head_w2", (1, d3), d3, 1),
@@ -286,21 +286,37 @@ def _node_embedding(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor]
 
 @dataclass(frozen=True)
 class ModelKind:
-    """One kind as a row of stage choices: its node stage's tensor groups in
-    table order (see param_spec), the node stage, and the subgraph module's
-    S: "lesion" (from p), "shared" (softmax(theta1^T)) or None (no module)."""
+    """One kind as a row of stage choices, called as its forward: the node
+    stage, then the subgraph module with S "lesion" (from p), "shared"
+    (softmax(theta1^T)) or None (no module), then the head. Stages are
+    looked up in this module when called."""
 
-    modules: tuple[str, ...]
     nodes: Callable[[Tape, PreparedSubject, dict[str, Tensor]], Tensor]
     subgraph: str | None = None
 
+    def __post_init__(self):
+        if self.subgraph not in (None, "lesion", "shared"):
+            raise InputError(f"subgraph must be None, 'lesion' or 'shared', got {self.subgraph!r}")
+
+    def __call__(self, tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
+                 hyper: HyperParams) -> Tensor:
+        h = self.nodes(tape, subj, params)
+        if self.subgraph is not None:
+            s = (assignment_scores(tape, subj.pcol, params["theta1"]) if self.subgraph == "lesion"
+                 else tape.softmax_lastaxis(tape.transpose(params["theta1"])))
+            h = subgraph_conv(tape, h, subgraph_filters(tape, s, params["theta2"], params["b2"]))
+        return predict_head(tape, h, params["head_w1"], params["head_b1"],
+                            params["head_w2"], params["head_b2"])
+
 
 KINDS = {
-    MODEL_LEGNET: ModelKind(("edge", "node"), _edge_module, "lesion"),
-    MODEL_BRAINGNN_DAGGER: ModelKind(("embed",), _node_embedding, "shared"),
-    MODEL_BNC_MASK: ModelKind(("edge", "node"), _masked_edge_module),
-    MODEL_BNC_2CHANNEL: ModelKind(("edge", "lesion_edge", "node"), _two_channel_edge_module),
+    MODEL_LEGNET: ModelKind(_edge_module, "lesion"),
+    MODEL_BRAINGNN_DAGGER: ModelKind(_node_embedding, "shared"),
+    MODEL_BNC_MASK: ModelKind(_masked_edge_module),
+    MODEL_BNC_2CHANNEL: ModelKind(_two_channel_edge_module),
 }
+# a copy, so a tracer that replaces an entry leaves the rows param_spec reads
+FORWARDS = dict(KINDS)
 MODEL_KINDS = tuple(KINDS)
 
 
@@ -326,24 +342,6 @@ def prepare_dataset(records: list[SubjectRecord], kind: str) -> list[PreparedSub
     _kind(kind)
     _check_batch("records", records, empty_ok=True)
     return [prepare_subject(r) for r in records]
-
-
-def _forward(spec: ModelKind):
-    """The kind's forward: its node stage, its subgraph module if it has
-    one, then the head. Stages are looked up in this module when called."""
-    def forward(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor],
-                hyper: HyperParams) -> Tensor:
-        h = spec.nodes(tape, subj, params)
-        if spec.subgraph is not None:
-            s = (assignment_scores(tape, subj.pcol, params["theta1"]) if spec.subgraph == "lesion"
-                 else tape.softmax_lastaxis(tape.transpose(params["theta1"])))
-            h = subgraph_conv(tape, h, subgraph_filters(tape, s, params["theta2"], params["b2"]))
-        return predict_head(tape, h, params["head_w1"], params["head_b1"],
-                            params["head_w2"], params["head_b2"])
-    return forward
-
-
-FORWARDS = {kind: _forward(spec) for kind, spec in KINDS.items()}
 
 
 @functools.lru_cache(maxsize=32)

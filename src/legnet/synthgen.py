@@ -134,6 +134,7 @@ class LesionPolicy:
 
     def __post_init__(self):
         keep_python_scalars(self)
+        check_types(("policy name", self.name, str))
         if self.score_mu is not None:
             check_number("score_mu", self.score_mu)
         _check_range("fraction_range", self.fraction_range, FRACTION_MIN, FRACTION_MAX)
@@ -159,13 +160,34 @@ class HealthySubject:
     the voxel noise scale they were drawn with, and the score y0.
 
     Lesioning conditions on these sums (`lesioned_roi_series`), so any
-    number of lesions can be applied to one healthy subject.
+    number of lesions can be applied to one healthy subject. Construction
+    raises an InputError, naming the subject, unless the id is a str, the
+    sums a finite real (N, Tlen >= 2) ndarray, sigma_voxel a finite number
+    >= 0 and y0 a number in [0, 100]. The sums are not copied.
     """
 
     id: str
     roi_sums: np.ndarray  # (n_rois, t_len)
     sigma_voxel: float
     y0: float
+
+    def __post_init__(self):
+        check_types(("healthy subject id", self.id, str))
+        sums = self.roi_sums
+        try:
+            check_types(("roi_sums", sums, np.ndarray))
+            if sums.dtype.kind not in "biuf" or sums.ndim != 2 or sums.shape[0] < 1 \
+                    or sums.shape[1] < 2:
+                raise InputError(f"roi_sums must be a real (N, Tlen >= 2) array, got {sums.dtype} "
+                                 f"{sums.shape}")
+            if not np.isfinite(sums).all():
+                raise InputError("roi_sums has non-finite entries")
+            check_number("sigma_voxel", self.sigma_voxel, 0)
+            check_number("y0", self.y0, 0)
+            if self.y0 > 100.0:
+                raise InputError(f"y0 {self.y0} outside [0, 100]")
+        except InputError as exc:
+            raise InputError(f"healthy subject {self.id!r}: {exc}") from None
 
 
 def _language_rois(atlas: ToyAtlas, params: CohortParams) -> np.ndarray:
@@ -433,7 +455,8 @@ def corrupt_connectivity(x: np.ndarray, p: np.ndarray, params: CohortParams, see
     clipping keeps the original [min X, max X] range. As X = exp(r), diminution
     shrinks the correlation r = log X toward 0 with its sign kept: a fully
     lesioned ROI (p = 0) goes to X = 1 plus noise. Intact pairs and the
-    diagonal are untouched.
+    diagonal are untouched. A non-finite X, or a p entry outside [0, 1], is
+    an InputError.
     """
     check_types(("X", x, np.ndarray), ("p", p, np.ndarray), ("params", params, CohortParams))
     n = x.shape[0] if x.ndim == 2 else 0
@@ -442,6 +465,11 @@ def corrupt_connectivity(x: np.ndarray, p: np.ndarray, params: CohortParams, see
     if x.dtype.kind not in "biuf" or p.dtype.kind not in "biuf":
         raise InputError(f"X and p must hold real numbers, got dtypes {x.dtype} and {p.dtype}")
     check_seed("seed", seed)
+    lo, hi = x.min(), x.max()  # NaN if X holds one
+    if not -np.inf < lo <= hi < np.inf:
+        raise InputError("X has non-finite entries")
+    if not 0.0 <= p.min() <= p.max() <= 1.0:  # NaN fails
+        raise InputError(f"spared fractions p must lie in [0, 1], got [{p.min()}, {p.max()}]")
     pmin = np.minimum.outer(p, p)
     modified = pmin < 1.0
     np.fill_diagonal(modified, False)
@@ -453,7 +481,7 @@ def corrupt_connectivity(x: np.ndarray, p: np.ndarray, params: CohortParams, see
 
     with np.errstate(invalid="ignore"):
         damped = np.power(x, np.power(pmin, params.corruption_gamma)) + eta
-    damped = np.clip(damped, x.min(), x.max())
+    damped = np.clip(damped, lo, hi)
     return np.where(modified, damped, x)
 
 
@@ -463,7 +491,9 @@ def territory_spared_fraction(atlas: ToyAtlas, lesion: LesionMask) -> float:
 
 
 def rescale_score(y0: float, atlas: ToyAtlas, lesion: LesionMask) -> float:
-    """Scale the pre-lesion score by the territory's spared fraction."""
+    """Scale the pre-lesion score, a finite number >= 0, by the territory's
+    spared fraction."""
+    check_number("y0", y0, 0)
     return float(y0) * territory_spared_fraction(atlas, lesion)
 
 

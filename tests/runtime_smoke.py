@@ -2,7 +2,7 @@
 cohort with numpy alone. scipy is blocked before `legnet` is imported, so
 any scipy import on these paths raises ImportError.
 
-    python tests/runtime_smoke.py
+    python -X dev -W error tests/runtime_smoke.py
 
 It builds the default atlas, generates eight subjects, regrows subject 0's
 lesion and validates it, scores subject 0 with every model kind, and takes

@@ -618,6 +618,11 @@ class TestCorrelation:
         with pytest.raises(InputError, match=r"correlations need an \(N, Tlen >= 2\) series"):
             correlation_matrix(np.ones(shape))
 
+    def test_series_that_is_not_an_ndarray_is_an_input_error(self):
+        # a nested list raised AttributeError: no attribute 'ndim'
+        with pytest.raises(InputError, match="ROI series must be a ndarray, got list"):
+            correlation_matrix([[0.0, 1.0], [1.0, 0.0]])
+
 
 class TestExponentiate:
     def test_anchor_values(self):
@@ -656,6 +661,11 @@ class TestValidateConnectivity:
         x[0, 2] = x[2, 0] = value
         with pytest.raises(InputError, match=r"outside \[1/e, e\]"):
             validate_connectivity(x)
+
+    def test_matrix_that_is_not_an_ndarray_is_rejected(self):
+        # a nested list raised AttributeError: no attribute 'ndim'
+        with pytest.raises(InputError, match="connectivity must be a ndarray, got list"):
+            validate_connectivity([[1.0]])
 
     def test_matrix_without_rois_is_rejected(self):
         # the range check's max() used to raise numpy's zero-size ValueError

@@ -216,6 +216,8 @@ class TestShapeErrors:
     @pytest.mark.parametrize("op, message", [
         (lambda tape: tape.add(Tensor(np.ones((2, 3))), Tensor(np.ones(4))), "add shape mismatch"),
         (lambda tape: tape.mul(Tensor(np.ones((2, 3))), Tensor(np.ones(4))), "mul shape mismatch"),
+        (lambda tape: tape.add_relu(Tensor(np.ones((2, 3))), Tensor(np.ones(4))),
+         r"add shape mismatch: \(2, 3\) \+ \(4,\)"),
         (lambda tape: tape.reshape(Tensor(np.ones(32)), (2, 2, 2, 2, 2)), "at most 4 axes"),
         (lambda tape: tape.reshape(Tensor(np.ones(6)), (4,)), r"cannot reshape \(6,\) to \(4,\)"),
         # a vector is a (1, n) row or an (n, 1) column: np.matmul's promotion is not kept
@@ -225,8 +227,8 @@ class TestShapeErrors:
          r"at least two axes, got \(2, 3\) @ \(3,\)"),
         (lambda tape: tape.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones(3))),
          "at least two axes"),
-    ], ids=["add", "mul", "reshape-too-many-axes", "reshape-bad-shape", "matmul-1-D-left",
-            "matmul-1-D-right", "matmul-batched-at-1-D"])
+    ], ids=["add", "mul", "add_relu", "reshape-too-many-axes", "reshape-bad-shape",
+            "matmul-1-D-left", "matmul-1-D-right", "matmul-batched-at-1-D"])
     def test_incompatible_shapes_raise_shape_error(self, op, message):
         with pytest.raises(ShapeError, match=message):
             op(Tape())

@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
+import re
 import struct
 import tracemalloc
 
@@ -33,6 +35,7 @@ from legnet.model import (
     MODEL_KINDS,
     MODEL_LEGNET,
     HyperParams,
+    ModelKind,
     as_tensors,
     assignment_scores,
     batch_loss_and_grads,
@@ -428,12 +431,16 @@ class TestFullForward:
     }
 
     def test_every_stage_is_reached_through_the_model_module(self, monkeypatch):
-        # the tracer times a stage by replacing model's attribute: a forward
-        # that held the function object would leave the stage's span at 0
-        reached = {name: set() for name in self.STAGES}
+        # the tracer times a stage by replacing model's attribute, and a kind
+        # by replacing its FORWARDS entry: a forward that held the function
+        # object would leave the stage's span at 0, and KINDS must keep the
+        # rows param_spec reads
+        expected = {**self.STAGES, **{f"forward.{kind}": {kind} for kind in MODEL_KINDS}}
+        reached = {name: set() for name in expected}
         running = [None]
 
         def counting(name, stage):
+            @functools.wraps(stage)
             def wrapper(*args):
                 reached[name].add(running[0])
                 return stage(*args)
@@ -441,6 +448,8 @@ class TestFullForward:
 
         for name in self.STAGES:
             monkeypatch.setattr(model, name, counting(name, getattr(model, name)))
+        for kind in MODEL_KINDS:
+            monkeypatch.setitem(FORWARDS, kind, counting(f"forward.{kind}", FORWARDS[kind]))
         hyper = self.hyper(5)
         rec = random_subject(np.random.default_rng(3), 5)
         for kind in MODEL_KINDS:
@@ -448,7 +457,14 @@ class TestFullForward:
             params = init_params(kind, hyper, 0)
             predict(rec, params, hyper, kind)
             batch_loss_and_grads([prepare_subject(rec)], as_tensors(params), hyper, kind, 0.0)
-        assert reached == self.STAGES
+            assert isinstance(model.KINDS[kind], ModelKind), kind
+        assert reached == expected
+
+    @pytest.mark.parametrize("subgraph", ["lesions", "", 1, ("lesion",)])
+    def test_a_row_refuses_an_unknown_subgraph_choice(self, subgraph):
+        # a misspelt choice once built a row that ran as "shared"
+        with pytest.raises(InputError, match=re.escape(f"got {subgraph!r}")):
+            ModelKind(model._edge_module, subgraph)
 
     def test_a_tuple_batch_scores_as_a_list_does(self):
         hyper = self.hyper(5)
@@ -655,17 +671,22 @@ class TestLoss:
         assert model.CHUNK_BYTES <= MMAP_THRESHOLD
         rng = np.random.default_rng(2)
         batch = prepare_dataset([random_subject(rng, 90) for _ in range(8)], MODEL_LEGNET)
-        params_t = as_tensors(init_params(MODEL_LEGNET, hyper, 0))
-
-        tracemalloc.start()
-        try:
-            batch_loss_and_grads(batch, params_t, hyper, MODEL_LEGNET, lam=hyper.lam)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one chunk of 8: ~3.4 MB, because H's gradient is written over H; a
-        # second H-sized gradient array would take it to ~5.7 MB
-        assert peak <= 3.5e6 < TRIM_THRESHOLD
+        # one chunk of 8 per kind, about 3% over its measured peak. legnet's
+        # ~3.4 MB holds because H's gradient is written over H: a second
+        # H-sized gradient array would take it to ~5.7 MB. bnc-mask's 3.64 MB
+        # includes its masked copy of X
+        bounds = {MODEL_LEGNET: 3.5e6, MODEL_BRAINGNN_DAGGER: 0.88e6,
+                  MODEL_BNC_MASK: 3.75e6, MODEL_BNC_2CHANNEL: 3.32e6}
+        assert bounds.keys() == set(MODEL_KINDS)
+        for kind, bound in bounds.items():
+            params_t = as_tensors(init_params(kind, hyper, 0))
+            tracemalloc.start()
+            try:
+                batch_loss_and_grads(batch, params_t, hyper, kind, lam=hyper.lam)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound < TRIM_THRESHOLD, kind
 
         # H and its gradient stay inside the edge op: in no kind that has
         # one does a tape tensor hold even one subject's share of H

@@ -11,6 +11,8 @@ from scipy import ndimage
 
 from legnet import synthgen
 from legnet.connectome import (
+    HEMI_LEFT,
+    HEMI_RIGHT,
     InputError,
     LesionMask,
     ToyAtlas,
@@ -24,6 +26,7 @@ from legnet.synthgen import (
     FRACTION_MAX,
     FRACTION_MIN,
     CohortParams,
+    HealthySubject,
     LesionPolicy,
     LesionSpec,
     corrupt_connectivity,
@@ -121,6 +124,11 @@ class TestGrowLesion:
         tsize = atlas.territory_size(1)
         mask = grow_lesion(atlas, LesionSpec(territory=1, target_fraction=0.05, seed=7))
         assert mask.size == pytest.approx(0.05 * tsize, abs=np.ceil(0.02 * 0.05 * tsize) + 0.5)
+
+    def test_no_attempt_left_is_an_input_error(self, atlas, monkeypatch):
+        monkeypatch.setattr(synthgen, "_MAX_GROW_ATTEMPTS", 0)
+        with pytest.raises(InputError, match="could not grow a lesion .* after 0 attempts"):
+            grow_lesion(atlas, LesionSpec(territory=1, target_fraction=0.1, seed=0))
 
     def test_one_voxel_lesion_is_the_start_voxel(self):
         # territories of 12 voxels: a 5% lesion is one voxel, so the growth
@@ -582,9 +590,61 @@ class TestStageArgumentTypes:
         # no ROIs: nothing to corrupt, and an empty X has no range to clip to
         (lambda atlas, cp, subj: corrupt_connectivity(np.ones((0, 0)), np.ones(0), cp, 0),
          r"N >= 1, got X \(0, 0\), p \(0,\)"),
+        # p = -0.5 flipped the sign of log X, NaN and 1.5 left the row as it
+        # was, and a non-finite X came back non-finite
+        (lambda atlas, cp, subj: corrupt_connectivity(np.ones((2, 2)), np.array([-0.5, 1.0]),
+                                                      cp, 0),
+         r"spared fractions p must lie in \[0, 1\], got \[-0.5, 1.0\]"),
+        (lambda atlas, cp, subj: corrupt_connectivity(np.ones((2, 2)), np.array([np.nan, 1.0]),
+                                                      cp, 0),
+         r"spared fractions p must lie in \[0, 1\]"),
+        (lambda atlas, cp, subj: corrupt_connectivity(np.ones((2, 2)), np.array([1.5, 1.0]),
+                                                      cp, 0),
+         r"spared fractions p must lie in \[0, 1\], got \[1.0, 1.5\]"),
+        (lambda atlas, cp, subj: corrupt_connectivity(np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                                                      np.ones(2), cp, 0),
+         "X has non-finite entries"),
+        (lambda atlas, cp, subj: corrupt_connectivity(np.array([[1.0, np.inf], [np.inf, 1.0]]),
+                                                      np.zeros(2), cp, 0),
+         "X has non-finite entries"),
+        # a list of sums raised AttributeError in lesioned_roi_series, and a
+        # NaN sigma_voxel surfaced as NaN ROI series rows in correlation_matrix
+        (lambda atlas, cp, subj: HealthySubject(5, subj[0].roi_sums, 1.0, 50.0),
+         "healthy subject id must be a str, got int"),
+        (lambda atlas, cp, subj: HealthySubject("h", subj[0].roi_sums.tolist(), 1.0, 50.0),
+         "healthy subject 'h': roi_sums must be a ndarray, got list"),
+        (lambda atlas, cp, subj: HealthySubject("h", np.ones((3, 1)), 1.0, 50.0),
+         r"roi_sums must be a real \(N, Tlen >= 2\) array, got float64 \(3, 1\)"),
+        (lambda atlas, cp, subj: HealthySubject("h", np.ones((3, 4), complex), 1.0, 50.0),
+         r"roi_sums must be a real .* got complex128 \(3, 4\)"),
+        (lambda atlas, cp, subj: HealthySubject("h", np.full((3, 4), np.inf), 1.0, 50.0),
+         "healthy subject 'h': roi_sums has non-finite entries"),
+        (lambda atlas, cp, subj: HealthySubject("h", np.ones((3, 4)), np.nan, 50.0),
+         "healthy subject 'h': sigma_voxel must be a finite number >= 0, got nan"),
+        (lambda atlas, cp, subj: HealthySubject("h", np.ones((3, 4)), -1.0, 50.0),
+         "sigma_voxel must be a finite number >= 0"),
+        (lambda atlas, cp, subj: HealthySubject("h", np.ones((3, 4)), 1.0, "50"),
+         "healthy subject 'h': y0 must be a finite number >= 0, got '50'"),
+        (lambda atlas, cp, subj: HealthySubject("h", np.ones((3, 4)), 1.0, 100.5),
+         r"healthy subject 'h': y0 100.5 outside \[0, 100\]"),
+        # name 5 gave subject ids 5-0000
+        (lambda atlas, cp, subj: LesionPolicy(name=5),
+         "policy name must be a str, got int"),
+        # "50" scored 44.79, and a NaN y0 scored NaN
+        (lambda atlas, cp, subj: rescale_score("50", atlas, subj[1]),
+         "y0 must be a finite number >= 0, got '50'"),
+        (lambda atlas, cp, subj: rescale_score(float("nan"), atlas, subj[1]),
+         "y0 must be a finite number >= 0, got nan"),
+        (lambda atlas, cp, subj: rescale_score(-1.0, atlas, subj[1]),
+         "y0 must be a finite number >= 0, got -1.0"),
     ], ids=["healthy-params", "healthy-atlas", "grow-atlas", "grow-spec", "series-healthy",
             "series-atlas", "series-lesion", "corrupt-params", "corrupt-list-X", "corrupt-list-p",
-            "corrupt-complex-X", "corrupt-complex-p", "corrupt-no-ROIs"])
+            "corrupt-complex-X", "corrupt-complex-p", "corrupt-no-ROIs", "corrupt-negative-p",
+            "corrupt-nan-p", "corrupt-p-above-1", "corrupt-nan-X", "corrupt-inf-X",
+            "healthy-id", "healthy-list-sums", "healthy-tlen-1", "healthy-complex-sums",
+            "healthy-inf-sums", "healthy-nan-sigma", "healthy-negative-sigma", "healthy-str-y0",
+            "healthy-y0-above-100", "policy-name", "rescale-str-y0", "rescale-nan-y0",
+            "rescale-negative-y0"])
     def test_rejected(self, atlas, cohort_params, subject, call, message):
         with pytest.raises(InputError, match=message):
             call(atlas, cohort_params, subject)
@@ -621,6 +681,19 @@ class TestBackgroundVoxels:
 
 
 class TestGenerateCohort:
+    def test_atlas_without_a_left_territory_is_an_input_error(self, atlas):
+        right = ToyAtlas(atlas.roi_of_voxel, atlas.territory_of_roi,
+                         np.full(atlas.n_rois, HEMI_RIGHT), atlas.n_territories)
+        assert right.left_territories() == []
+        with pytest.raises(InputError, match="atlas has no left-hemisphere territories"):
+            generate_cohort(1, right, master_seed=0)
+
+    def test_language_territory_of_one_roi_is_an_input_error(self):
+        # two one-voxel ROIs, each its own territory
+        atlas = ToyAtlas(np.array([[[1]], [[2]]]), [1, 2], [HEMI_LEFT, HEMI_LEFT], 2)
+        with pytest.raises(InputError, match="language territory must contain at least two"):
+            generate_healthy_subject(atlas, 0, CohortParams(language_territory=2))
+
     def test_deterministic_bytes(self, atlas, cohort_params):
         a, _ = generate_cohort(3, atlas, master_seed=5, cohort_params=cohort_params)
         b, _ = generate_cohort(3, atlas, master_seed=5, cohort_params=cohort_params)
