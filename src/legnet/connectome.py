@@ -202,21 +202,17 @@ class ToyAtlas:
             if np.any((labels < low) | (labels > top)):
                 raise InputError(f"{name} has labels outside [{low}, {top}]")
 
-        found, lo, hi = _bounding_boxes(self.roi_of_voxel, n)
-        for roi in range(1, n + 1):
-            if not found[roi - 1]:
-                raise InputError(f"ROI {roi} is empty")
-            bbox = tuple(map(slice, lo[roi - 1], hi[roi - 1]))
-            if not _region_is_face_connected(self.roi_of_voxel[bbox] == roi):
-                raise InputError(f"ROI {roi} is not face-connected")
-        # a territory lies inside the box around its ROIs' boxes
-        for t in range(1, self.n_territories + 1):
-            members = terr == t
-            if not members.any():
-                raise InputError(f"territory {t} is empty")
-            bbox = tuple(map(slice, lo[members].min(axis=0), hi[members].max(axis=0)))
-            if not _region_is_face_connected(self.territory_mask(t)[bbox]):
-                raise InputError(f"territory {t} is not face-connected")
+        # the territory grid's labels are 0..T, as the range checks above ensure
+        for name, grid, count in (("ROI", self.roi_of_voxel, n),
+                                  ("territory", np.append(0, terr)[self.roi_of_voxel],
+                                   self.n_territories)):
+            found, lo, hi = _bounding_boxes(grid, count)
+            for label in range(1, count + 1):
+                if not found[label - 1]:
+                    raise InputError(f"{name} {label} is empty")
+                box = tuple(map(slice, lo[label - 1], hi[label - 1]))
+                if not _region_is_face_connected(grid[box] == label):
+                    raise InputError(f"{name} {label} is not face-connected")
 
 
 def _bounding_boxes(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
