@@ -189,7 +189,10 @@ class ToyAtlas:
         return [t for t in range(1, self.n_territories + 1) if t not in right]
 
     def validate(self) -> None:
-        """Raise InputError on any violated atlas invariant."""
+        """Raise InputError on any violated atlas invariant. After the shape
+        and label-range checks, one region rule runs on the ROI label grid,
+        then on the territory label grid: each label is one non-empty,
+        face-connected region."""
         check_number("n_territories", self.n_territories, 1, integral=True)
         n, terr, hemi = self.n_rois, self.territory_of_roi, self.hemisphere_of_roi
         if self.roi_of_voxel.ndim != 3 or terr.ndim != 1 or hemi.shape != terr.shape:
@@ -414,6 +417,9 @@ class LesionMask:
         return int(territories[0])
 
     def validate(self, atlas: ToyAtlas) -> None:
+        """Raise InputError unless the mask fits `atlas`: it must be non-empty,
+        on the atlas's grid, inside its ROIs, all in the left hemisphere, in
+        one territory, face-connected, and without a cavity."""
         if not self.size:
             raise InputError("lesion mask is empty")
         if np.any(atlas.hemisphere_of_roi[self.rois(atlas)] != HEMI_LEFT):

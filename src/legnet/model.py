@@ -102,15 +102,8 @@ def param_spec(kind: str, hyper: HyperParams) -> list[tuple[str, tuple[int, ...]
     check_types(("hyper", hyper, HyperParams))
     spec = _kind(kind)
     n, k = hyper.n_rois, hyper.k
-    d0, d1, d2, d3 = hyper.d0, hyper.d1, hyper.d2, hyper.d3
-    edge = [("r", (n, d0), n, d0), ("c", (n, d0), n, d0)]
-    node = [("g", (n, d1, d0), n * d0, d1), ("b1", (d1,), d1, d1)]
-    tensors = {
-        _edge_module: edge + node,
-        _masked_edge_module: edge + node,
-        _two_channel_edge_module: edge + [("r2", (n, d0), n, d0), ("c2", (n, d0), n, d0)] + node,
-        _node_embedding: [("node_w", (d1, n), n, d1), ("node_b", (d1,), d1, d1)],
-    }[spec.nodes]
+    d1, d2, d3 = hyper.d1, hyper.d2, hyper.d3
+    tensors = _NODE_TENSORS[spec.nodes](n, hyper.d0, d1)
     if spec.subgraph:
         tensors += [("theta1", (k, n), n, k), ("theta2", (d2 * d1, k), k, d2 * d1),
                     ("b2", (d2 * d1,), d2 * d1, d2 * d1)]
@@ -284,17 +277,35 @@ def _node_embedding(tape: Tape, subj: PreparedSubject, params: dict[str, Tensor]
                          params["node_b"])
 
 
+def _edge_tensors(*projections: str):
+    """The edge module's tensors: one (N, d0) projection per name, then g and b1."""
+    return lambda n, d0, d1: ([(name, (n, d0), n, d0) for name in projections]
+                              + [("g", (n, d1, d0), n * d0, d1), ("b1", (d1,), d1, d1)])
+
+
+# each node stage's tensors, (name, shape, fan_in, fan_out), from (N, d0, d1)
+_NODE_TENSORS = {
+    _edge_module: _edge_tensors("r", "c"),
+    _masked_edge_module: _edge_tensors("r", "c"),
+    _two_channel_edge_module: _edge_tensors("r", "c", "r2", "c2"),
+    _node_embedding: lambda n, d0, d1: [("node_w", (d1, n), n, d1), ("node_b", (d1,), d1, d1)],
+}
+
+
 @dataclass(frozen=True)
 class ModelKind:
     """One kind as a row of stage choices, called as its forward: the node
     stage, then the subgraph module with S "lesion" (from p), "shared"
     (softmax(theta1^T)) or None (no module), then the head. Stages are
-    looked up in this module when called."""
+    looked up in this module when called. A node stage that is not a key of
+    `_NODE_TENSORS`, or another subgraph choice, is an InputError."""
 
     nodes: Callable[[Tape, PreparedSubject, dict[str, Tensor]], Tensor]
     subgraph: str | None = None
 
     def __post_init__(self):
+        if not any(self.nodes is stage for stage in _NODE_TENSORS):
+            raise InputError(f"node stage {self.nodes!r} has no tensor table")
         if self.subgraph not in (None, "lesion", "shared"):
             raise InputError(f"subgraph must be None, 'lesion' or 'shared', got {self.subgraph!r}")
 

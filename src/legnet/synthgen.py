@@ -455,8 +455,8 @@ def corrupt_connectivity(x: np.ndarray, p: np.ndarray, params: CohortParams, see
     clipping keeps the original [min X, max X] range. As X = exp(r), diminution
     shrinks the correlation r = log X toward 0 with its sign kept: a fully
     lesioned ROI (p = 0) goes to X = 1 plus noise. Intact pairs and the
-    diagonal are untouched. A non-finite X, or a p entry outside [0, 1], is
-    an InputError.
+    diagonal are untouched. A non-finite or non-positive X entry, whose power
+    is undefined, or a p entry outside [0, 1], is an InputError.
     """
     check_types(("X", x, np.ndarray), ("p", p, np.ndarray), ("params", params, CohortParams))
     n = x.shape[0] if x.ndim == 2 else 0
@@ -468,6 +468,8 @@ def corrupt_connectivity(x: np.ndarray, p: np.ndarray, params: CohortParams, see
     lo, hi = x.min(), x.max()  # NaN if X holds one
     if not -np.inf < lo <= hi < np.inf:
         raise InputError("X has non-finite entries")
+    if lo <= 0:
+        raise InputError(f"X must be positive, got min {lo}")
     if not 0.0 <= p.min() <= p.max() <= 1.0:  # NaN fails
         raise InputError(f"spared fractions p must lie in [0, 1], got [{p.min()}, {p.max()}]")
     pmin = np.minimum.outer(p, p)
@@ -479,8 +481,7 @@ def corrupt_connectivity(x: np.ndarray, p: np.ndarray, params: CohortParams, see
     eta = np.triu(noise, 1)
     eta = (eta + eta.T) * (params.corruption_sigma_rel * float(np.std(x)))
 
-    with np.errstate(invalid="ignore"):
-        damped = np.power(x, np.power(pmin, params.corruption_gamma)) + eta
+    damped = np.power(x, np.power(pmin, params.corruption_gamma)) + eta
     damped = np.clip(damped, lo, hi)
     return np.where(modified, damped, x)
 

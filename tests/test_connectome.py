@@ -511,6 +511,42 @@ class TestNumpyOracles:
             absent += len(want) - int(found.sum())
         assert absent >= 100, absent
 
+    def test_atlas_verdict_matches_label(self):
+        # the atlas builds iff every ROI and every territory is one face
+        # component, and else names the first region that is not, ROIs first
+        base = build_toy_atlas(n_rois=12, grid_dims=(8, 8, 8), n_territories=6)
+        hemi = base.hemisphere_of_roi
+        rng = np.random.default_rng(59)
+        verdicts = {"built": 0, "ROI": 0, "territory": 0}
+        for _ in range(200):
+            roi, terr = base.roi_of_voxel.copy(), base.territory_of_roi.copy()
+            for _ in range(int(rng.integers(1, 4))):
+                voxel = tuple(int(rng.integers(8)) for _ in range(3))
+                # most moves take a face neighbour's label, which can keep both
+                # ROIs connected; the rest take any label or background
+                axis, step = int(rng.integers(3)), int(rng.choice((-1, 1)))
+                near = list(voxel)
+                near[axis] = min(max(near[axis] + step, 0), 7)
+                roi[voxel] = (roi[tuple(near)] if rng.random() < 0.75
+                              else int(rng.integers(0, base.n_rois + 1)))
+            # half the atlases also move one ROI to any territory
+            if rng.random() < 0.5:
+                terr[rng.integers(base.n_rois)] = rng.integers(1, base.n_territories + 1)
+            want = None
+            for name, grid, count in (("ROI", roi, base.n_rois),
+                                      ("territory", np.append(0, terr)[roi], base.n_territories)):
+                for label in range(1, count + 1):
+                    components = ndimage.label(grid == label, FACE_STRUCTURE)[1]
+                    if want is None and components != 1:
+                        want = f"{name} {label} is {'empty' if not components else 'not face-'}"
+            if want is None:
+                ToyAtlas(roi, terr, hemi, base.n_territories)
+            else:
+                with pytest.raises(InputError, match=f"^{want}"):
+                    ToyAtlas(roi, terr, hemi, base.n_territories)
+            verdicts[want.split()[0] if want else "built"] += 1
+        assert min(verdicts.values()) >= 30, verdicts
+
 
 class TestRoiTimeseries:
     """Lesioned ROI mean series (`synthgen.lesioned_roi_series`) on a 3x1x1

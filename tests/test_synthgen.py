@@ -607,6 +607,13 @@ class TestStageArgumentTypes:
         (lambda atlas, cp, subj: corrupt_connectivity(np.array([[1.0, np.inf], [np.inf, 1.0]]),
                                                       np.zeros(2), cp, 0),
          "X has non-finite entries"),
+        # a negative entry's fractional power came back NaN; 0 has no log X
+        (lambda atlas, cp, subj: corrupt_connectivity(np.array([[1.0, -0.5], [-0.5, 1.0]]),
+                                                      np.array([0.5, 1.0]), cp, 0),
+         r"X must be positive, got min -0.5"),
+        (lambda atlas, cp, subj: corrupt_connectivity(np.array([[1.0, 0.0], [0.0, 1.0]]),
+                                                      np.array([0.5, 1.0]), cp, 0),
+         r"X must be positive, got min 0.0"),
         # a list of sums raised AttributeError in lesioned_roi_series, and a
         # NaN sigma_voxel surfaced as NaN ROI series rows in correlation_matrix
         (lambda atlas, cp, subj: HealthySubject(5, subj[0].roi_sums, 1.0, 50.0),
@@ -641,10 +648,10 @@ class TestStageArgumentTypes:
             "series-atlas", "series-lesion", "corrupt-params", "corrupt-list-X", "corrupt-list-p",
             "corrupt-complex-X", "corrupt-complex-p", "corrupt-no-ROIs", "corrupt-negative-p",
             "corrupt-nan-p", "corrupt-p-above-1", "corrupt-nan-X", "corrupt-inf-X",
-            "healthy-id", "healthy-list-sums", "healthy-tlen-1", "healthy-complex-sums",
-            "healthy-inf-sums", "healthy-nan-sigma", "healthy-negative-sigma", "healthy-str-y0",
-            "healthy-y0-above-100", "policy-name", "rescale-str-y0", "rescale-nan-y0",
-            "rescale-negative-y0"])
+            "corrupt-negative-X", "corrupt-zero-X", "healthy-id", "healthy-list-sums",
+            "healthy-tlen-1", "healthy-complex-sums", "healthy-inf-sums", "healthy-nan-sigma",
+            "healthy-negative-sigma", "healthy-str-y0", "healthy-y0-above-100", "policy-name",
+            "rescale-str-y0", "rescale-nan-y0", "rescale-negative-y0"])
     def test_rejected(self, atlas, cohort_params, subject, call, message):
         with pytest.raises(InputError, match=message):
             call(atlas, cohort_params, subject)
