@@ -102,8 +102,8 @@ def param_spec(kind: str, hyper: HyperParams) -> list[tuple[str, tuple[int, ...]
     check_types(("hyper", hyper, HyperParams))
     spec = _kind(kind)
     n, k = hyper.n_rois, hyper.k
-    d1, d2, d3 = hyper.d1, hyper.d2, hyper.d3
-    tensors = _NODE_TENSORS[spec.nodes](n, hyper.d0, d1)
+    d0, d1, d2, d3 = hyper.d0, hyper.d1, hyper.d2, hyper.d3
+    tensors = _NODE_TENSORS[spec.nodes](n, d0, d1)
     if spec.subgraph:
         tensors += [("theta1", (k, n), n, k), ("theta2", (d2 * d1, k), k, d2 * d1),
                     ("b2", (d2 * d1,), d2 * d1, d2 * d1)]

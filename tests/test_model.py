@@ -466,7 +466,8 @@ class TestFullForward:
         with pytest.raises(InputError, match=re.escape(f"got {subgraph!r}")):
             ModelKind(model._edge_module, subgraph)
 
-    @pytest.mark.parametrize("nodes", [lambda t, s, p: None, "_edge_module", [], model.edge_to_node])
+    @pytest.mark.parametrize("nodes", [lambda t, s, p: None, "_edge_module", [],
+                                       model.edge_to_node])
     def test_a_row_refuses_a_node_stage_without_a_tensor_table(self, nodes):
         # a stage missing from the table built a row whose param_spec raised
         # a bare KeyError
